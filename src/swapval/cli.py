@@ -29,6 +29,9 @@ from swapval.market_data import PriceDataError
 from swapval.optimizers import (
     DemandPriceCurve,
     SweepError,
+    _refine_spacing,
+    _validate_grid,
+    _worker_count,
     optimize_mdc,
     optimize_price_for_curve,
     refine_mdc,
@@ -66,6 +69,14 @@ def _parse_grid(text: str) -> list[float]:
         grid.append(round(v, 12))
         v += step
     return grid
+
+
+def _checked(validate, *args, **kwargs):
+    """Run an engine validator, reporting its ValueError as bad configuration."""
+    try:
+        return validate(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_curve(text: str) -> DemandPriceCurve:
@@ -143,6 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     if args.synth and args.price_file:
         raise ConfigError("--synth and --price-file are mutually exclusive")
+    if args.mu is not None and not 0 <= args.mu < float("inf"):
+        raise ConfigError(f"--mu must be finite and >= 0, got {args.mu}")
     prices = config.prices
     if args.synth:
         pattern, params = _parse_synth(args.synth)
@@ -170,7 +183,7 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
 
     economics = config.economics
     if args.om is not None:
-        economics = dataclasses.replace(economics, fixed_om_per_kw_year=args.om)
+        economics = _checked(dataclasses.replace, economics, fixed_om_per_kw_year=args.om)
 
     flags = config.flags
     if args.no_reserve:
@@ -179,14 +192,19 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     swap = config.swap
     if args.swap_price is not None or args.swap_cap is not None or args.labor is not None:
         base = swap if swap is not None else SwapTerms(0.0, 0.0, 10.0)
-        swap = SwapTerms(
-            swap_price=args.swap_price if args.swap_price is not None else base.swap_price,
-            daily_swap_cap=args.swap_cap if args.swap_cap is not None else base.daily_swap_cap,
-            labor_cost=args.labor if args.labor is not None else base.labor_cost,
+        swap = _checked(
+            SwapTerms,
+            args.swap_price if args.swap_price is not None else base.swap_price,
+            args.swap_cap if args.swap_cap is not None else base.daily_swap_cap,
+            args.labor if args.labor is not None else base.labor_cost,
         )
 
     mdc_grid = _parse_grid(args.mdc_grid) if args.mdc_grid else config.mdc_grid
     price_grid = _parse_grid(args.price_grid) if args.price_grid else config.price_grid
+    mdc_grid = _checked(_validate_grid, mdc_grid, "mdc")
+    price_grid = _checked(_validate_grid, price_grid, "price")
+    if getattr(args, "refine_step", None) is not None:
+        _checked(_refine_spacing, mdc_grid, args.refine_step)
 
     return ScenarioConfig(battery=config.battery, economics=economics, prices=prices,
                           swap=swap, demand_curve=config.demand_curve, flags=flags,
@@ -209,30 +227,20 @@ def _cmd_optimize_mdc(config: ScenarioConfig, prices, args) -> None:
     sweep = optimize_mdc(config.battery, config.economics, prices, config.swap,
                          config.mdc_grid, reserve_enabled=config.flags.reserve_enabled)
     emit_mdc_sweep(sweep, args.out)
-    if getattr(args, "refine_step", None):
+    if args.refine_step is not None:
         refined = refine_mdc(sweep, config.battery, config.economics, prices,
                              config.swap, args.refine_step,
                              reserve_enabled=config.flags.reserve_enabled)
-        from swapval.report import write_json, write_table, MDC_SWEEP_COLUMNS
-        write_table(os.path.join(args.out, "mdc_sweep_refined.csv"),
-                    MDC_SWEEP_COLUMNS, refined.grid)
-        write_json(os.path.join(args.out, "mdc_sweep_refined.json"),
-                   {"mu_star": refined.mu_star, "lb_at_star": refined.lb_at_star,
-                    "grid": refined.grid})
+        emit_mdc_sweep(refined, args.out, stem="mdc_sweep_refined")
 
 
 def _cmd_sweep_price(config: ScenarioConfig, prices, args) -> None:
-    if args.swap_cap is not None:
-        cap = args.swap_cap
-    elif config.swap is not None:
-        cap = config.swap.daily_swap_cap
-    else:
+    # The overrides fold --swap-cap and --labor into config.swap.
+    if config.swap is None:
         raise ConfigError("sweep-price needs --swap-cap or a swap block in the config")
-    labor = args.labor if args.labor is not None else (
-        config.swap.labor_cost if config.swap else 10.0)
     rows = sweep_swap_price(config.battery, config.economics, prices,
-                            config.price_grid, cap, config.mdc_grid,
-                            labor_cost=labor,
+                            config.price_grid, config.swap.daily_swap_cap, config.mdc_grid,
+                            labor_cost=config.swap.labor_cost,
                             reserve_enabled=config.flags.reserve_enabled)
     emit_price_sweep(rows, args.out)
 
@@ -244,42 +252,31 @@ def _cmd_optimize_curve_price(config: ScenarioConfig, prices, args) -> None:
     if not curves:
         raise ConfigError("optimize-curve-price needs --curve k,b or a demand_curve "
                           "block in the config")
-    labor = args.labor if args.labor is not None else (
-        config.swap.labor_cost if config.swap else 10.0)
-    results = []
-    for curve in curves:
-        res = optimize_price_for_curve(
-            config.battery, config.economics, prices, curve,
-            config.price_grid, config.mdc_grid, labor_cost=labor,
-            reserve_enabled=config.flags.reserve_enabled)
-        results.append((curve.slope, curve.intercept, res))
+    labor = config.swap.labor_cost if config.swap else 10.0
+    results = [(curve.slope, curve.intercept, optimize_price_for_curve(
+        config.battery, config.economics, prices, curve,
+        config.price_grid, config.mdc_grid, labor_cost=labor,
+        reserve_enabled=config.flags.reserve_enabled)) for curve in curves]
     emit_curve_optima(results, args.out)
 
 
 def _cmd_eol(config: ScenarioConfig, prices, args) -> None:
-    om_grid = _parse_grid(args.om_grid)
+    om_grid = _checked(_validate_grid, _parse_grid(args.om_grid), "om")
     rows = []
     modes = [("with_swap", config.swap), ("no_swap", None)]
     if config.swap is None:
         modes = [("no_swap", None)]
+    # A fixed --mu is a one-point grid; otherwise each mode runs at its own mu*.
+    grid = config.mdc_grid if args.mu is None else [args.mu]
     for mode, swap in modes:
-        if args.mu is not None:
-            mu = args.mu
-        else:
-            sweep = optimize_mdc(config.battery, config.economics, prices, swap,
-                                 config.mdc_grid,
-                                 reserve_enabled=config.flags.reserve_enabled)
-            mu = sweep.mu_star
-        result = simulate_lifecycle(config.battery, config.economics, prices, mu,
-                                    swap_policy=swap,
-                                    reserve_enabled=config.flags.reserve_enabled,
-                                    keep_daily_log=False)
+        result = optimize_mdc(config.battery, config.economics, prices, swap, grid,
+                              reserve_enabled=config.flags.reserve_enabled).best
         for om in om_grid:
             econ = dataclasses.replace(config.economics, fixed_om_per_kw_year=om)
             eol = eol_analysis(result, config.battery, econ,
                                include_mdc_in_cashflow=config.flags.include_mdc_in_cashflow)
             rows.append({
-                "om_per_kw_year": om, "mode": mode, "mu": mu,
+                "om_per_kw_year": om, "mode": mode, "mu": result.mu,
                 "economic_eol_year": eol["economic_eol_year"],
                 "physical_eol_year": eol["physical_eol_year"],
             })
@@ -314,6 +311,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _checked(_worker_count, 1)  # a malformed SWAPVAL_THREADS
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         prices = resolve_prices(config)

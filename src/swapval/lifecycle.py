@@ -201,7 +201,7 @@ def simulate_lifecycle(
             break
         kappa = day // DAYS_PER_YEAR
         delta = (1.0 + rate) ** (-kappa)
-        mu_t = mu * (1.0 + rate) ** kappa
+        mu_t = adjusted_mdc(mu, day, econ)
         soh = ledger.soh
         capacity_now = soh * spec.energy_capacity_0
         # Capacity fade can strand stored energy, and solver round-off can

@@ -1,10 +1,11 @@
 """Outer searches: optimal MDC, swap-price sweeps, and curve-based pricing.
 
-Each grid point is one independent lifecycle simulation, so sweeps run
-embarrassingly parallel across processes (capped by the SWAPVAL_THREADS
-environment variable) and aggregate in grid order for deterministic output.
-Plain exhaustive search everywhere: the life-cycle objective is not known
-to be unimodal in the degradation cost, so no bracketing descent is used.
+Each search is a grid of (swap policy, mu) points, one lifecycle each.  One
+runner executes an optimizer call's whole grid on a single process pool
+(SWAPVAL_THREADS workers, clamped to the grid size), collects in grid order
+for deterministic output, and keeps each policy's argmax lifecycle.  Plain
+exhaustive search: the life-cycle objective is not known to be unimodal in
+the degradation cost, so no bracketing descent is used.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ class MdcSweepResult:
     grid: list[dict]  # mu, lb_star, abu, days_lived, arbitrage_revenue, reserve_revenue
     mu_star: float
     lb_at_star: float
+    best: LifecycleResult  # the mu_star lifecycle
 
 
 @dataclass
@@ -59,10 +61,11 @@ class CurvePriceResult:
 
 
 def _worker_count(n_tasks: int) -> int:
-    env = os.environ.get("SWAPVAL_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, min(os.cpu_count() or 1, n_tasks))
+    """SWAPVAL_THREADS (default: the CPU count) clamped to n_tasks grid points."""
+    env = os.environ.get("SWAPVAL_THREADS", "").strip() or str(os.cpu_count() or 1)
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"SWAPVAL_THREADS must be an integer >= 1, got {env!r}")
+    return min(int(env), n_tasks)
 
 
 def _simulate_point(args) -> LifecycleResult:
@@ -82,6 +85,49 @@ def _validate_grid(grid, name: str) -> list[float]:
     return values
 
 
+def _run_grid(spec, econ, prices, policies, mu_values,
+              reserve_enabled) -> list[MdcSweepResult]:
+    """Simulate every (policy, mu) point and return one sweep per policy.
+
+    Points run in grid order on one pool, or serially with one worker; the
+    first failure cancels the pending points and raises a SweepError.
+    """
+    points = [(swap, mu) for swap in policies for mu in mu_values]
+    args = [(spec, econ, prices, mu, swap, reserve_enabled) for swap, mu in points]
+    workers = _worker_count(len(args))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        pending = [pool.submit(_simulate_point, a) for a in args] if pool else args
+        results = []
+        for (swap, mu), item in zip(points, pending):
+            try:
+                results.append(item.result() if pool else _simulate_point(item))
+            except Exception as exc:
+                where = "no swap" if swap is None else (
+                    f"swap price={swap.swap_price}, cap={swap.daily_swap_cap}")
+                raise SweepError(f"simulation failed at {where}, mu={mu}: {exc}") from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    n = len(mu_values)
+    return [_sweep_from_results(mu_values, results[i:i + n])
+            for i in range(0, len(results), n)]
+
+
+def _sweep_from_results(mu_values, results) -> MdcSweepResult:
+    rows = [{
+        "mu": mu,
+        "lb_star": res.lb_star,
+        "abu": res.abu,
+        "days_lived": res.days_lived,
+        "arbitrage_revenue": res.lb_star - res.discounted_reserve_revenue,
+        "reserve_revenue": res.discounted_reserve_revenue,
+    } for mu, res in zip(mu_values, results)]
+    best = max(range(len(rows)), key=lambda i: (rows[i]["lb_star"], -rows[i]["mu"]))
+    return MdcSweepResult(grid=rows, mu_star=rows[best]["mu"],
+                          lb_at_star=rows[best]["lb_star"], best=results[best])
+
+
 def optimize_mdc(spec: BatterySpec, econ: EconomicParams, prices: HourlyPriceSeries,
                  swap_policy: SwapTerms | None, grid,
                  reserve_enabled: bool = True) -> MdcSweepResult:
@@ -89,46 +135,18 @@ def optimize_mdc(spec: BatterySpec, econ: EconomicParams, prices: HourlyPriceSer
 
     One full lifecycle per grid point; ties break toward the smaller mu.
     """
-    mu_values = _validate_grid(grid, "mdc")
-    results = _run_mu_grid(spec, econ, prices, swap_policy, mu_values, reserve_enabled)
-    return _sweep_from_results(mu_values, results)
+    return _run_grid(spec, econ, prices, [swap_policy], _validate_grid(grid, "mdc"),
+                     reserve_enabled)[0]
 
 
-def _run_mu_grid(spec, econ, prices, swap_policy, mu_values, reserve_enabled):
-    tasks = [(mu, swap_policy) for mu in mu_values]
-    results = []
-    args = [(spec, econ, prices, mu, swap, reserve_enabled) for mu, swap in tasks]
-    workers = _worker_count(len(args))
-    if workers == 1 or len(args) == 1:
-        for (mu, _), a in zip(tasks, args):
-            try:
-                results.append(_simulate_point(a))
-            except Exception as exc:
-                raise SweepError(f"simulation failed at mu={mu}: {exc}") from exc
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_simulate_point, a) for a in args]
-        for (mu, _), fut in zip(tasks, futures):
-            try:
-                results.append(fut.result())
-            except Exception as exc:
-                raise SweepError(f"simulation failed at mu={mu}: {exc}") from exc
-    return results
-
-
-def _sweep_from_results(mu_values, results) -> MdcSweepResult:
-    rows = []
-    for mu, res in zip(mu_values, results):
-        rows.append({
-            "mu": mu,
-            "lb_star": res.lb_star,
-            "abu": res.abu,
-            "days_lived": res.days_lived,
-            "arbitrage_revenue": res.lb_star - res.discounted_reserve_revenue,
-            "reserve_revenue": res.discounted_reserve_revenue,
-        })
-    best = max(range(len(rows)), key=lambda i: (rows[i]["lb_star"], -rows[i]["mu"]))
-    return MdcSweepResult(grid=rows, mu_star=rows[best]["mu"], lb_at_star=rows[best]["lb_star"])
+def _refine_spacing(mu_values: list[float], step: float) -> float:
+    """The coarse grid's largest spacing, after checking that step refines it."""
+    if len(mu_values) < 2:
+        raise ValueError("coarse sweep needs at least two grid points to refine")
+    spacing = max(b - a for a, b in zip(mu_values, mu_values[1:]))
+    if step <= 0 or step >= spacing:
+        raise ValueError(f"step must be in (0, coarse spacing {spacing}), got {step}")
+    return spacing
 
 
 def refine_mdc(coarse: MdcSweepResult, spec: BatterySpec, econ: EconomicParams,
@@ -140,18 +158,21 @@ def refine_mdc(coarse: MdcSweepResult, spec: BatterySpec, econ: EconomicParams,
     outside it is assumed about the objective's shape.
     """
     mu_values = [row["mu"] for row in coarse.grid]
-    if len(mu_values) < 2:
-        raise ValueError("coarse sweep needs at least two grid points to refine")
-    spacing = max(b - a for a, b in zip(mu_values, mu_values[1:]))
-    if step <= 0 or step >= spacing:
-        raise ValueError(f"step must be in (0, coarse spacing {spacing}), got {step}")
+    spacing = _refine_spacing(mu_values, step)
     lo = max(0.0, coarse.mu_star - spacing)
     hi = min(mu_values[-1], coarse.mu_star + spacing)
     fine = np.arange(lo, hi + step / 2, step)
     fine = np.unique(np.concatenate([fine, [coarse.mu_star, hi]]))
-    fine_values = [float(v) for v in fine]
-    results = _run_mu_grid(spec, econ, prices, swap_policy, fine_values, reserve_enabled)
-    return _sweep_from_results(fine_values, results)
+    return _run_grid(spec, econ, prices, [swap_policy], fine.tolist(), reserve_enabled)[0]
+
+
+def _sweep_prices(spec, econ, prices, price_grid, cap_at, mdc_grid, labor_cost,
+                  reserve_enabled):
+    """(policy, MDC sweep) per swap price, the daily cap set by cap_at(price)."""
+    policies = [SwapTerms(swap_price=p, daily_swap_cap=cap_at(p), labor_cost=labor_cost)
+                for p in _validate_grid(price_grid, "price")]
+    return zip(policies, _run_grid(spec, econ, prices, policies,
+                                   _validate_grid(mdc_grid, "mdc"), reserve_enabled))
 
 
 def sweep_swap_price(spec: BatterySpec, econ: EconomicParams, prices: HourlyPriceSeries,
@@ -163,24 +184,15 @@ def sweep_swap_price(spec: BatterySpec, econ: EconomicParams, prices: HourlyPric
     Returns one row per price: {swap_price, mu_star, lb_star, abu, days_lived},
     where abu and days_lived are those of the mu_star run.
     """
-    prices_list = _validate_grid(price_grid, "price")
-    if fixed_daily_cap < 0:
-        raise ValueError(f"fixed_daily_cap must be >= 0, got {fixed_daily_cap}")
-    rows = []
-    for price in prices_list:
-        swap = SwapTerms(swap_price=price, daily_swap_cap=fixed_daily_cap,
-                         labor_cost=labor_cost)
-        sweep = optimize_mdc(spec, econ, prices, swap, mdc_grid,
-                             reserve_enabled=reserve_enabled)
-        best = next(r for r in sweep.grid if r["mu"] == sweep.mu_star)
-        rows.append({
-            "swap_price": price,
-            "mu_star": sweep.mu_star,
-            "lb_star": sweep.lb_at_star,
-            "abu": best["abu"],
-            "days_lived": best["days_lived"],
-        })
-    return rows
+    return [{
+        "swap_price": swap.swap_price,
+        "mu_star": sweep.mu_star,
+        "lb_star": sweep.lb_at_star,
+        "abu": sweep.best.abu,
+        "days_lived": sweep.best.days_lived,
+    } for swap, sweep in _sweep_prices(spec, econ, prices, price_grid,
+                                       lambda price: fixed_daily_cap, mdc_grid,
+                                       labor_cost, reserve_enabled)]
 
 
 def demand_at_price(curve: DemandPriceCurve, price: float) -> float:
@@ -200,25 +212,14 @@ def optimize_price_for_curve(spec: BatterySpec, econ: EconomicParams,
     Each candidate price fixes the daily swap cap at the curve's demand and
     re-optimizes the MDC.  Ties break toward the lower price.
     """
-    prices_list = _validate_grid(price_grid, "price")
-    rows = []
-    for price in prices_list:
-        demand = demand_at_price(curve, price)
-        swap = SwapTerms(swap_price=price, daily_swap_cap=demand, labor_cost=labor_cost)
-        sweep = optimize_mdc(spec, econ, prices, swap, mdc_grid,
-                             reserve_enabled=reserve_enabled)
-        rows.append({
-            "swap_price": price,
-            "demand": demand,
-            "mu_star": sweep.mu_star,
-            "lb_star": sweep.lb_at_star,
-        })
-    best = max(range(len(rows)),
-               key=lambda i: (rows[i]["lb_star"], -rows[i]["swap_price"]))
-    return CurvePriceResult(
-        price_star=rows[best]["swap_price"],
-        demand_star=rows[best]["demand"],
-        mu_star=rows[best]["mu_star"],
-        lb_star=rows[best]["lb_star"],
-        rows=rows,
-    )
+    rows = [{
+        "swap_price": swap.swap_price,
+        "demand": swap.daily_swap_cap,
+        "mu_star": sweep.mu_star,
+        "lb_star": sweep.lb_at_star,
+    } for swap, sweep in _sweep_prices(spec, econ, prices, price_grid,
+                                       lambda price: demand_at_price(curve, price),
+                                       mdc_grid, labor_cost, reserve_enabled)]
+    top = max(rows, key=lambda row: (row["lb_star"], -row["swap_price"]))
+    return CurvePriceResult(price_star=top["swap_price"], demand_star=top["demand"],
+                            mu_star=top["mu_star"], lb_star=top["lb_star"], rows=rows)

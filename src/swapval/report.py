@@ -89,10 +89,11 @@ def emit_lifecycle(result: LifecycleResult, out_dir: str) -> list[str]:
     return paths
 
 
-def emit_mdc_sweep(result: MdcSweepResult, out_dir: str) -> list[str]:
+def emit_mdc_sweep(result: MdcSweepResult, out_dir: str,
+                   stem: str = "mdc_sweep") -> list[str]:
     return [
-        write_table(os.path.join(out_dir, "mdc_sweep.csv"), MDC_SWEEP_COLUMNS, result.grid),
-        write_json(os.path.join(out_dir, "mdc_sweep.json"),
+        write_table(os.path.join(out_dir, f"{stem}.csv"), MDC_SWEEP_COLUMNS, result.grid),
+        write_json(os.path.join(out_dir, f"{stem}.json"),
                    {"mu_star": result.mu_star, "lb_at_star": result.lb_at_star,
                     "grid": result.grid}),
     ]

@@ -206,3 +206,80 @@ class TestEmitReport:
         assert len(lines) == 1 + result.days_lived
         first = lines[1].split(",")
         assert float(first[1]) == 1.0
+
+
+class TestBadInputExits2:
+    """Bad input ends in exit 2 and error.json before any lifecycle runs."""
+
+    CASES = {
+        "negative-mu": ["simulate", "--mu", "-1"],
+        "nan-mu": ["simulate", "--mu", "nan"],
+        "negative-mdc-grid": ["optimize-mdc", "--mdc-grid=-10:10:10"],
+        "negative-price-grid": ["sweep-price", "--price-grid=-10:10:10", "--swap-cap", "2"],
+        "refine-step-not-finer": ["optimize-mdc", "--mdc-grid", "0:100:50",
+                                  "--refine-step", "50"],
+        "refine-step-zero": ["optimize-mdc", "--mdc-grid", "0:100:50", "--refine-step", "0"],
+        "negative-swap-cap": ["sweep-price", "--swap-cap=-1"],
+        "negative-om": ["simulate", "--mu", "1", "--om=-5"],
+        "negative-om-grid": ["eol", "--mu", "1", "--om-grid=-8:8:8"],
+    }
+
+    @staticmethod
+    def _forbid_lifecycles(monkeypatch):
+        import swapval.cli
+        import swapval.optimizers
+
+        def no_lifecycle(*args, **kwargs):
+            raise AssertionError("a lifecycle ran")
+
+        monkeypatch.setattr(swapval.cli, "simulate_lifecycle", no_lifecycle)
+        monkeypatch.setattr(swapval.optimizers, "simulate_lifecycle", no_lifecycle)
+        monkeypatch.setenv("SWAPVAL_THREADS", "1")
+
+    def _assert_exit_2(self, argv, out):
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2
+        assert record["error"] == "ConfigError"
+        assert {p.name for p in out.iterdir()} <= {"config.json", "error.json"}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flag(self, case, tmp_path, monkeypatch):
+        self._forbid_lifecycles(monkeypatch)
+        self._assert_exit_2(self.CASES[case] + FAST, tmp_path / "out")
+
+    @pytest.mark.parametrize("grid", ["mdc_grid", "price_grid"])
+    def test_config_file_grid(self, grid, tmp_path, monkeypatch):
+        self._forbid_lifecycles(monkeypatch)
+        data = config_to_dict(paper_defaults())
+        data[grid] = [10.0, -5.0]
+        path = tmp_path / "bad_grid.json"
+        path.write_text(json.dumps(data))
+        self._assert_exit_2(["sweep-price", "--config", str(path)] + FAST, tmp_path / "out")
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_malformed_swapval_threads(self, value, tmp_path, monkeypatch):
+        self._forbid_lifecycles(monkeypatch)
+        monkeypatch.setenv("SWAPVAL_THREADS", value)
+        self._assert_exit_2(["optimize-mdc"] + FAST + TINY_GRID, tmp_path / "out")
+
+
+def test_eol_reuses_the_sweep_argmax(tmp_path, fast_config, monkeypatch):
+    """eol without --mu runs modes x grid lifecycles, none again at mu*."""
+    import swapval.cli
+    import swapval.optimizers
+
+    calls = []
+    real = simulate_lifecycle
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(swapval.cli, "simulate_lifecycle", counting)
+    monkeypatch.setattr(swapval.optimizers, "simulate_lifecycle", counting)
+    monkeypatch.setenv("SWAPVAL_THREADS", "1")
+    rc = run_cli(["eol", "--config", fast_config, "--out", str(tmp_path / "eol"),
+                  "--om-grid", "0:16:8"] + FAST + TINY_GRID)
+    assert rc == 0
+    assert calls == [0.0, 10.0, 20.0] * 2  # with_swap, then no_swap

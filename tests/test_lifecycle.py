@@ -232,3 +232,52 @@ class TestEolAnalysis:
         base = eol_analysis(result, tiny_battery, econ)
         with_mdc = eol_analysis(result, tiny_battery, econ, include_mdc_in_cashflow=True)
         assert with_mdc["economic_eol_year"] <= base["economic_eol_year"]
+
+
+class TestIdleMemoExact:
+    """The idle-day memo skips solves without changing the lifecycle.
+
+    A negative ``_ZERO_EPS`` turns the memo off: no day is ever recorded as
+    idle and no day is skipped, so every day is solved.
+    """
+
+    @staticmethod
+    def _prices():
+        # Four pattern days of very different spreads: as the MDC rises the
+        # flat days idle and hit the memo while the steep ones keep trading.
+        hours = np.arange(24)
+        days = [40.0 + a * np.sin(2 * np.pi * (hours - 12) / 24)
+                for a in (2.0, 60.0, 1.0, 30.0)]
+        series = synth_price_series("flat", days=4, level=0.0, reserve_level=3.0)
+        series.lmp[:] = np.concatenate(days)
+        return series
+
+    @pytest.mark.parametrize("swap", [None, SwapTerms(60.0, 1.0, 10.0)])
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_memo_on_equals_memo_off(self, monkeypatch, econ, swap, reserve):
+        import swapval.lifecycle as lifecycle
+
+        # A fast calendar fade caps every life at 73 days; these live 9-40.
+        spec = BatterySpec(2.7, 2.7, 0.95, cycle_life=20.0, calendar_fade_per_year=1.0)
+        prices = self._prices()
+        memo_eps, real_solve = lifecycle._ZERO_EPS, lifecycle.solve_day
+        solved = []
+        monkeypatch.setattr(lifecycle, "solve_day",
+                            lambda day: solved.append(day) or real_solve(day))
+
+        def run(mu, eps):
+            monkeypatch.setattr(lifecycle, "_ZERO_EPS", eps)
+            solved.clear()
+            result = simulate_lifecycle(spec, econ, prices, mu, swap_policy=swap,
+                                        reserve_enabled=reserve, keep_daily_log=False)
+            return result, len(solved)
+
+        skipped = 0
+        for mu in (0.0, 20.0, 40.0):
+            on, solved_on = run(mu, memo_eps)
+            off, solved_off = run(mu, -1.0)
+            assert solved_off == off.days_lived
+            assert on.days_lived == off.days_lived
+            assert on.lb_star == pytest.approx(off.lb_star, rel=1e-9, abs=1e-9)
+            skipped += solved_off - solved_on
+        assert skipped > 0, "the memo never skipped a day"

@@ -1,9 +1,15 @@
+import os
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapval import optimizers
+from swapval.lifecycle import simulate_lifecycle
 from swapval.optimizers import (
     DemandPriceCurve,
+    SweepError,
     demand_at_price,
     optimize_mdc,
     optimize_price_for_curve,
@@ -183,3 +189,104 @@ class TestOptimizePriceForCurve:
                                reserve_enabled=False)
         for row_s, row_n in zip(with_swap.grid, without.grid):
             assert row_s["lb_star"] >= row_n["lb_star"] - 1e-9
+
+
+class TestSweepEngine:
+    """One pool per optimizer call, a clamped and validated worker count,
+    and failures that name their grid point and stop the grid."""
+
+    def test_worker_count_default_and_clamp(self, monkeypatch):
+        monkeypatch.delenv("SWAPVAL_THREADS", raising=False)
+        assert optimizers._worker_count(1) == 1
+        assert optimizers._worker_count(1000) == max(1, os.cpu_count() or 1)
+        monkeypatch.setenv("SWAPVAL_THREADS", "64")
+        assert optimizers._worker_count(3) == 3
+        monkeypatch.setenv("SWAPVAL_THREADS", " 2 ")
+        assert optimizers._worker_count(5) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "2x"])
+    def test_worker_count_rejects_malformed(self, monkeypatch, value):
+        monkeypatch.setenv("SWAPVAL_THREADS", value)
+        with pytest.raises(ValueError, match="SWAPVAL_THREADS"):
+            optimizers._worker_count(3)
+
+    @staticmethod
+    def _count_pools(monkeypatch):
+        started = []
+
+        class CountingPool(optimizers.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers", args[0] if args else None))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setenv("SWAPVAL_THREADS", "2")
+        return started
+
+    def test_price_sweep_runs_one_pool(self, monkeypatch, tiny_battery, econ,
+                                       two_level_series):
+        started = self._count_pools(monkeypatch)
+        rows = sweep_swap_price(tiny_battery, econ, two_level_series, [0.0, 60.0, 120.0],
+                                2.0, [0.0, 30.0], reserve_enabled=False)
+        assert len(rows) == 3
+        assert started == [2]
+
+    def test_curve_sweep_runs_one_pool(self, monkeypatch, tiny_battery, econ,
+                                       two_level_series):
+        started = self._count_pools(monkeypatch)
+        result = optimize_price_for_curve(
+            tiny_battery, econ, two_level_series,
+            DemandPriceCurve(slope=-20.0, intercept=180.0), [40.0, 120.0, 200.0],
+            [0.0, 30.0], reserve_enabled=False)
+        assert len(result.rows) == 3
+        assert started == [2]
+
+    def test_sweep_keeps_argmax_lifecycle(self, tiny_battery, econ, two_level_series):
+        sweep = optimize_mdc(tiny_battery, econ, two_level_series,
+                             SwapTerms(120.0, 2.0, 10.0), MDC_GRID, reserve_enabled=False)
+        again = simulate_lifecycle(tiny_battery, econ, two_level_series, sweep.mu_star,
+                                   swap_policy=SwapTerms(120.0, 2.0, 10.0),
+                                   reserve_enabled=False, keep_daily_log=False)
+        assert sweep.best.mu == sweep.mu_star
+        assert sweep.best.lb_star == sweep.lb_at_star == again.lb_star
+        assert sweep.best.days_lived == again.days_lived
+
+    def test_failing_point_names_price_cap_and_mu(self, monkeypatch, tiny_battery, econ,
+                                                  flat_zero_series):
+        real = optimizers.simulate_lifecycle
+
+        def failing(spec, econ, prices, mu, swap_policy=None, **kwargs):
+            if swap_policy is not None and swap_policy.swap_price == 50.0 and mu == 20.0:
+                raise RuntimeError("boom")
+            return real(spec, econ, prices, mu, swap_policy=swap_policy, **kwargs)
+
+        monkeypatch.setattr(optimizers, "simulate_lifecycle", failing)
+        monkeypatch.setenv("SWAPVAL_THREADS", "1")
+        with pytest.raises(SweepError) as info:
+            sweep_swap_price(tiny_battery, econ, flat_zero_series, [0.0, 50.0],
+                             1.5, [0.0, 20.0], reserve_enabled=False)
+        message = str(info.value)
+        assert "swap price=50.0" in message
+        assert "cap=1.5" in message
+        assert "mu=20.0" in message
+        assert "boom" in message
+
+    def test_failing_point_cancels_pending_points(self, monkeypatch, tmp_path, tiny_battery,
+                                                  econ, flat_zero_series):
+        # The first point fails at once; each later one takes 0.3 s.  Forked
+        # workers inherit the patched module attribute.  Besides the failed
+        # point, only the two running points and the three the pool has
+        # already queued may run: the other 18 are cancelled.
+        def slow_or_failing(spec, econ, prices, mu, **kwargs):
+            (tmp_path / f"ran-{mu}").touch()
+            if mu == 0.0:
+                raise RuntimeError("first point fails")
+            time.sleep(0.3)
+            raise RuntimeError("a later point ran")
+
+        monkeypatch.setattr(optimizers, "simulate_lifecycle", slow_or_failing)
+        monkeypatch.setenv("SWAPVAL_THREADS", "2")
+        grid = [float(mu) for mu in range(24)]
+        with pytest.raises(SweepError, match="no swap, mu=0.0: first point fails"):
+            optimize_mdc(tiny_battery, econ, flat_zero_series, None, grid)
+        assert len(list(tmp_path.glob("ran-*"))) <= 6
