@@ -160,16 +160,16 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     if args.synth:
         pattern, params = _parse_synth(args.synth)
         prices = PriceSource(kind="synthetic", pattern=pattern, params=params,
-                             days=args.days or prices.days,
+                             days=args.days if args.days is not None else prices.days,
                              seed=args.seed if args.seed is not None else prices.seed)
     elif args.price_file:
         schema = dict(prices.schema or {})
         prices = PriceSource(kind="file", path=args.price_file, schema=schema or None)
-    elif prices.kind == "synthetic" and (args.seed is not None or args.days):
+    elif prices.kind == "synthetic" and (args.seed is not None or args.days is not None):
         prices = dataclasses.replace(
             prices,
             seed=args.seed if args.seed is not None else prices.seed,
-            days=args.days or prices.days)
+            days=args.days if args.days is not None else prices.days)
     if prices.kind == "file" and any([args.schema_hour, args.schema_lmp, args.schema_reserve]):
         schema = dict(prices.schema or {"hour": "hour", "lmp": "lmp_usd_per_mwh",
                                         "reserve": "reserve_usd_per_mw"})

@@ -46,6 +46,10 @@ class PriceSource:
             raise ConfigError("file price source requires a path")
         if self.kind == "synthetic" and not self.pattern:
             raise ConfigError("synthetic price source requires a pattern")
+        if self.days < 1:
+            raise ConfigError(f"price source days must be >= 1, got {self.days}")
+        if self.seed < 0:
+            raise ConfigError(f"price source seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

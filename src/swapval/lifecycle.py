@@ -15,11 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from swapval import lp
 from swapval.market_data import HourlyPriceSeries
 from swapval.scheduler import (
     NO_SWAP,
     BatterySpec,
+    DailyModel,
     DayInput,
+    ScheduleError,
     SwapTerms,
     solve_day,
 )
@@ -170,6 +173,12 @@ def simulate_lifecycle(
     the solve.  This is exact: the adjusted MDC never decreases and the
     capacity never increases as the simulation advances, so a day that was
     not worth operating never becomes worth operating.
+
+    The days are solved in one ``DailyModel``, each warm from the previous
+    solved day, when the HiGHS binding is available; the model lives and
+    dies with this call, so the result depends only on its arguments.  A
+    solver failure is re-raised with the day, pattern day, SOC, capacity
+    and adjusted MDC added to its message.
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -185,6 +194,7 @@ def simulate_lifecycle(
     soc = 0.0
     keep24 = (1.0 - spec.self_discharge) ** 24
     zero_memo: set[int] = set()
+    model = DailyModel() if lp.HIGHS_BINDING else None
     n_pattern_days = prices.n_days
 
     log_rows: list[tuple] = []
@@ -223,7 +233,12 @@ def simulate_lifecycle(
                 amdc=mu_t, swap=swap, soc_start=soc, capacity_now=capacity_now,
                 calendar_throughput_today=q_day, reserve_enabled=reserve_enabled,
             )
-            schedule = solve_day(day_input)
+            try:
+                schedule = solve_day(day_input, model=model)
+            except (ScheduleError, lp.LPError) as exc:
+                raise type(exc)(
+                    f"{exc} [day {day}, pattern day {pattern_day}, soc_start {soc!r}, "
+                    f"capacity_now {capacity_now!r}, adjusted MDC {mu_t!r}]") from exc
             moved = schedule.throughput_today - q_day
             if soc <= _ZERO_EPS and moved <= _ZERO_EPS \
                     and float(schedule.reserve_offer.sum()) <= _ZERO_EPS:

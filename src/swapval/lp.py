@@ -1,7 +1,10 @@
 """Small dense linear programs with box bounds, plus an enumeration oracle.
 
 ``solve_lp`` handles the production path (maximization, finite box bounds,
-general <= / = / >= rows) and is backed by the HiGHS solver via scipy.
+general <= / = / >= rows) and is backed by the HiGHS solver via scipy: by
+default through ``linprog``, or through a ``HighsModel`` that keeps one
+program loaded in HiGHS so that each re-solve of a modified program starts
+from the previous basis.
 ``enumerate_oracle`` independently finds the optimum of small instances by
 exhaustive basic-feasible-point enumeration: every way of activating n
 constraints (variable bounds, inequality rows, and the always-active
@@ -17,7 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+try:  # the HiGHS binding behind linprog; scipy before 1.15 does not expose it
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:
+    _highs = None
+
 LE, EQ, GE = "<=", "==", ">="
+
+# Whether HighsModel can run; without the binding only linprog solves.
+HIGHS_BINDING = _highs is not None
 
 _ORACLE_MAX_VARS = 12
 # Candidate batches are chunked so intermediate tensors stay ~tens of MB.
@@ -105,18 +116,10 @@ def residuals(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     """Worst-case feasibility violations of x (0 means satisfied)."""
     bound_viol = float(max(np.max(lp.lower - x, initial=0.0),
                            np.max(x - lp.upper, initial=0.0)))
-    con_viol = 0.0
-    if lp.n_constraints:
-        vals = lp.A @ x
-        for i, rel in enumerate(lp.relations):
-            r = vals[i] - lp.rhs[i]
-            if rel == LE:
-                con_viol = max(con_viol, r)
-            elif rel == GE:
-                con_viol = max(con_viol, -r)
-            else:
-                con_viol = max(con_viol, abs(r))
-    return {"bounds": bound_viol, "constraints": float(con_viol)}
+    rel = np.array(lp.relations)
+    r = lp.A @ x - lp.rhs
+    viol = np.where(rel == LE, r, np.where(rel == GE, -r, np.abs(r)))
+    return {"bounds": bound_viol, "constraints": float(np.max(viol, initial=0.0))}
 
 
 def _scale(lp: LinearProgram) -> float:
@@ -126,17 +129,98 @@ def _scale(lp: LinearProgram) -> float:
     return max(parts)
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9,
-             max_iter: int | None = None) -> LPSolution:
-    """Maximize the program, verifying primal feasibility against tol.
+# HiGHS model status -> linprog status (0 optimal, 1 limit, 2 infeasible,
+# 3 unbounded, 4 anything else), so both paths share one verdict.
+_LINPROG_STATUS = {} if _highs is None else {
+    _highs.HighsModelStatus.kOptimal: 0,
+    _highs.HighsModelStatus.kIterationLimit: 1,
+    _highs.HighsModelStatus.kTimeLimit: 1,
+    _highs.HighsModelStatus.kInfeasible: 2,
+    _highs.HighsModelStatus.kUnbounded: 3,
+}
 
-    Deterministic for identical input.  Raises IterationLimitError when the
-    solver hits ``max_iter`` without a verdict (distinct from infeasible),
-    and LPError if the solver reports success but the solution fails the
-    feasibility re-check.
+
+def _highs_tolerance(tol: float) -> float:
+    return max(tol / 10.0, 1e-10)
+
+
+class HighsModel:
+    """One LinearProgram kept loaded in a HiGHS instance across solves.
+
+    Change the program only through ``set_objective``, ``set_upper`` and
+    ``set_rhs``: each updates ``lp`` and HiGHS alike.  HiGHS keeps its basis
+    through such changes, so ``solve_lp(model.lp, model=model)`` restarts the
+    simplex from the previous optimum.  Needs ``HIGHS_BINDING``.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+
+    def __init__(self, lp: LinearProgram):
+        self.lp = lp
+        n, m = lp.n_vars, lp.n_constraints
+        self._cols = np.arange(n, dtype=np.int32)
+        self._tol: float | None = None
+        rel = np.array(lp.relations)
+        program = _highs.HighsLp()
+        program.num_col_ = n
+        program.num_row_ = m
+        program.sense_ = _highs.ObjSense.kMaximize
+        program.col_cost_ = lp.objective
+        program.col_lower_ = lp.lower
+        program.col_upper_ = lp.upper
+        program.row_lower_ = np.where(rel == LE, -_highs.kHighsInf, lp.rhs)
+        program.row_upper_ = np.where(rel == GE, _highs.kHighsInf, lp.rhs)
+        cols, rows = np.nonzero(lp.A.T)  # column-wise nonzeros
+        matrix = program.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kColwise
+        matrix.num_col_ = n
+        matrix.num_row_ = m
+        matrix.start_ = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
+        matrix.index_ = rows.astype(np.int32)
+        matrix.value_ = lp.A[rows, cols]
+        self._highs = _highs._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        if self._highs.passModel(program) == _highs.HighsStatus.kError:
+            raise LPError("HiGHS rejected the program")
+
+    def set_objective(self, objective: np.ndarray) -> None:
+        if not np.all(np.isfinite(objective)):
+            raise DimensionError("non-finite coefficient in program")
+        self.lp.objective[:] = objective
+        self._highs.changeColsCost(self.lp.n_vars, self._cols, self.lp.objective)
+
+    def set_upper(self, cols: slice, value) -> None:
+        lower = self.lp.lower[cols]
+        upper = np.broadcast_to(np.asarray(value, dtype=float), lower.shape)
+        if not (np.all(np.isfinite(upper)) and np.all(lower <= upper)):
+            raise DimensionError("upper bounds must be finite and >= lower")
+        self.lp.upper[cols] = upper
+        idx = self._cols[cols]
+        self._highs.changeColsBounds(len(idx), idx, lower, self.lp.upper[cols])
+
+    def set_rhs(self, row: int, value: float) -> None:
+        if not np.isfinite(value):
+            raise DimensionError("non-finite coefficient in program")
+        self.lp.rhs[row] = value
+        rel = self.lp.relations[row]
+        self._highs.changeRowBounds(row, -_highs.kHighsInf if rel == LE else value,
+                                    _highs.kHighsInf if rel == GE else value)
+
+    def run(self, tol: float) -> tuple[int, np.ndarray | None, str]:
+        """Re-solve from the current basis: (linprog status, x, message)."""
+        highs = self._highs
+        if tol != self._tol:
+            for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+                highs.setOptionValue(option, _highs_tolerance(tol))
+            self._tol = tol
+        if highs.run() == _highs.HighsStatus.kError:
+            return 4, None, "HiGHS run failed"
+        status = highs.getModelStatus()
+        code = _LINPROG_STATUS.get(status, 4)
+        x = np.array(highs.getSolution().col_value) if code == 0 else None
+        return code, x, highs.modelStatusToString(status)
+
+
+def _solve_linprog(lp: LinearProgram, tol: float,
+                   max_iter: int | None) -> tuple[int, np.ndarray | None, str]:
     rel = np.array(lp.relations)
     le_rows = rel == LE
     ge_rows = rel == GE
@@ -152,8 +236,8 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
 
     options = {
         "presolve": True,
-        "primal_feasibility_tolerance": max(tol / 10.0, 1e-10),
-        "dual_feasibility_tolerance": max(tol / 10.0, 1e-10),
+        "primal_feasibility_tolerance": _highs_tolerance(tol),
+        "dual_feasibility_tolerance": _highs_tolerance(tol),
     }
     if max_iter is not None:
         options["maxiter"] = max_iter
@@ -165,17 +249,44 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
         method="highs",
         options=options,
     )
+    return result.status, result.x, result.message
 
-    if result.status == 2:
+
+def solve_lp(lp: LinearProgram, tol: float = 1e-9,
+             max_iter: int | None = None,
+             model: HighsModel | None = None) -> LPSolution:
+    """Maximize the program, verifying primal feasibility against tol.
+
+    Without ``model`` the program is solved from scratch by ``linprog``;
+    with one (whose ``lp`` is this program) HiGHS re-solves it from the
+    basis of the model's previous solve.  ``max_iter`` caps the ``linprog``
+    path only.  Deterministic for identical input (and, with a model, an
+    identical history of solves).  Raises IterationLimitError when the
+    solver hits its iteration limit without a verdict (distinct from
+    infeasible), and LPError if the solver reports success but the solution
+    fails the feasibility re-check.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if model is None:
+        status, x, message = _solve_linprog(lp, tol, max_iter)
+    elif model.lp is not lp:
+        raise ValueError("model holds a different program")
+    elif max_iter is not None:
+        raise ValueError("max_iter applies to the linprog path only")
+    else:
+        status, x, message = model.run(tol)
+
+    if status == 2:
         return LPSolution("infeasible", None, None)
-    if result.status == 3:
+    if status == 3:
         return LPSolution("unbounded", None, None)
-    if result.status == 1:
+    if status == 1:
         raise IterationLimitError("iteration limit exceeded before a verdict")
-    if result.status != 0:
-        raise LPError(f"solver failure: {result.message}")
+    if status != 0:
+        raise LPError(f"solver failure: {message}")
 
-    x = np.asarray(result.x, dtype=float)
+    x = np.asarray(x, dtype=float)
     atol = tol * _scale(lp) * 10.0
     viol = residuals(lp, x)
     if viol["bounds"] > atol or viol["constraints"] > atol:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapval.lp import LE, EQ, LinearProgram, solve_lp
+from swapval.lp import LE, EQ, HighsModel, LinearProgram, solve_lp
 
 TIE_BREAK_EPS = 1e-7
 
@@ -316,15 +316,56 @@ def build_compact_lp(day: DayInput, hours: int) -> LinearProgram:
     )
 
 
-def solve_day(day: DayInput, hours: int = 24) -> DailySchedule:
+class DailyModel:
+    """One lifecycle's daily LP, held in HiGHS and re-solved day by day.
+
+    The first day builds the program with ``build_daily_lp``.  Later days
+    change only what varies within a lifecycle: the column costs (LMP,
+    adjusted MDC, reserve price), the derated capacity bounding the swap
+    and SOC columns, and the carried SOC in SOC row 0.  HiGHS then starts
+    from the previous day's basis.  The battery, swap terms and reserve
+    switch must stay those of the first day.  Needs ``lp.HIGHS_BINDING``.
+    """
+
+    def __init__(self) -> None:
+        self.model: HighsModel | None = None
+        self._fixed: tuple | None = None
+
+    def load(self, day: DayInput) -> HighsModel:
+        """Make the held program equal ``build_daily_lp(day)``."""
+        fixed = (day.battery, day.swap, day.reserve_enabled)
+        if self.model is None:
+            self.model = HighsModel(build_daily_lp(day))
+            self._fixed = fixed
+            return self.model
+        if fixed != self._fixed:
+            raise ValueError("a DailyModel serves one battery, swap policy and reserve setting")
+        H = 24
+        self.model.set_objective(_objective(day, H, with_swap=True,
+                                            with_reserve=day.reserve_enabled, with_soc=True))
+        self.model.set_upper(slice(2 * H, 4 * H), day.capacity_now)  # swap and SOC
+        self.model.set_rhs(0, (1.0 - day.battery.self_discharge) * day.soc_start)
+        return self.model
+
+
+def solve_day(day: DayInput, hours: int = 24, *,
+              model: DailyModel | None = None) -> DailySchedule:
     """Solve one day and return the schedule with its profit decomposition.
 
-    ``hours`` < 24 truncates the horizon (test reductions only).  Raises
-    ScheduleError if the LP is anything but optimal: the all-zero schedule
-    is always feasible, so a non-optimal verdict means an internal bug.
+    ``hours`` < 24 truncates the horizon (test reductions only).  With
+    ``model`` the full day is solved in that persistent program, warm from
+    its previous solve; without, it is built and solved from scratch.
+    Raises ScheduleError if the LP is anything but optimal: the all-zero
+    schedule is always feasible, so a non-optimal verdict means an internal
+    bug.
     """
-    lp = build_daily_lp(day, hours)
-    sol = solve_lp(lp)
+    if model is None:
+        sol = solve_lp(build_daily_lp(day, hours))
+    elif hours != 24:
+        raise ValueError("a DailyModel holds the full 24-hour day")
+    else:
+        held = model.load(day)
+        sol = solve_lp(held.lp, model=held)
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "

@@ -264,6 +264,57 @@ class TestBadInputExits2:
         self._assert_exit_2(["optimize-mdc"] + FAST + TINY_GRID, tmp_path / "out")
 
 
+SINE = ["--synth", "daily-sine:40:30", "--days", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1"] + SINE,
+    ["--seed", "-1", "--synth", "flat:0", "--days", "2"],
+    ["--synth", "flat:0", "--days", "0"],
+    ["--days", "-3"],
+], ids=["negative-seed-sine", "negative-seed-flat", "zero-days", "negative-days"])
+def test_bad_price_source_flags_exit_2(argv, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1"] + argv, tmp_path / "out")
+
+
+@pytest.mark.parametrize("field,value", [("seed", -1), ("days", 0)])
+def test_bad_price_source_in_config_exits_2(field, value, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    data = config_to_dict(paper_defaults())
+    data["prices"][field] = value
+    path = tmp_path / "bad_prices.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["simulate", "--mu", "1", "--config", str(path),
+                    "--out", str(tmp_path / "out")]) == 2
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "ConfigError" and field in record["message"]
+
+
+def test_solver_failure_names_its_day(tmp_path, monkeypatch):
+    import swapval.lifecycle
+    from swapval.lp import LPError
+
+    real_solve = swapval.lifecycle.solve_day
+    calls = []
+
+    def fail_on_day_3(day, **kw):
+        calls.append(day)
+        if len(calls) == 4:  # every day of this sine is solved, none skipped
+            raise LPError("injected solver failure")
+        return real_solve(day, **kw)
+
+    monkeypatch.setattr(swapval.lifecycle, "solve_day", fail_on_day_3)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--mu", "1", "--out", str(out)] + SINE) == 4
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "LPError"
+    message = record["message"]
+    assert "injected solver failure" in message
+    assert "[day 3, pattern day 1, soc_start " in message
+    assert "capacity_now " in message and "adjusted MDC 1.0]" in message
+
+
 def test_eol_reuses_the_sweep_argmax(tmp_path, fast_config, monkeypatch):
     """eol without --mu runs modes x grid lifecycles, none again at mu*."""
     import swapval.cli

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapval import lp as lp_kernel
 from swapval.lifecycle import (
     DegradationLedger,
     EconomicParams,
@@ -263,7 +264,7 @@ class TestIdleMemoExact:
         memo_eps, real_solve = lifecycle._ZERO_EPS, lifecycle.solve_day
         solved = []
         monkeypatch.setattr(lifecycle, "solve_day",
-                            lambda day: solved.append(day) or real_solve(day))
+                            lambda day, **kw: solved.append(day) or real_solve(day, **kw))
 
         def run(mu, eps):
             monkeypatch.setattr(lifecycle, "_ZERO_EPS", eps)
@@ -281,3 +282,47 @@ class TestIdleMemoExact:
             assert on.lb_star == pytest.approx(off.lb_star, rel=1e-9, abs=1e-9)
             skipped += solved_off - solved_on
         assert skipped > 0, "the memo never skipped a day"
+
+
+@pytest.mark.skipif(not lp_kernel.HIGHS_BINDING, reason="no HiGHS binding")
+class TestWarmLifecycle:
+    """Whole lifecycles on the warm daily model against the linprog path."""
+
+    # A fast calendar fade caps every life at 74 days; these live 9-74 and
+    # solve 9-50 days each.
+    SPEC = BatterySpec(2.7, 2.7, 0.95, cycle_life=60.0, calendar_fade_per_year=1.0)
+
+    @staticmethod
+    def _prices():
+        return synth_price_series("daily-sine", days=9, seed=4, reserve_level=4.0,
+                                  mean=40.0, amplitude=60.0)
+
+    @pytest.mark.parametrize("mu", [0.0, 35.0, 100.0])
+    @pytest.mark.parametrize("swap", [None, SwapTerms(160.0, 1.0, 10.0)])
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_warm_equals_linprog(self, monkeypatch, econ, mu, swap, reserve):
+        def run():
+            return simulate_lifecycle(self.SPEC, econ, self._prices(), mu, swap_policy=swap,
+                                      reserve_enabled=reserve, keep_daily_log=False)
+
+        warm = run()
+        monkeypatch.setattr(lp_kernel, "HIGHS_BINDING", False)
+        cold = run()
+        assert warm.days_lived == cold.days_lived
+        assert warm.lb_star == pytest.approx(cold.lb_star, rel=1e-9)
+
+    def test_lifecycles_do_not_share_a_model(self, econ):
+        """A, then B, then A again: A's result depends only on A's inputs."""
+        prices = self._prices()
+        swap = SwapTerms(160.0, 1.0, 10.0)
+
+        def run(mu, swap_policy):
+            return simulate_lifecycle(self.SPEC, econ, prices, mu, swap_policy=swap_policy,
+                                      keep_daily_log=False)
+
+        first = run(20.0, swap)
+        run(5.0, None)
+        again = run(20.0, swap)
+        assert again.lb_star == first.lb_star
+        assert again.days_lived == first.days_lived
+        assert np.array_equal(again.soh_series, first.soh_series)

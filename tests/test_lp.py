@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from swapval import lp as lp_kernel
 from swapval.lp import (
+    EQ,
+    GE,
+    LE,
     DimensionError,
+    HighsModel,
     IterationLimitError,
     LinearProgram,
     enumerate_oracle,
@@ -141,3 +146,63 @@ def test_iteration_limit_reported_distinctly():
         solve_lp(lp, max_iter=1)
     # The same instance is perfectly feasible without the cap.
     assert solve_lp(lp).status == "optimal"
+
+
+def _loop_residuals(lp, x):
+    """Row-by-row reference for the vectorised residuals."""
+    bound_viol = float(max(np.max(lp.lower - x, initial=0.0),
+                           np.max(x - lp.upper, initial=0.0)))
+    con_viol = 0.0
+    vals = lp.A @ x
+    for i, rel in enumerate(lp.relations):
+        r = vals[i] - lp.rhs[i]
+        con_viol = max(con_viol, r if rel == LE else -r if rel == GE else abs(r))
+    return {"bounds": bound_viol, "constraints": float(con_viol)}
+
+
+def test_residuals_equal_the_row_loop(rng):
+    for _ in range(100):
+        lp = random_lp(rng, max_vars=7, max_rows=8)
+        x = rng.uniform(lp.lower - 1.0, lp.upper + 1.0)
+        assert residuals(lp, x) == _loop_residuals(lp, x)
+
+
+@pytest.mark.skipif(not lp_kernel.HIGHS_BINDING, reason="no HiGHS binding")
+def test_highs_model_matches_linprog_through_updates(rng):
+    """A held model re-solved after each change agrees with a cold linprog."""
+    for _ in range(30):
+        lp = random_lp(rng, max_vars=7, max_rows=8)
+        model = HighsModel(lp)
+        for step in range(4):
+            if step:
+                model.set_objective(rng.normal(size=lp.n_vars) * 10.0)
+                cols = slice(0, lp.n_vars // 2 + 1)
+                model.set_upper(cols, lp.upper[cols] + rng.uniform(0.0, 1.0))
+                if lp.n_constraints:
+                    row = int(rng.integers(lp.n_constraints))
+                    # Loosen the row so the program stays feasible.
+                    loosen = {LE: 1.0, GE: -1.0, EQ: 0.0}[lp.relations[row]]
+                    model.set_rhs(row, lp.rhs[row] + loosen * rng.uniform(0.0, 1.0))
+            warm = solve_lp(lp, model=model)
+            cold = solve_lp(lp)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective_value == pytest.approx(cold.objective_value,
+                                                         rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.skipif(not lp_kernel.HIGHS_BINDING, reason="no HiGHS binding")
+def test_highs_model_verdicts_and_misuse():
+    lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [">="], [0.5])
+    model = HighsModel(lp)
+    assert solve_lp(lp, model=model).x[0] == pytest.approx(1.0)
+    model.set_rhs(0, 2.0)
+    assert solve_lp(lp, model=model).status == "infeasible"
+    other = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [">="], [0.5])
+    with pytest.raises(ValueError):
+        solve_lp(other, model=model)
+    with pytest.raises(ValueError):
+        solve_lp(lp, max_iter=5, model=model)
+    with pytest.raises(DimensionError):
+        model.set_upper(slice(0, 1), -1.0)
+    with pytest.raises(DimensionError):
+        model.set_objective([np.nan])

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from swapval import lp as lp_kernel
 from swapval.lp import enumerate_oracle, solve_lp
 from swapval.market_data import synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
     BatterySpec,
+    DailyModel,
     DailySchedule,
     DayInput,
     ScheduleError,
@@ -250,3 +254,54 @@ class TestScheduleProperties:
             compact = solve_lp(build_compact_lp(day, hours=hours))
             scale = max(1.0, abs(full.objective_value))
             assert abs(full.objective_value - compact.objective_value) <= 1e-7 * scale
+
+
+@pytest.mark.skipif(not lp_kernel.HIGHS_BINDING, reason="no HiGHS binding")
+class TestDailyModel:
+    """The persistent daily model holds exactly the day's program."""
+
+    @staticmethod
+    def _next_day(rng, day):
+        """Same battery, swap terms and reserve switch; every daily input new."""
+        capacity = day.capacity_now * float(rng.uniform(0.8, 1.0))
+        return dataclasses.replace(
+            day, lmp=rng.uniform(-20.0, 100.0, size=24),
+            reserve_price=rng.uniform(0.0, 15.0, size=24) if day.reserve_enabled
+            else np.zeros(24),
+            amdc=float(rng.uniform(0.0, 100.0)), capacity_now=capacity,
+            soc_start=float(rng.uniform(0.0, capacity)))
+
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_update_equals_a_fresh_build(self, rng, reserve):
+        for _ in range(10):
+            day = random_day(rng, 24, with_swap=True, with_reserve=reserve)
+            model = DailyModel()
+            solve_day(day, model=model)
+            for _ in range(3):
+                day = self._next_day(rng, day)
+                held = model.load(day).lp
+                fresh = build_daily_lp(day)
+                for name in ("objective", "lower", "upper", "A", "rhs"):
+                    assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
+                assert held.relations == fresh.relations
+
+    def test_warm_day_matches_cold_day(self, rng):
+        day = random_day(rng, 24, with_swap=True, with_reserve=True)
+        model = DailyModel()
+        for _ in range(20):
+            warm = solve_day(day, model=model)
+            cold = solve_day(day)
+            assert warm.lp_objective == pytest.approx(cold.lp_objective, rel=1e-9, abs=1e-9)
+            assert warm.sb_star == pytest.approx(cold.sb_star, rel=1e-6, abs=1e-6)
+            validate_schedule(warm, day)
+            day = self._next_day(rng, day)
+
+    def test_rejects_another_battery_swap_or_horizon(self, battery):
+        model = DailyModel()
+        solve_day(flat_day(battery), model=model)
+        with pytest.raises(ValueError):
+            solve_day(flat_day(battery, reserve=True), model=model)
+        with pytest.raises(ValueError):
+            solve_day(flat_day(battery, swap=SwapTerms(100.0, 1.0)), model=model)
+        with pytest.raises(ValueError):
+            solve_day(flat_day(battery), hours=4, model=model)
