@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -27,6 +28,7 @@ from swapval.lifecycle import eol_analysis, simulate_lifecycle
 from swapval.lp import LPError
 from swapval.market_data import PriceDataError
 from swapval.optimizers import (
+    MAX_GRID_POINTS,
     DemandPriceCurve,
     SweepError,
     _refine_spacing,
@@ -59,6 +61,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("expected a:b:step")
         a, b, step = parts
+        if not all(math.isfinite(p) for p in parts):
+            raise ValueError("a, b and step must be finite")
         if step <= 0 or b < a:
             raise ValueError("need step > 0 and b >= a")
     except ValueError as exc:
@@ -66,6 +70,8 @@ def _parse_grid(text: str) -> list[float]:
     grid = []
     v = a
     while v <= b + step * 1e-9:
+        if len(grid) == MAX_GRID_POINTS:  # also stops a step too small to move v
+            raise ConfigError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
         grid.append(round(v, 12))
         v += step
     return grid
@@ -199,8 +205,8 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
             args.labor if args.labor is not None else base.labor_cost,
         )
 
-    mdc_grid = _parse_grid(args.mdc_grid) if args.mdc_grid else config.mdc_grid
-    price_grid = _parse_grid(args.price_grid) if args.price_grid else config.price_grid
+    mdc_grid = config.mdc_grid if args.mdc_grid is None else _parse_grid(args.mdc_grid)
+    price_grid = config.price_grid if args.price_grid is None else _parse_grid(args.price_grid)
     mdc_grid = _checked(_validate_grid, mdc_grid, "mdc")
     price_grid = _checked(_validate_grid, price_grid, "price")
     if getattr(args, "refine_step", None) is not None:

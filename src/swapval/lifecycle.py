@@ -11,7 +11,9 @@ support the economic end-of-life analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,11 @@ class DegradationLedger:
             self.cumulative_throughput / self.total_budget)
         return min(1.0, max(self.eol_capacity_fraction, frac))
 
+    def soh_at(self, cumulative: np.ndarray) -> np.ndarray:
+        """``soh`` at each of several cumulative throughputs (same formula)."""
+        frac = 1.0 - (1.0 - self.eol_capacity_fraction) * (cumulative / self.total_budget)
+        return np.minimum(1.0, np.maximum(self.eol_capacity_fraction, frac))
+
     def add(self, throughput: float) -> None:
         if throughput < 0:
             raise ValueError(f"negative throughput {throughput}")
@@ -66,12 +73,15 @@ class EconomicParams:
     horizon_cap_years: int = 30  # safety stop for immortal configurations
 
     def __post_init__(self):
-        if self.discount_rate < 0:
-            raise ValueError(f"discount_rate must be >= 0, got {self.discount_rate}")
-        if self.fixed_om_per_kw_year < 0:
-            raise ValueError(f"fixed O&M must be >= 0, got {self.fixed_om_per_kw_year}")
-        if self.horizon_cap_years < 1:
-            raise ValueError(f"horizon_cap_years must be >= 1, got {self.horizon_cap_years}")
+        if not (math.isfinite(self.discount_rate) and self.discount_rate >= 0):
+            raise ValueError(
+                f"discount_rate must be finite and >= 0, got {self.discount_rate}")
+        if not (math.isfinite(self.fixed_om_per_kw_year) and self.fixed_om_per_kw_year >= 0):
+            raise ValueError(
+                f"fixed O&M must be finite and >= 0, got {self.fixed_om_per_kw_year}")
+        if not (math.isfinite(self.horizon_cap_years) and self.horizon_cap_years >= 1):
+            raise ValueError(
+                f"horizon_cap_years must be finite and >= 1, got {self.horizon_cap_years}")
 
 
 @dataclass
@@ -151,6 +161,51 @@ def abu(lb_star: float, budget: float) -> float:
     return lb_star / budget
 
 
+def _running(ufunc: np.ufunc, start: float, step: float, n: int) -> np.ndarray:
+    """``start`` and the n values after it of ``x = ufunc(x, step)``.
+
+    ``accumulate`` folds strictly left to right, so every value is rounded
+    exactly as the same Python loop rounds it.
+    """
+    values = np.full(n + 1, step)
+    values[0] = start
+    return ufunc.accumulate(values)
+
+
+class _IdleDays(NamedTuple):
+    soh: np.ndarray  # at the start of each day
+    cumulative: np.ndarray  # the ledger's cumulative throughput after each day
+    soc_end: np.ndarray
+
+
+def _idle_days(spec: BatterySpec, ledger: DegradationLedger, soc: float,
+               q_day: float, keep24: float, n: int) -> _IdleDays | None:
+    """The next ``n`` days of the idle tail, fewer if the budget runs out.
+
+    In the tail every day is an idle-memo day: it draws ``q_day`` from the
+    budget and lets SOC decay by ``keep24``.  The arrays repeat the day
+    loop's arithmetic in its order (running sums and products, the ledger's
+    SOH formula), so they are bit-identical to it.  They end with the first
+    day that exhausts the budget.  Returns None when ``_ZERO_EPS`` is not
+    below the smallest derated capacity, where the loop's SOC clamp to the
+    capacity could bite.
+    """
+    if not _ZERO_EPS < spec.eol_capacity_fraction * spec.energy_capacity_0:
+        return None
+    cumulative = _running(np.add, ledger.cumulative_throughput, q_day, n)
+    spent = np.flatnonzero(cumulative[1:] >= ledger.total_budget)
+    if spent.size:
+        n = int(spent[0]) + 1
+    return _IdleDays(soh=ledger.soh_at(cumulative[:n]), cumulative=cumulative[1:n + 1],
+                     soc_end=_running(np.multiply, max(soc, 0.0), keep24, n)[1:])
+
+
+def _year_row(yearly: dict[int, dict], year: int) -> dict:
+    return yearly.setdefault(year, {
+        "year": year, "days": 0, "operating_cash": 0.0, "mdc_cost": 0.0,
+    })
+
+
 def simulate_lifecycle(
     spec: BatterySpec,
     econ: EconomicParams,
@@ -172,7 +227,10 @@ def simulate_lifecycle(
     schedule from an empty battery, later visits to that pattern day skip
     the solve.  This is exact: the adjusted MDC never decreases and the
     capacity never increases as the simulation advances, so a day that was
-    not worth operating never becomes worth operating.
+    not worth operating never becomes worth operating.  Once every pattern
+    day is memoized and the carried SOC is at or below ``_ZERO_EPS``, every
+    later day is such a skip: that idle tail is closed out a calendar year
+    at a time in numpy (``_idle_days``), bit-identical to the day loop.
 
     The days are solved in one ``DailyModel``, each warm from the previous
     solved day, when the HiGHS binding is available; the model lives and
@@ -212,6 +270,31 @@ def simulate_lifecycle(
         kappa = day // DAYS_PER_YEAR
         delta = (1.0 + rate) ** (-kappa)
         mu_t = adjusted_mdc(mu, day, econ)
+        if soc <= _ZERO_EPS and len(zero_memo) == n_pattern_days:
+            idle = _idle_days(spec, ledger, soc, q_day, keep24,
+                              min(DAYS_PER_YEAR * (kappa + 1), max_days) - day)
+            if idle is not None:
+                # Idle days earn nothing: the discounted revenues and the
+                # operating cash would each gain exactly 0.0.
+                n = len(idle.soh)
+                degradation = mu_t * q_day
+                lb = float(_running(np.add, lb, delta * -degradation, n)[-1])
+                row = _year_row(yearly, kappa + 1)
+                row["days"] += n
+                row["mdc_cost"] = float(_running(np.add, row["mdc_cost"], degradation, n)[-1])
+                soh_series.extend(idle.soh.tolist())
+                if keep_daily_log:
+                    zeros = [0.0] * n
+                    log_rows.extend(zip(
+                        range(day, day + n), idle.soh.tolist(), [q_day] * n,
+                        [-degradation] * n, idle.soc_end.tolist(),
+                        zeros, zeros, zeros, zeros, [degradation] * n))
+                ledger.cumulative_throughput = float(idle.cumulative[-1])
+                soc = float(idle.soc_end[-1])
+                day += n
+                if ledger.exhausted:
+                    break
+                continue
         soh = ledger.soh
         capacity_now = soh * spec.energy_capacity_0
         # Capacity fade can strand stored energy, and solver round-off can
@@ -258,10 +341,7 @@ def simulate_lifecycle(
         disc_swap += delta * swap_rev
         disc_reserve += delta * reserve_rev
 
-        year = kappa + 1
-        row = yearly.setdefault(year, {
-            "year": year, "days": 0, "operating_cash": 0.0, "mdc_cost": 0.0,
-        })
+        row = _year_row(yearly, kappa + 1)
         row["days"] += 1
         row["operating_cash"] += energy_rev + swap_rev + reserve_rev - labor
         row["mdc_cost"] += degradation

@@ -14,7 +14,9 @@ never share solve logic, so they can cross-check each other in tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,20 +114,33 @@ def _validate(lp: LinearProgram) -> None:
         raise DimensionError("non-finite coefficient in program")
 
 
+@functools.lru_cache(maxsize=32)
+def _row_masks(relations: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (LE, GE) row masks of a relations tuple; the other rows are EQ.
+
+    Keyed on the relations themselves, so a cached pair always describes
+    the program it is asked for.
+    """
+    rel = np.array(relations)
+    le, ge = rel == LE, rel == GE
+    le.flags.writeable = ge.flags.writeable = False
+    return le, ge
+
+
 def residuals(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     """Worst-case feasibility violations of x (0 means satisfied)."""
-    bound_viol = float(max(np.max(lp.lower - x, initial=0.0),
-                           np.max(x - lp.upper, initial=0.0)))
-    rel = np.array(lp.relations)
+    bound_viol = float(max((lp.lower - x).max(initial=0.0),
+                           (x - lp.upper).max(initial=0.0)))
+    le, ge = _row_masks(tuple(lp.relations))
     r = lp.A @ x - lp.rhs
-    viol = np.where(rel == LE, r, np.where(rel == GE, -r, np.abs(r)))
-    return {"bounds": bound_viol, "constraints": float(np.max(viol, initial=0.0))}
+    viol = np.where(le, r, np.where(ge, -r, np.abs(r)))
+    return {"bounds": bound_viol, "constraints": float(viol.max(initial=0.0))}
 
 
 def _scale(lp: LinearProgram) -> float:
-    parts = [1.0, float(np.max(np.abs(lp.lower))), float(np.max(np.abs(lp.upper)))]
+    parts = [1.0, float(np.abs(lp.lower).max()), float(np.abs(lp.upper).max())]
     if lp.n_constraints:
-        parts.append(float(np.max(np.abs(lp.rhs))))
+        parts.append(float(np.abs(lp.rhs).max()))
     return max(parts)
 
 
@@ -158,7 +173,7 @@ class HighsModel:
         n, m = lp.n_vars, lp.n_constraints
         self._cols = np.arange(n, dtype=np.int32)
         self._tol: float | None = None
-        rel = np.array(lp.relations)
+        le, ge = _row_masks(tuple(lp.relations))
         program = _highs.HighsLp()
         program.num_col_ = n
         program.num_row_ = m
@@ -166,8 +181,8 @@ class HighsModel:
         program.col_cost_ = lp.objective
         program.col_lower_ = lp.lower
         program.col_upper_ = lp.upper
-        program.row_lower_ = np.where(rel == LE, -_highs.kHighsInf, lp.rhs)
-        program.row_upper_ = np.where(rel == GE, _highs.kHighsInf, lp.rhs)
+        program.row_lower_ = np.where(le, -_highs.kHighsInf, lp.rhs)
+        program.row_upper_ = np.where(ge, _highs.kHighsInf, lp.rhs)
         cols, rows = np.nonzero(lp.A.T)  # column-wise nonzeros
         matrix = program.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kColwise
@@ -182,22 +197,27 @@ class HighsModel:
             raise LPError("HiGHS rejected the program")
 
     def set_objective(self, objective: np.ndarray) -> None:
-        if not np.all(np.isfinite(objective)):
+        if not np.isfinite(objective).all():
             raise DimensionError("non-finite coefficient in program")
         self.lp.objective[:] = objective
         self._highs.changeColsCost(self.lp.n_vars, self._cols, self.lp.objective)
 
     def set_upper(self, cols: slice, value) -> None:
+        """Set the upper bounds of ``cols``: one float for all, or one per column."""
         lower = self.lp.lower[cols]
-        upper = np.broadcast_to(np.asarray(value, dtype=float), lower.shape)
-        if not (np.all(np.isfinite(upper)) and np.all(lower <= upper)):
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        else:
+            value = np.broadcast_to(np.asarray(value, dtype=float), lower.shape)
+            finite = np.isfinite(value).all()
+        if not (finite and (lower <= value).all()):
             raise DimensionError("upper bounds must be finite and >= lower")
-        self.lp.upper[cols] = upper
+        self.lp.upper[cols] = value
         idx = self._cols[cols]
         self._highs.changeColsBounds(len(idx), idx, lower, self.lp.upper[cols])
 
     def set_rhs(self, row: int, value: float) -> None:
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DimensionError("non-finite coefficient in program")
         self.lp.rhs[row] = value
         rel = self.lp.relations[row]

@@ -10,6 +10,7 @@ the degradation cost, so no bracketing descent is used.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,6 +20,10 @@ import numpy as np
 from swapval.lifecycle import EconomicParams, LifecycleResult, simulate_lifecycle
 from swapval.market_data import HourlyPriceSeries
 from swapval.scheduler import BatterySpec, SwapTerms
+
+
+# Most points one grid may hold: each is a whole lifecycle.
+MAX_GRID_POINTS = 10_000
 
 
 class SweepError(RuntimeError):
@@ -33,10 +38,10 @@ class DemandPriceCurve:
     intercept: float  # $/MWh at zero demand, > 0
 
     def __post_init__(self):
-        if self.slope >= 0:
-            raise ValueError(f"slope must be negative, got {self.slope}")
-        if self.intercept <= 0:
-            raise ValueError(f"intercept must be positive, got {self.intercept}")
+        if not (math.isfinite(self.slope) and self.slope < 0):
+            raise ValueError(f"slope must be finite and negative, got {self.slope}")
+        if not (math.isfinite(self.intercept) and self.intercept > 0):
+            raise ValueError(f"intercept must be finite and positive, got {self.intercept}")
 
 
 @dataclass
@@ -78,8 +83,10 @@ def _validate_grid(grid, name: str) -> list[float]:
     values = [float(g) for g in grid]
     if not values:
         raise ValueError(f"{name} grid must be non-empty")
-    if any(v < 0 for v in values):
-        raise ValueError(f"{name} grid values must be >= 0")
+    if len(values) > MAX_GRID_POINTS:
+        raise ValueError(f"{name} grid has more than {MAX_GRID_POINTS} points")
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ValueError(f"{name} grid values must be finite and >= 0")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} grid must be strictly increasing")
     return values
@@ -144,8 +151,10 @@ def _refine_spacing(mu_values: list[float], step: float) -> float:
     if len(mu_values) < 2:
         raise ValueError("coarse sweep needs at least two grid points to refine")
     spacing = max(b - a for a, b in zip(mu_values, mu_values[1:]))
-    if step <= 0 or step >= spacing:
+    if not 0 < step < spacing:
         raise ValueError(f"step must be in (0, coarse spacing {spacing}), got {step}")
+    if 2.0 * spacing / step >= MAX_GRID_POINTS:
+        raise ValueError(f"step {step} refines to more than {MAX_GRID_POINTS} points")
     return spacing
 
 

@@ -18,6 +18,7 @@ reported profit figures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,11 @@ class SwapTerms:
     labor_cost: float = 10.0  # $/MWh delivered
 
     def __post_init__(self):
+        for name in ("swap_price", "daily_swap_cap", "labor_cost"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.swap_price < 0:
+            raise ValueError(f"swap_price must be >= 0, got {self.swap_price}")
         if self.daily_swap_cap < 0:
             raise ValueError(f"daily_swap_cap must be >= 0, got {self.daily_swap_cap}")
         if self.labor_cost < 0:
@@ -98,7 +104,7 @@ class DayInput:
         self.reserve_price = np.asarray(self.reserve_price, dtype=float)
         if self.lmp.shape != (24,) or self.reserve_price.shape != (24,):
             raise ValueError("lmp and reserve_price must each hold 24 hourly values")
-        if np.any(self.reserve_price < 0):
+        if (self.reserve_price < 0).any():
             raise ValueError("reserve prices must be >= 0")
         if self.amdc < 0:
             raise ValueError(f"amdc must be >= 0, got {self.amdc}")
@@ -153,7 +159,7 @@ def _objective(day: DayInput, hours: int, with_swap: bool, with_reserve: bool,
     if with_soc:
         parts.append(np.zeros(hours))
     if with_reserve:
-        parts.append(day.reserve_price[:hours].astype(float))
+        parts.append(day.reserve_price[:hours])
     return np.concatenate(parts)
 
 

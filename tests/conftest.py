@@ -1,10 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 
+import swapval
 from swapval.lifecycle import EconomicParams
 from swapval.market_data import synth_price_series
 
 from _generators import reference_battery, small_battery
+
+# Python subprocesses started by tests import the same swapval as the tests.
+_SWAPVAL_ROOT = os.path.dirname(os.path.dirname(swapval.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SWAPVAL_ROOT, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swapval.cli import run_cli
+from swapval.cli import _parse_grid, run_cli
 from swapval.config import (
     ConfigError,
     config_to_dict,
@@ -334,3 +339,136 @@ def test_eol_reuses_the_sweep_argmax(tmp_path, fast_config, monkeypatch):
                   "--om-grid", "0:16:8"] + FAST + TINY_GRID)
     assert rc == 0
     assert calls == [0.0, 10.0, 20.0] * 2  # with_swap, then no_swap
+
+
+# More bad flags than TestBadInputExits2.CASES: non-finite values, grids
+# without a finite number of points and a negative swap price.
+OUT_OF_RANGE = {
+    "negative-swap-price": ["simulate", "--mu", "1", "--swap-price=-5", "--swap-cap", "1"],
+    "nan-swap-price": ["simulate", "--mu", "1", "--swap-price", "nan", "--swap-cap", "1"],
+    "inf-swap-cap": ["simulate", "--mu", "1", "--swap-cap", "inf"],
+    "nan-swap-cap": ["simulate", "--mu", "1", "--swap-cap", "nan"],
+    "nan-labor": ["simulate", "--mu", "1", "--swap-cap", "1", "--labor", "nan"],
+    "nan-om": ["simulate", "--mu", "1", "--om", "nan"],
+    "inf-om": ["simulate", "--mu", "1", "--om", "inf"],
+    "nan-refine-step": ["optimize-mdc", "--mdc-grid", "0:100:50", "--refine-step", "nan"],
+    "nan-curve": ["optimize-curve-price", "--curve=nan,180"],
+    "inf-curve-slope": ["optimize-curve-price", "--curve=-inf,180"],
+    "inf-mdc-grid": ["optimize-mdc", "--mdc-grid", "0:inf:1"],
+    "inf-price-grid": ["sweep-price", "--swap-cap", "1", "--price-grid", "0:inf:1"],
+    "inf-om-grid": ["eol", "--mu", "1", "--om-grid", "0:inf:8"],
+    "nan-grid-step": ["optimize-mdc", "--mdc-grid", "0:10:nan"],
+    "huge-mdc-grid": ["optimize-mdc", "--mdc-grid", "0:1e300:1"],
+    "stuck-mdc-grid": ["optimize-mdc", "--mdc-grid=-1e300:0:1"],
+    "tiny-refine-step": ["optimize-mdc", "--mdc-grid", "0:100:50", "--refine-step", "1e-300"],
+    "empty-price-grid": ["sweep-price", "--swap-cap", "1", "--price-grid="],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_flag_exits_2(case, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    TestBadInputExits2()._assert_exit_2(OUT_OF_RANGE[case] + FAST, tmp_path / "out")
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("mdc_grid", None, [0.0, float("inf")]),
+    ("price_grid", None, [0.0, float("nan")]),
+    ("economics", "discount_rate", float("nan")),
+    ("economics", "fixed_om_per_kw_year", float("inf")),
+    ("economics", "horizon_cap_years", float("nan")),
+    ("swap", "labor_cost", float("inf")),
+    ("swap", "swap_price", float("nan")),
+])
+def test_non_finite_config_value_exits_2(section, field, value, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    data = config_to_dict(paper_defaults())
+    if field is None:
+        data[section] = value
+    else:
+        data[section][field] = value
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(data))  # writes NaN and Infinity
+    TestBadInputExits2()._assert_exit_2(["sweep-price", "--config", str(path)] + FAST,
+                                        tmp_path / "out")
+
+
+@pytest.mark.parametrize("text,match", [
+    ("0:inf:1", "finite"), ("-inf:0:1", "finite"), ("0:10:inf", "finite"),
+    ("nan:1:1", "finite"), ("0:1e300:1", "more than"), ("-1e300:0:1", "more than"),
+])
+def test_parse_grid_rejects_unbounded(text, match):
+    with pytest.raises(ConfigError, match=match):
+        _parse_grid(text)
+
+
+BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "-0.5", "-1e300"]
+# One numeric flag per entry, with the subcommand that reads it and the
+# values of it that are out of range besides BAD_NUMBERS.
+NUMERIC_FLAGS = {
+    "--mu": (["simulate"], []),
+    "--om": (["simulate", "--mu", "1"], []),
+    "--swap-price": (["simulate", "--mu", "1", "--swap-cap", "1"], ["-"]),
+    "--swap-cap": (["simulate", "--mu", "1"], []),
+    "--labor": (["simulate", "--mu", "1", "--swap-cap", "1"], []),
+    "--seed": (["simulate", "--mu", "1"], ["1.5"]),
+    "--days": (["simulate", "--mu", "1"], ["0", "1.5"]),
+    "--refine-step": (["optimize-mdc", "--mdc-grid", "0:10:10"],
+                      ["0", "10", "11", "1e300", "1e-300"]),
+}
+GRID_FLAGS = {
+    "--mdc-grid": ["optimize-mdc"],
+    "--price-grid": ["sweep-price", "--swap-cap", "1", "--mdc-grid", "0:10:10"],
+    "--om-grid": ["eol", "--mu", "1"],
+}
+GRID_PART = st.sampled_from(["0", "1", "5", "10"])
+
+
+@st.composite
+def bad_grids(draw):
+    """'a:b:step' strings that no grid parser may accept."""
+    a, b, step = draw(GRID_PART), draw(GRID_PART), draw(GRID_PART)
+    kind = draw(st.sampled_from(["bad-part", "arity", "descending", "step", "huge", "text"]))
+    if kind == "bad-part":
+        parts = [a, b, step]
+        parts[draw(st.integers(0, 2))] = draw(st.sampled_from(BAD_NUMBERS + ["x", ""]))
+        return ":".join(parts)
+    if kind == "arity":
+        return ":".join(draw(st.lists(GRID_PART, min_size=1, max_size=5).filter(
+            lambda parts: len(parts) != 3)))
+    if kind == "descending":
+        return f"10:{a}:1" if a != "10" else "10:5:1"
+    if kind == "step":
+        return f"{a}:10:{draw(st.sampled_from(['0', '-1', '-0.5']))}"
+    if kind == "huge":  # too many points, or a step too small to move past a
+        return draw(st.sampled_from(["0:1e300:1", "-1e300:0:1", "0:1e6:1e-6", "1e20:1e20:1"]))
+    return draw(st.text(alphabet="abc,;: ", max_size=8))
+
+
+@st.composite
+def malformed_argv(draw):
+    """One subcommand with one of its numeric flags set to a bad value."""
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(GRID_FLAGS)))
+        return GRID_FLAGS[flag] + [f"{flag}={draw(bad_grids())}"]
+    flag = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    base, extra = NUMERIC_FLAGS[flag]
+    return base + [f"{flag}={draw(st.sampled_from(BAD_NUMBERS + extra))}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=malformed_argv())
+def test_malformed_numeric_flags_exit_2_or_3(argv):
+    """Any bad numeric flag ends in exit 2 or 3 with error.json, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"SWAPVAL_THREADS": "1"}):
+        out = os.path.join(tmp, "out")
+        days = [] if any(arg.startswith("--days") for arg in argv) else ["--days", "1"]
+        try:
+            code = run_cli(argv + ["--synth", "flat:10"] + days + ["--out", out])
+        except SystemExit as exc:  # argparse rejects the value before any run
+            assert exc.code == 2, argv
+            return
+        assert code in (2, 3), argv
+        with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["exit_code"] == code

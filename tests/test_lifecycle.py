@@ -9,6 +9,7 @@ from swapval import lp as lp_kernel
 from swapval.lifecycle import (
     DegradationLedger,
     EconomicParams,
+    _idle_days,
     abu,
     adjusted_mdc,
     calendar_throughput_per_day,
@@ -18,7 +19,7 @@ from swapval.lifecycle import (
     total_budget,
 )
 from swapval.market_data import synth_price_series
-from swapval.scheduler import BatterySpec, SwapTerms
+from swapval.scheduler import BatterySpec, SwapTerms, solve_day
 
 
 class TestBudgetArithmetic:
@@ -326,3 +327,92 @@ class TestWarmLifecycle:
         assert again.lb_star == first.lb_star
         assert again.days_lived == first.days_lived
         assert np.array_equal(again.soh_series, first.soh_series)
+
+
+class TestIdleTailExact:
+    """The idle tail, closed out a year at a time in numpy, equals the day loop.
+
+    A stub ``_idle_days`` that always returns None leaves every day of the
+    tail to the day loop; every field of the result must match bit for bit.
+    """
+
+    # A 300-cycle battery on a 7-day sine at mu 28 trades through its first
+    # year, idles from year 2 on (the adjusted MDC rises 7% a year) and runs
+    # out of budget in the middle of year 5.
+    SPEC = BatterySpec(2.7, 2.7, 0.95, cycle_life=300.0, calendar_fade_per_year=0.03)
+    # No calendar fade and an endless cycle life: only the horizon cap stops it.
+    ETERNAL = BatterySpec(2.7, 2.7, 0.95, cycle_life=1e9, calendar_fade_per_year=0.0)
+
+    @staticmethod
+    def _run(monkeypatch, tail, spec, econ, mu, swap=None, residual_soc=0.0):
+        import swapval.lifecycle as lifecycle
+
+        closed = []
+
+        def idle_days(*args):
+            days = _idle_days(*args) if tail else None
+            closed.append(days is not None)
+            return days
+
+        def solve_with_residual(day, **kw):
+            # A carried SOC just under _ZERO_EPS, so the tail's SOC decay is live.
+            schedule = solve_day(day, **kw)
+            schedule.soc[-1] += residual_soc
+            return schedule
+
+        monkeypatch.setattr(lifecycle, "_idle_days", idle_days)
+        monkeypatch.setattr(lifecycle, "solve_day", solve_with_residual)
+        prices = synth_price_series("daily-sine", days=7, seed=3, mean=40.0, amplitude=30.0)
+        result = simulate_lifecycle(spec, econ, prices, mu, swap_policy=swap,
+                                    reserve_enabled=False, keep_daily_log=True)
+        return result, sum(closed)
+
+    @staticmethod
+    def _assert_bit_equal(got, want):
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "daily_log":
+                for column in dataclasses.fields(b):
+                    x, y = getattr(a, column.name), getattr(b, column.name)
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), column.name
+            elif isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert repr(a) == repr(b), field.name
+
+    @pytest.mark.parametrize("case", ["exhausted-mid-year", "horizon-cap", "self-discharge",
+                                      "residual-soc", "swap-idle", "swap-busy"])
+    def test_tail_equals_day_loop(self, monkeypatch, econ, case):
+        spec, mu, swap, residual_soc = self.SPEC, 28.0, None, 0.0
+        if case == "horizon-cap":
+            spec, mu = self.ETERNAL, 60.0
+        elif case == "self-discharge":
+            spec = dataclasses.replace(spec, self_discharge=0.001)
+        elif case == "residual-soc":
+            spec, residual_soc = dataclasses.replace(spec, self_discharge=0.001), 5e-12
+        elif case == "swap-idle":
+            swap = SwapTerms(30.0, 1.0, 10.0)  # swapping never pays at this MDC
+        elif case == "swap-busy":
+            swap = SwapTerms(160.0, 1.0, 10.0)  # swapping pays every day: no tail
+
+        on, closed = self._run(monkeypatch, True, spec, econ, mu, swap, residual_soc)
+        off, closed_off = self._run(monkeypatch, False, spec, econ, mu, swap, residual_soc)
+        self._assert_bit_equal(on, off)
+        assert closed_off == 0
+        if case == "swap-busy":
+            assert closed == 0
+        else:
+            assert closed >= 2, "the idle tail did not run"
+        if case == "exhausted-mid-year":
+            assert on.days_lived % 365 != 0 and not on.horizon_capped
+        if case == "horizon-cap":
+            assert on.horizon_capped and on.days_lived == 365 * econ.horizon_cap_years
+        if case == "residual-soc":
+            assert 0.0 < on.daily_log.soc_end[-1] < on.daily_log.soc_end[400] <= 1e-11
+
+    def test_memo_off_turns_the_tail_off(self, monkeypatch, econ):
+        import swapval.lifecycle as lifecycle
+
+        monkeypatch.setattr(lifecycle, "_ZERO_EPS", -1.0)
+        _, closed = self._run(monkeypatch, True, self.SPEC, econ, 28.0)
+        assert closed == 0
