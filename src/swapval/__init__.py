@@ -49,10 +49,12 @@ from swapval.optimizers import (
     DemandPriceCurve,
     MdcSweepResult,
     optimize_mdc,
+    optimize_mdc_each,
     refine_mdc,
     sweep_swap_price,
     demand_at_price,
     optimize_price_for_curve,
+    optimize_price_for_curves,
 )
 
 __version__ = "0.1.0"

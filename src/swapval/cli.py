@@ -35,7 +35,8 @@ from swapval.optimizers import (
     _validate_grid,
     _worker_count,
     optimize_mdc,
-    optimize_price_for_curve,
+    optimize_mdc_each,
+    optimize_price_for_curves,
     refine_mdc,
     sweep_swap_price,
 )
@@ -259,11 +260,12 @@ def _cmd_optimize_curve_price(config: ScenarioConfig, prices, args) -> None:
         raise ConfigError("optimize-curve-price needs --curve k,b or a demand_curve "
                           "block in the config")
     labor = config.swap.labor_cost if config.swap else 10.0
-    results = [(curve.slope, curve.intercept, optimize_price_for_curve(
-        config.battery, config.economics, prices, curve,
+    optima = optimize_price_for_curves(
+        config.battery, config.economics, prices, curves,
         config.price_grid, config.mdc_grid, labor_cost=labor,
-        reserve_enabled=config.flags.reserve_enabled)) for curve in curves]
-    emit_curve_optima(results, args.out)
+        reserve_enabled=config.flags.reserve_enabled)
+    emit_curve_optima([(curve.slope, curve.intercept, result)
+                       for curve, result in zip(curves, optima)], args.out)
 
 
 def _cmd_eol(config: ScenarioConfig, prices, args) -> None:
@@ -274,9 +276,11 @@ def _cmd_eol(config: ScenarioConfig, prices, args) -> None:
         modes = [("no_swap", None)]
     # A fixed --mu is a one-point grid; otherwise each mode runs at its own mu*.
     grid = config.mdc_grid if args.mu is None else [args.mu]
-    for mode, swap in modes:
-        result = optimize_mdc(config.battery, config.economics, prices, swap, grid,
-                              reserve_enabled=config.flags.reserve_enabled).best
+    sweeps = optimize_mdc_each(config.battery, config.economics, prices,
+                               [swap for _, swap in modes], grid,
+                               reserve_enabled=config.flags.reserve_enabled)
+    for (mode, _), sweep in zip(modes, sweeps):
+        result = sweep.best
         for om in om_grid:
             econ = dataclasses.replace(config.economics, fixed_om_per_kw_year=om)
             eol = eol_analysis(result, config.battery, econ,

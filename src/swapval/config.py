@@ -11,6 +11,7 @@ data-conditional results.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -27,6 +28,46 @@ from swapval.scheduler import BatterySpec, SwapTerms
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
+
+
+# Each synthetic pattern's required and optional parameters (see
+# ``synth_price_series``); every pattern also takes ``reserve_level``.
+_SYNTH_PARAMS = {
+    "flat": (("level",), ()),
+    "two-level": (("low", "high"), ("split_hour",)),
+    "daily-sine": (("mean", "amplitude"), ()),
+}
+
+
+def _check_synth_params(pattern: str, params) -> None:
+    """Reject a synthetic price source ``synth_price_series`` cannot build."""
+    if pattern not in _SYNTH_PARAMS:
+        raise ConfigError(f"unknown synthetic pattern {pattern!r} "
+                          f"(expected one of {', '.join(_SYNTH_PARAMS)})")
+    if not isinstance(params, dict):
+        raise ConfigError(f"synthetic params must be an object, got {params!r}")
+    required, optional = _SYNTH_PARAMS[pattern]
+    for name in required:
+        if name not in params:
+            raise ConfigError(f"synthetic pattern {pattern!r} needs parameter {name!r}")
+    known = (*required, *optional, "reserve_level")
+    for name in params:
+        if name not in known:  # a misspelt optional parameter would be ignored
+            raise ConfigError(f"synthetic pattern {pattern!r} takes no parameter {name!r} "
+                              f"(expected {', '.join(known)})")
+    for name in known:
+        value = params.get(name, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise ConfigError(f"synthetic parameter {name!r} must be a finite number, "
+                              f"got {value!r}")
+    for name in ("amplitude", "reserve_level"):
+        if params.get(name, 0.0) < 0:
+            raise ConfigError(f"synthetic parameter {name!r} must be >= 0, got {params[name]!r}")
+    split = params.get("split_hour", 12)
+    if split != int(split) or not 0 <= split <= 24:
+        raise ConfigError(
+            f"synthetic parameter 'split_hour' must be an integer in [0, 24], got {split!r}")
 
 
 @dataclass(frozen=True)
@@ -46,10 +87,16 @@ class PriceSource:
             raise ConfigError("file price source requires a path")
         if self.kind == "synthetic" and not self.pattern:
             raise ConfigError("synthetic price source requires a pattern")
+        for name in ("days", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"price source {name} must be an integer, got {value!r}")
         if self.days < 1:
             raise ConfigError(f"price source days must be >= 1, got {self.days}")
         if self.seed < 0:
             raise ConfigError(f"price source seed must be >= 0, got {self.seed}")
+        if self.kind == "synthetic":
+            _check_synth_params(self.pattern, self.params)
 
 
 @dataclass(frozen=True)

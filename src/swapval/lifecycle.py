@@ -21,6 +21,7 @@ from swapval import lp
 from swapval.market_data import HourlyPriceSeries
 from swapval.scheduler import (
     NO_SWAP,
+    TIE_BREAK_EPS,
     BatterySpec,
     DailyModel,
     DayInput,
@@ -34,6 +35,10 @@ DAYS_PER_YEAR = 365
 # A schedule whose largest hourly move is below this is "all zero" for the
 # idle-day shortcut.
 _ZERO_EPS = 1e-11
+
+# Relative clearance each hour's charge bound must keep in ``_idle_proof``,
+# far above the round-off of its arithmetic and HiGHS's 1e-10 tolerances.
+_IDLE_PROOF_MARGIN = 1e-9
 
 
 @dataclass
@@ -200,6 +205,51 @@ def _idle_days(spec: BatterySpec, ledger: DegradationLedger, soc: float,
                      soc_end=_running(np.multiply, max(soc, 0.0), keep24, n)[1:])
 
 
+def _idle_proof(spec: BatterySpec, prices: HourlyPriceSeries, amdc: float,
+                swap: SwapTerms, reserve_enabled: bool) -> np.ndarray:
+    """Per pattern day: is the all-zero schedule provably the unique optimum
+    of the day's LP from an empty battery at adjusted MDC ``amdc``?
+
+    LP duality decides it without a solver.  With ``A = amdc +
+    TIE_BREAK_EPS``, ``keep = 1 - self_discharge``, reserve price ``rho``
+    (0 with reserve off) and swap margin ``sigma = swap_price - labor_cost``
+    (counted only when ``daily_swap_cap > 0``; a zero cap pins swap to 0),
+    take the SOC-row duals ``lam[24] = 0`` and, for h = 23..0,
+
+        lam[h] = max(keep*lam[h+1] + eta*rho[h], eta*(lmp[h] - A), eta*(sigma - A)).
+
+    With the cap, headroom rows' duals at 0 and each coupling row's at
+    ``rho[h]``, every discharge, swap, SOC and reserve column then has a
+    reduced cost <= 0, so no feasible schedule beats 0 (the SOC rows'
+    right-hand sides are 0 from an empty battery).  The day is proven when
+    also ``lam[h] < (lmp[h] + A)/eta - margin`` for every h: each charge
+    column's reduced cost is strictly negative, so no optimum charges, and
+    from an empty battery nothing can be discharged, swapped or offered
+    without charging first (complementary slackness; Bertsimas &
+    Tsitsiklis, *Introduction to Linear Optimization*, 1997, ch. 4).
+
+    Capacity never enters the proof, and a larger ``amdc`` only lowers
+    ``lam`` and raises the bound: as with the idle memo, a day proven at
+    one point of a life stays proven for every later day of it.  Works a
+    pattern hour at a time, so memory is O(pattern days).
+    """
+    eta, keep = spec.efficiency, 1.0 - spec.self_discharge
+    A = amdc + TIE_BREAK_EPS
+    lmp = prices.lmp.reshape(-1, 24)
+    reserve = prices.reserve_price.reshape(-1, 24)
+    swap_floor = eta * (swap.swap_price - swap.labor_cost - A) \
+        if swap.daily_swap_cap > 0 else -math.inf
+    lam = np.zeros(len(lmp))
+    proven = np.ones(len(lmp), dtype=bool)
+    for h in range(23, -1, -1):
+        price = lmp[:, h]
+        rho = reserve[:, h] if reserve_enabled else 0.0
+        lam = np.maximum(np.maximum(keep * lam + eta * rho, eta * (price - A)), swap_floor)
+        bound = (price + A) / eta
+        proven &= lam < bound - _IDLE_PROOF_MARGIN * (1.0 + np.abs(bound))
+    return proven
+
+
 def _year_row(yearly: dict[int, dict], year: int) -> dict:
     return yearly.setdefault(year, {
         "year": year, "days": 0, "operating_cash": 0.0, "mdc_cost": 0.0,
@@ -231,6 +281,11 @@ def simulate_lifecycle(
     day is memoized and the carried SOC is at or below ``_ZERO_EPS``, every
     later day is such a skip: that idle tail is closed out a calendar year
     at a time in numpy (``_idle_days``), bit-identical to the day loop.
+    The tail can open before the memo is full: once a year, from an empty
+    battery, ``_idle_proof`` may show without a solver that every pattern
+    day is idle, which fills the memo at once.  The proof never skips a
+    single day in mid-life, so the solved days and their warm starts are
+    those of the memo alone.
 
     The days are solved in one ``DailyModel``, each warm from the previous
     solved day, when the HiGHS binding is available; the model lives and
@@ -252,6 +307,7 @@ def simulate_lifecycle(
     soc = 0.0
     keep24 = (1.0 - spec.self_discharge) ** 24
     zero_memo: set[int] = set()
+    proof_year = -1  # the last year _idle_proof was tried in
     model = DailyModel() if lp.HIGHS_BINDING else None
     n_pattern_days = prices.n_days
 
@@ -270,6 +326,12 @@ def simulate_lifecycle(
         kappa = day // DAYS_PER_YEAR
         delta = (1.0 + rate) ** (-kappa)
         mu_t = adjusted_mdc(mu, day, econ)
+        if soc == 0.0 and len(zero_memo) < n_pattern_days and proof_year < kappa \
+                and _ZERO_EPS >= 0:
+            # The MDC is constant within a year, so one try per year does.
+            proof_year = kappa
+            if _idle_proof(spec, prices, mu_t, swap, reserve_enabled).all():
+                zero_memo.update(range(n_pattern_days))
         if soc <= _ZERO_EPS and len(zero_memo) == n_pattern_days:
             idle = _idle_days(spec, ledger, soc, q_day, keep24,
                               min(DAYS_PER_YEAR * (kappa + 1), max_days) - day)
@@ -333,7 +395,9 @@ def simulate_lifecycle(
             degradation = schedule.degradation_cost
             sb = schedule.sb_star
             throughput = schedule.throughput_today
-            soc = float(schedule.soc[-1])
+            # + 0.0 turns a -0.0 from HiGHS into 0.0, as on a day the memo or
+            # the idle proof skips.
+            soc = float(schedule.soc[-1]) + 0.0
 
         ledger.add(throughput)
         lb += delta * sb

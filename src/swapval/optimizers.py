@@ -2,14 +2,16 @@
 
 Each search is a grid of (swap policy, mu) points, one lifecycle each.  One
 runner executes an optimizer call's whole grid on a single process pool
-(SWAPVAL_THREADS workers, clamped to the grid size), collects in grid order
-for deterministic output, and keeps each policy's argmax lifecycle.  Plain
-exhaustive search: the life-cycle objective is not known to be unimodal in
-the degradation cost, so no bracketing descent is used.
+(SWAPVAL_THREADS workers, clamped to the number of distinct points): each
+distinct point runs once, lowest mu first, and the results are collected
+back in grid order for deterministic output, keeping each policy's argmax
+lifecycle.  Plain exhaustive search: the life-cycle objective is not known
+to be unimodal in the degradation cost, so no bracketing descent is used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -96,19 +98,22 @@ def _run_grid(spec, econ, prices, policies, mu_values,
               reserve_enabled) -> list[MdcSweepResult]:
     """Simulate every (policy, mu) point and return one sweep per policy.
 
-    Points run in grid order on one pool, or serially with one worker; the
-    first failure cancels the pending points and raises a SweepError.
+    Each distinct point (equal swap terms and mu) runs once, in ascending mu:
+    a low MDC works the battery hardest, so the longest lifecycles start
+    first.  They run on one pool, or serially with one worker; the first
+    failure in that order cancels the pending points and raises a SweepError.
     """
     points = [(swap, mu) for swap in policies for mu in mu_values]
-    args = [(spec, econ, prices, mu, swap, reserve_enabled) for swap, mu in points]
+    distinct = sorted(dict.fromkeys(points), key=lambda point: point[1])
+    args = [(spec, econ, prices, mu, swap, reserve_enabled) for swap, mu in distinct]
     workers = _worker_count(len(args))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         pending = [pool.submit(_simulate_point, a) for a in args] if pool else args
-        results = []
-        for (swap, mu), item in zip(points, pending):
+        done = {}
+        for (swap, mu), item in zip(distinct, pending):
             try:
-                results.append(item.result() if pool else _simulate_point(item))
+                done[swap, mu] = item.result() if pool else _simulate_point(item)
             except Exception as exc:
                 where = "no swap" if swap is None else (
                     f"swap price={swap.swap_price}, cap={swap.daily_swap_cap}")
@@ -116,6 +121,7 @@ def _run_grid(spec, econ, prices, policies, mu_values,
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    results = [done[point] for point in points]
     n = len(mu_values)
     return [_sweep_from_results(mu_values, results[i:i + n])
             for i in range(0, len(results), n)]
@@ -142,8 +148,15 @@ def optimize_mdc(spec: BatterySpec, econ: EconomicParams, prices: HourlyPriceSer
 
     One full lifecycle per grid point; ties break toward the smaller mu.
     """
-    return _run_grid(spec, econ, prices, [swap_policy], _validate_grid(grid, "mdc"),
-                     reserve_enabled)[0]
+    return optimize_mdc_each(spec, econ, prices, [swap_policy], grid, reserve_enabled)[0]
+
+
+def optimize_mdc_each(spec: BatterySpec, econ: EconomicParams, prices: HourlyPriceSeries,
+                      swap_policies: list[SwapTerms | None], grid,
+                      reserve_enabled: bool = True) -> list[MdcSweepResult]:
+    """``optimize_mdc`` for each swap policy, all of them on one grid run."""
+    return _run_grid(spec, econ, prices, swap_policies, _validate_grid(grid, "mdc"),
+                     reserve_enabled)
 
 
 def _refine_spacing(mu_values: list[float], step: float) -> float:
@@ -175,13 +188,20 @@ def refine_mdc(coarse: MdcSweepResult, spec: BatterySpec, econ: EconomicParams,
     return _run_grid(spec, econ, prices, [swap_policy], fine.tolist(), reserve_enabled)[0]
 
 
-def _sweep_prices(spec, econ, prices, price_grid, cap_at, mdc_grid, labor_cost,
+def _sweep_prices(spec, econ, prices, caps, price_grid, mdc_grid, labor_cost,
                   reserve_enabled):
-    """(policy, MDC sweep) per swap price, the daily cap set by cap_at(price)."""
+    """(policy, MDC sweep) per swap price for each cap rule, on one grid run.
+
+    Each rule maps a swap price to its daily cap; returns one list of pairs
+    per rule, in price order.
+    """
+    price_grid = _validate_grid(price_grid, "price")
     policies = [SwapTerms(swap_price=p, daily_swap_cap=cap_at(p), labor_cost=labor_cost)
-                for p in _validate_grid(price_grid, "price")]
-    return zip(policies, _run_grid(spec, econ, prices, policies,
-                                   _validate_grid(mdc_grid, "mdc"), reserve_enabled))
+                for cap_at in caps for p in price_grid]
+    sweeps = _run_grid(spec, econ, prices, policies, _validate_grid(mdc_grid, "mdc"),
+                       reserve_enabled)
+    n = len(price_grid)
+    return [list(zip(policies[i:i + n], sweeps[i:i + n])) for i in range(0, len(policies), n)]
 
 
 def sweep_swap_price(spec: BatterySpec, econ: EconomicParams, prices: HourlyPriceSeries,
@@ -199,9 +219,8 @@ def sweep_swap_price(spec: BatterySpec, econ: EconomicParams, prices: HourlyPric
         "lb_star": sweep.lb_at_star,
         "abu": sweep.best.abu,
         "days_lived": sweep.best.days_lived,
-    } for swap, sweep in _sweep_prices(spec, econ, prices, price_grid,
-                                       lambda price: fixed_daily_cap, mdc_grid,
-                                       labor_cost, reserve_enabled)]
+    } for swap, sweep in _sweep_prices(spec, econ, prices, [lambda price: fixed_daily_cap],
+                                       price_grid, mdc_grid, labor_cost, reserve_enabled)[0]]
 
 
 def demand_at_price(curve: DemandPriceCurve, price: float) -> float:
@@ -221,14 +240,27 @@ def optimize_price_for_curve(spec: BatterySpec, econ: EconomicParams,
     Each candidate price fixes the daily swap cap at the curve's demand and
     re-optimizes the MDC.  Ties break toward the lower price.
     """
-    rows = [{
-        "swap_price": swap.swap_price,
-        "demand": swap.daily_swap_cap,
-        "mu_star": sweep.mu_star,
-        "lb_star": sweep.lb_at_star,
-    } for swap, sweep in _sweep_prices(spec, econ, prices, price_grid,
-                                       lambda price: demand_at_price(curve, price),
-                                       mdc_grid, labor_cost, reserve_enabled)]
-    top = max(rows, key=lambda row: (row["lb_star"], -row["swap_price"]))
-    return CurvePriceResult(price_star=top["swap_price"], demand_star=top["demand"],
-                            mu_star=top["mu_star"], lb_star=top["lb_star"], rows=rows)
+    return optimize_price_for_curves(spec, econ, prices, [curve], price_grid, mdc_grid,
+                                     labor_cost, reserve_enabled)[0]
+
+
+def optimize_price_for_curves(spec: BatterySpec, econ: EconomicParams,
+                              prices: HourlyPriceSeries, curves: list[DemandPriceCurve],
+                              price_grid, mdc_grid, labor_cost: float = 10.0,
+                              reserve_enabled: bool = True) -> list[CurvePriceResult]:
+    """``optimize_price_for_curve`` for each curve, all of them on one grid run."""
+    results = []
+    for pairs in _sweep_prices(spec, econ, prices,
+                               [functools.partial(demand_at_price, curve) for curve in curves],
+                               price_grid, mdc_grid, labor_cost, reserve_enabled):
+        rows = [{
+            "swap_price": swap.swap_price,
+            "demand": swap.daily_swap_cap,
+            "mu_star": sweep.mu_star,
+            "lb_star": sweep.lb_at_star,
+        } for swap, sweep in pairs]
+        top = max(rows, key=lambda row: (row["lb_star"], -row["swap_price"]))
+        results.append(CurvePriceResult(price_star=top["swap_price"],
+                                        demand_star=top["demand"], mu_star=top["mu_star"],
+                                        lb_star=top["lb_star"], rows=rows))
+    return results

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swapval.optimizers
 from swapval.cli import _parse_grid, run_cli
 from swapval.config import (
     ConfigError,
@@ -283,7 +284,8 @@ def test_bad_price_source_flags_exit_2(argv, tmp_path, monkeypatch):
     TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1"] + argv, tmp_path / "out")
 
 
-@pytest.mark.parametrize("field,value", [("seed", -1), ("days", 0)])
+@pytest.mark.parametrize("field,value", [("seed", -1), ("days", 0), ("seed", 1.5),
+                                         ("days", 2.5)])
 def test_bad_price_source_in_config_exits_2(field, value, tmp_path, monkeypatch):
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
     data = config_to_dict(paper_defaults())
@@ -338,7 +340,8 @@ def test_eol_reuses_the_sweep_argmax(tmp_path, fast_config, monkeypatch):
     rc = run_cli(["eol", "--config", fast_config, "--out", str(tmp_path / "eol"),
                   "--om-grid", "0:16:8"] + FAST + TINY_GRID)
     assert rc == 0
-    assert calls == [0.0, 10.0, 20.0] * 2  # with_swap, then no_swap
+    # Both modes on one grid, lowest mu first: with_swap, then no_swap at each mu.
+    assert calls == [0.0, 0.0, 10.0, 10.0, 20.0, 20.0]
 
 
 # More bad flags than TestBadInputExits2.CASES: non-finite values, grids
@@ -472,3 +475,62 @@ def test_malformed_numeric_flags_exit_2_or_3(argv):
         assert code in (2, 3), argv
         with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
             assert json.load(fh)["exit_code"] == code
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize-curve-price", "--curve=-10,180", "--curve=-40,180",
+     "--price-grid", "100:200:50"],
+    ["eol", "--om-grid", "0:16:8"],
+], ids=["two-curves", "eol"])
+def test_one_study_starts_one_pool(argv, tmp_path, fast_config, monkeypatch):
+    started = []
+
+    class CountingPool(swapval.optimizers.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(swapval.optimizers, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("SWAPVAL_THREADS", "2")
+    assert run_cli(argv + ["--config", fast_config, "--out", str(tmp_path / "out")]
+                   + FAST + TINY_GRID) == 0
+    assert started == [2]
+
+
+@pytest.mark.parametrize("synth", ["flat:nan", "flat:inf", "flat:1e400", "daily-sine:40:nan",
+                                   "daily-sine:40:-5", "two-level:10:20:30"])
+def test_bad_synthetic_parameter_exits_2(synth, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    TestBadInputExits2()._assert_exit_2(
+        ["simulate", "--mu", "1", "--days", "2", "--synth", synth], tmp_path / "out")
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"mean": "abc", "amplitude": 30.0},
+    {"mean": 40.0, "amplitude": None},
+    {"mean": 40.0, "amplitude": 30.0, "reserve_level": -1.0},
+    {"mean": 40.0, "amplitude": 30.0, "reserve": 5.0},
+], ids=["empty", "text-mean", "null-amplitude", "negative-reserve-level", "unknown-parameter"])
+def test_bad_synthetic_params_in_config_exit_2(params, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    data = config_to_dict(paper_defaults())
+    data["prices"]["params"] = params
+    path = tmp_path / "bad_params.json"
+    path.write_text(json.dumps(data))
+    TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)],
+                                        tmp_path / "out")
+
+
+@pytest.mark.parametrize("pattern,params", [
+    ("sine", {"mean": 40.0, "amplitude": 30.0}),
+    ("two-level", {"low": 10.0, "high": 90.0, "split_hour": 12.5}),
+], ids=["unknown-pattern", "fractional-split-hour"])
+def test_bad_synthetic_source_in_config_exits_2(pattern, params, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    data = config_to_dict(paper_defaults())
+    data["prices"].update(pattern=pattern, params=params)
+    path = tmp_path / "bad_source.json"
+    path.write_text(json.dumps(data))
+    TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)],
+                                        tmp_path / "out")

@@ -10,6 +10,7 @@ from swapval.lifecycle import (
     DegradationLedger,
     EconomicParams,
     _idle_days,
+    _idle_proof,
     abu,
     adjusted_mdc,
     calendar_throughput_per_day,
@@ -19,7 +20,14 @@ from swapval.lifecycle import (
     total_budget,
 )
 from swapval.market_data import synth_price_series
-from swapval.scheduler import BatterySpec, SwapTerms, solve_day
+from swapval.scheduler import (
+    NO_SWAP,
+    TIE_BREAK_EPS,
+    BatterySpec,
+    DayInput,
+    SwapTerms,
+    solve_day,
+)
 
 
 class TestBudgetArithmetic:
@@ -416,3 +424,152 @@ class TestIdleTailExact:
         monkeypatch.setattr(lifecycle, "_ZERO_EPS", -1.0)
         _, closed = self._run(monkeypatch, True, self.SPEC, econ, 28.0)
         assert closed == 0
+
+
+class TestIdleProof:
+    """``_idle_proof`` proves a day idle only when the LP agrees."""
+
+    @staticmethod
+    def _series(lmp, reserve):
+        series = synth_price_series("flat", days=len(lmp) // 24, level=0.0)
+        series.lmp[:] = lmp
+        series.reserve_price[:] = reserve
+        return series
+
+    def test_sound_on_random_days(self):
+        rng = np.random.default_rng(6)
+        swaps = [NO_SWAP, SwapTerms(90.0, 0.0, 10.0), SwapTerms(70.0, 1.5, 10.0)]
+        proven = declined = 0
+        for trial in range(48):
+            spec = BatterySpec(2.7, 2.7, rng.uniform(0.8, 1.0),
+                               self_discharge=[0.0, 0.01][trial % 2])
+            swap = swaps[trial % 3]
+            reserve = trial % 4 >= 2
+            days = 3
+            # Means from -20 to 80 $/MWh with spreads up to 60: some LMPs are negative.
+            lmp = (rng.uniform(-20.0, 80.0, days).repeat(24)
+                   + rng.uniform(0.0, 60.0) * rng.standard_normal(24 * days))
+            reserve_price = rng.uniform(0.0, 12.0, 24 * days) if reserve else np.zeros(24 * days)
+            mu = rng.uniform(0.0, 250.0)
+            idle = _idle_proof(spec, self._series(lmp, reserve_price), mu, swap, reserve)
+            for d in range(days):
+                if not idle[d]:
+                    declined += 1
+                    continue
+                proven += 1
+                schedule = solve_day(DayInput(
+                    battery=spec, lmp=lmp[24 * d:24 * d + 24],
+                    reserve_price=reserve_price[24 * d:24 * d + 24], amdc=mu, swap=swap,
+                    soc_start=0.0, capacity_now=2.7, reserve_enabled=reserve))
+                for column in (schedule.charge, schedule.discharge, schedule.swap_out,
+                               schedule.reserve_offer):
+                    assert np.abs(column).max() <= 1e-9, (trial, d)
+        assert proven >= 20 and declined >= 20, (proven, declined)
+
+    def test_near_tie_is_not_proven(self):
+        # Charge at 10, discharge at 90: one stored MWh breaks even at
+        # A = (eta**2 * 90 - 10) / (1 + eta**2), with A = amdc + TIE_BREAK_EPS.
+        spec = BatterySpec(2.7, 2.7, 0.95)
+        series = synth_price_series("two-level", days=1, low=10.0, high=90.0, split_hour=12)
+        tie = (0.95 ** 2 * 90.0 - 10.0) / (1.0 + 0.95 ** 2) - TIE_BREAK_EPS
+
+        def proven(amdc):
+            return bool(_idle_proof(spec, series, amdc, NO_SWAP, False)[0])
+
+        assert not proven(tie * (1.0 - 1e-9))  # just below: cycling pays
+        assert not proven(tie)
+        assert not proven(tie * (1.0 + 1e-12))  # idle, but inside the margin
+        assert proven(tie + 1.0)
+
+
+def _assert_bit_equal(got, want):
+    """Every field equal bit for bit, the daily log's columns included."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if dataclasses.is_dataclass(b):
+            _assert_bit_equal(a, b)
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert repr(a) == repr(b), field.name
+
+
+class TestIdleProofExact:
+    """The proof only opens the idle tail early: proof on equals proof off.
+
+    A stub ``_idle_proof`` that proves nothing leaves the memo to fill by
+    solving each pattern day; every field of the result must match bit for
+    bit.
+    """
+
+    # A 60-cycle battery whose 20%-a-year calendar fade ends an idle life in
+    # about a year; at mu 20 it trades, at 60 and 100 it idles unless a
+    # swap pays.
+    SPEC = BatterySpec(2.7, 2.7, 0.95, cycle_life=60.0, calendar_fade_per_year=0.2)
+    # At mu 27 this one trades for 3-4 years, until the adjusted MDC has
+    # risen past every pattern day's spread: the proof opens the tail then.
+    MIDLIFE = BatterySpec(2.7, 2.7, 0.95, cycle_life=1000.0, calendar_fade_per_year=0.03)
+
+    @staticmethod
+    def _run(monkeypatch, proof, spec, days, mu, swap, reserve, log):
+        """The lifecycle, and the adjusted MDCs at which the proof opened the tail."""
+        import swapval.lifecycle as lifecycle
+
+        opened = []
+
+        def idle_proof(spec, prices, amdc, *args):
+            proven = _idle_proof(spec, prices, amdc, *args)
+            if not proof:
+                proven[:] = False
+            if proven.all():
+                opened.append(amdc)
+            return proven
+
+        monkeypatch.setattr(lifecycle, "_idle_proof", idle_proof)
+        prices = synth_price_series("daily-sine", days=days, seed=days, mean=40.0,
+                                    amplitude=30.0, reserve_level=1.0 if reserve else 0.0)
+        result = simulate_lifecycle(spec, EconomicParams(), prices, mu, swap_policy=swap,
+                                    reserve_enabled=reserve, keep_daily_log=log)
+        return result, opened
+
+    @pytest.mark.parametrize("days", [7, 28, 365])
+    @pytest.mark.parametrize("swap", [None, SwapTerms(140.0, 0.0, 10.0),
+                                      SwapTerms(60.0, 2.7, 10.0)],
+                             ids=["no-swap", "cap-0", "swap-unpaid"])
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_proof_on_equals_proof_off(self, monkeypatch, days, swap, reserve):
+        runs = [(self.SPEC, 20.0, True), (self.SPEC, 60.0, False),
+                (self.SPEC, 100.0, days != 365)]
+        if not reserve:
+            runs.append((self.MIDLIFE, 27.0, True))
+        opened = []
+        for spec, mu, log in runs:
+            on, opened_on = self._run(monkeypatch, True, spec, days, mu, swap, reserve, log)
+            off, opened_off = self._run(monkeypatch, False, spec, days, mu, swap, reserve, log)
+            _assert_bit_equal(on, off)
+            assert opened_off == []
+            opened += [amdc / mu for amdc in opened_on]
+        assert 1.0 in opened, "the proof never opened the tail on day 0"
+        if not reserve:
+            assert max(opened) > 1.0, "the proof never opened the tail in mid-life"
+
+    def test_memo_off_turns_the_proof_off(self, monkeypatch):
+        import swapval.lifecycle as lifecycle
+
+        monkeypatch.setattr(lifecycle, "_ZERO_EPS", -1.0)
+        _, opened = self._run(monkeypatch, True, self.SPEC, 7, 100.0, None, False, False)
+        assert opened == []
+
+    def test_all_idle_lifecycle_never_solves(self, monkeypatch):
+        import swapval.scheduler as scheduler
+
+        calls = []
+        real = scheduler.solve_lp
+        monkeypatch.setattr(scheduler, "solve_lp",
+                            lambda *args, **kw: calls.append(1) or real(*args, **kw))
+        prices = synth_price_series("daily-sine", days=28, seed=3, mean=40.0, amplitude=30.0)
+        result = simulate_lifecycle(self.SPEC, EconomicParams(), prices, 100.0,
+                                    swap_policy=SwapTerms(140.0, 0.0, 10.0))
+        assert calls == []
+        assert result.days_lived > 300 and result.lb_star < 0.0
+        assert not result.daily_log.throughput.max() > calendar_throughput_per_day(self.SPEC)

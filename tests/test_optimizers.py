@@ -290,3 +290,70 @@ class TestSweepEngine:
         with pytest.raises(SweepError, match="no swap, mu=0.0: first point fails"):
             optimize_mdc(tiny_battery, econ, flat_zero_series, None, grid)
         assert len(list(tmp_path.glob("ran-*"))) <= 6
+
+
+class TestDistinctPoints:
+    """Each distinct (swap terms, mu) point runs once, lowest mu first, and
+    the results come back in grid order."""
+
+    CURVES = [DemandPriceCurve(slope=-20.0, intercept=100.0),
+              DemandPriceCurve(slope=-80.0, intercept=100.0)]
+    PRICES = [40.0, 100.0, 140.0]  # demand is 0 at 100 and 140 under both curves
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        runs = []
+        real = optimizers.simulate_lifecycle
+
+        def counting(spec, econ, prices, mu, swap_policy=None, **kwargs):
+            runs.append((swap_policy, mu))
+            return real(spec, econ, prices, mu, swap_policy=swap_policy, **kwargs)
+
+        monkeypatch.setattr(optimizers, "simulate_lifecycle", counting)
+        monkeypatch.setenv("SWAPVAL_THREADS", "1")
+        return runs
+
+    def test_curves_run_each_distinct_point_once_lowest_mu_first(
+            self, monkeypatch, tiny_battery, econ, two_level_series):
+        runs = self._count_runs(monkeypatch)
+        mdc = [0.0, 30.0, 60.0]
+        together = optimizers.optimize_price_for_curves(
+            tiny_battery, econ, two_level_series, self.CURVES, self.PRICES, mdc,
+            reserve_enabled=False)
+        # 2 curves x 3 prices x 3 mu, less the zero-demand prices' 6 repeats.
+        assert len(runs) == len(set(runs)) == 12
+        assert [mu for _, mu in runs] == sorted(mu for _, mu in runs)
+        assert [swap for swap, mu in runs if mu == 0.0] == [
+            SwapTerms(40.0, 3.0, 10.0), SwapTerms(100.0, 0.0, 10.0),
+            SwapTerms(140.0, 0.0, 10.0), SwapTerms(40.0, 0.75, 10.0)]
+
+        runs.clear()
+        apart = [optimize_price_for_curve(tiny_battery, econ, two_level_series, curve,
+                                          self.PRICES, mdc, reserve_enabled=False)
+                 for curve in self.CURVES]
+        assert len(runs) == 18
+        assert together == apart
+
+    def test_duplicate_policies_share_their_lifecycles(self, monkeypatch, tiny_battery,
+                                                       econ, two_level_series):
+        runs = self._count_runs(monkeypatch)
+        swap = SwapTerms(120.0, 2.0, 10.0)
+        first, again, none = optimizers.optimize_mdc_each(
+            tiny_battery, econ, two_level_series, [swap, SwapTerms(120.0, 2.0, 10.0), None],
+            MDC_GRID, reserve_enabled=False)
+        assert len(runs) == 2 * len(MDC_GRID)
+        assert first.grid == again.grid and first.best is again.best
+        alone = optimize_mdc(tiny_battery, econ, two_level_series, None, MDC_GRID,
+                             reserve_enabled=False)
+        assert none.grid == alone.grid and none.mu_star == alone.mu_star
+
+    def test_workers_clamped_to_distinct_points(self, monkeypatch, tiny_battery, econ,
+                                                flat_zero_series):
+        started = TestSweepEngine._count_pools(monkeypatch)
+        monkeypatch.setenv("SWAPVAL_THREADS", "3")
+        # The same curve twice: 4 grid points, 2 of them distinct.
+        curve = DemandPriceCurve(slope=-10.0, intercept=5.0)
+        optimizers.optimize_price_for_curves(
+            tiny_battery, econ, flat_zero_series, [curve, curve], [10.0], [0.0, 20.0],
+            reserve_enabled=False)
+        assert started == [2]
