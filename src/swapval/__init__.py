@@ -21,7 +21,6 @@ from swapval.lp import (
     DimensionError,
     IterationLimitError,
     solve_lp,
-    enumerate_oracle,
 )
 from swapval.scheduler import (
     BatterySpec,
@@ -30,9 +29,7 @@ from swapval.scheduler import (
     DailySchedule,
     ScheduleError,
     build_daily_lp,
-    build_compact_lp,
     solve_day,
-    decompose_profit,
 )
 from swapval.lifecycle import (
     DegradationLedger,

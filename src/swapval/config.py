@@ -15,7 +15,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 
-from swapval.lifecycle import EconomicParams
+from swapval.lifecycle import DAYS_PER_YEAR, MAX_HORIZON_YEARS, EconomicParams
 from swapval.market_data import (
     DEFAULT_SCHEMA,
     HourlyPriceSeries,
@@ -91,8 +91,10 @@ class PriceSource:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"price source {name} must be an integer, got {value!r}")
-        if self.days < 1:
-            raise ConfigError(f"price source days must be >= 1, got {self.days}")
+        # No lifecycle reaches a day past its longest horizon.
+        if not 1 <= self.days <= DAYS_PER_YEAR * MAX_HORIZON_YEARS:
+            raise ConfigError(f"price source days must be in "
+                              f"[1, {DAYS_PER_YEAR * MAX_HORIZON_YEARS}], got {self.days}")
         if self.seed < 0:
             raise ConfigError(f"price source seed must be >= 0, got {self.seed}")
         if self.kind == "synthetic":

@@ -12,6 +12,7 @@ support the economic end-of-life analysis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +33,9 @@ from swapval.scheduler import (
 
 DAYS_PER_YEAR = 365
 
+# Longest horizon cap a lifecycle may run to, in years.
+MAX_HORIZON_YEARS = 1000
+
 # A schedule whose largest hourly move is below this is "all zero" for the
 # idle-day shortcut.
 _ZERO_EPS = 1e-11
@@ -39,6 +43,8 @@ _ZERO_EPS = 1e-11
 # Relative clearance each hour's charge bound must keep in ``_idle_proof``,
 # far above the round-off of its arithmetic and HiGHS's 1e-10 tolerances.
 _IDLE_PROOF_MARGIN = 1e-9
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -84,9 +90,16 @@ class EconomicParams:
         if not (math.isfinite(self.fixed_om_per_kw_year) and self.fixed_om_per_kw_year >= 0):
             raise ValueError(
                 f"fixed O&M must be finite and >= 0, got {self.fixed_om_per_kw_year}")
-        if not (math.isfinite(self.horizon_cap_years) and self.horizon_cap_years >= 1):
+        years = self.horizon_cap_years
+        if isinstance(years, bool) or not isinstance(years, int) \
+                or not 1 <= years <= MAX_HORIZON_YEARS:
+            raise ValueError(f"horizon_cap_years must be an integer in "
+                             f"[1, {MAX_HORIZON_YEARS}], got {years!r}")
+        # The last year's MDC factor (1 + r) ** (years - 1) must be a float.
+        if (years - 1) * math.log1p(self.discount_rate) >= _LOG_FLOAT_MAX:
             raise ValueError(
-                f"horizon_cap_years must be finite and >= 1, got {self.horizon_cap_years}")
+                f"(1 + discount_rate) ** (horizon_cap_years - 1) overflows: discount_rate "
+                f"{self.discount_rate!r} is too large for a {years}-year horizon")
 
 
 @dataclass
@@ -288,10 +301,9 @@ def simulate_lifecycle(
     those of the memo alone.
 
     The days are solved in one ``DailyModel``, each warm from the previous
-    solved day, when the HiGHS binding is available; the model lives and
-    dies with this call, so the result depends only on its arguments.  A
-    solver failure is re-raised with the day, pattern day, SOC, capacity
-    and adjusted MDC added to its message.
+    solved day; the model lives and dies with this call, so the result
+    depends only on its arguments.  A solver failure is re-raised with the
+    day, pattern day, SOC, capacity and adjusted MDC added to its message.
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -308,7 +320,7 @@ def simulate_lifecycle(
     keep24 = (1.0 - spec.self_discharge) ** 24
     zero_memo: set[int] = set()
     proof_year = -1  # the last year _idle_proof was tried in
-    model = DailyModel() if lp.HIGHS_BINDING else None
+    model = DailyModel()
     n_pattern_days = prices.n_days
 
     log_rows: list[tuple] = []
@@ -485,10 +497,3 @@ def eol_analysis(result: LifecycleResult, spec: BatterySpec, econ: EconomicParam
         "physical_eol_year": result.physical_eol_year,
         "economic_eol_year": economic,
     }
-
-
-def max_daily_throughput(spec: BatterySpec, swap: SwapTerms | None = None) -> float:
-    """Upper bound on one day's budget draw, for the overshoot invariant."""
-    swap_cap = 0.0 if swap is None else min(swap.daily_swap_cap,
-                                            24.0 * spec.energy_capacity_0)
-    return 24.0 * 2.0 * spec.power_limit + swap_cap + calendar_throughput_per_day(spec)

@@ -14,6 +14,9 @@ A tiny penalty on throughput breaks ties among optimal schedules in favor
 of the least-degrading one (e.g. no simultaneous charge+discharge unless
 negative prices genuinely pay for it); the penalty is removed from all
 reported profit figures.
+
+A day is solved in a ``DailyModel``, the day's LP held in HiGHS: a
+lifecycle keeps one and re-solves each next day from the previous basis.
 """
 
 from __future__ import annotations
@@ -137,28 +140,16 @@ class DailySchedule:
     lp_objective: float = 0.0  # raw LP optimum (tie-break included, no calendar)
 
 
-def _weights(hours: int, keep: float) -> np.ndarray:
-    # w[h, j] = keep**(h - j) for j <= h else 0; soc_h response to hour-j flows.
-    idx = np.arange(hours)
-    power = idx[:, None] - idx[None, :]
-    w = np.where(power >= 0, keep ** np.maximum(power, 0), 0.0)
-    return w
-
-
-def _objective(day: DayInput, hours: int, with_swap: bool, with_reserve: bool,
-               with_soc: bool) -> np.ndarray:
+def _objective(day: DayInput, hours: int) -> np.ndarray:
     lmp = day.lmp[:hours]
     mu = day.amdc
     parts = [
         -lmp - mu - TIE_BREAK_EPS,  # charge
         lmp - mu - TIE_BREAK_EPS,  # discharge
+        np.full(hours, day.swap.swap_price - day.swap.labor_cost - mu - TIE_BREAK_EPS),
+        np.zeros(hours),  # soc
     ]
-    if with_swap:
-        parts.append(np.full(hours, day.swap.swap_price - day.swap.labor_cost
-                             - mu - TIE_BREAK_EPS))
-    if with_soc:
-        parts.append(np.zeros(hours))
-    if with_reserve:
+    if day.reserve_enabled:
         parts.append(day.reserve_price[:hours])
     return np.concatenate(parts)
 
@@ -227,98 +218,9 @@ def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
             rhs.append(0.0)
 
     return LinearProgram(
-        objective=_objective(day, H, with_swap=True, with_reserve=res, with_soc=True),
+        objective=_objective(day, H),
         lower=lower, upper=upper,
         A=np.array(rows), relations=rels, rhs=np.array(rhs),
-    )
-
-
-def build_compact_lp(day: DayInput, hours: int) -> LinearProgram:
-    """State-eliminated form of the same day, for the enumeration oracle.
-
-    SOC variables are substituted out through the recursion, turning SOC
-    bounds into general rows over the flow variables; rows that the box
-    bounds already make unviolable are dropped.  When the swap cap is zero
-    the swap variables are dropped too.  The optimum (including the
-    tie-break term) matches build_daily_lp exactly, reaching far fewer
-    variables so small instances fit the oracle's enumeration limit.
-    """
-    if not 1 <= hours <= 24:
-        raise ValueError(f"hours must be in [1, 24], got {hours}")
-    b = day.battery
-    eta, keep = b.efficiency, 1.0 - b.self_discharge
-    H = hours
-    res = day.reserve_enabled
-    swap_on = day.swap.daily_swap_cap > 0
-    blocks = 2 + (1 if swap_on else 0) + (1 if res else 0)
-    n = blocks * H
-    i_cha, i_dis = 0, H
-    i_swp = 2 * H if swap_on else None
-    i_res = (3 * H if swap_on else 2 * H) if res else None
-
-    lower = np.zeros(n)
-    upper = np.empty(n)
-    upper[i_cha:i_cha + H] = b.power_limit
-    upper[i_dis:i_dis + H] = b.power_limit
-    if swap_on:
-        upper[i_swp : i_swp + H] = day.capacity_now
-    if res:
-        upper[i_res : i_res + H] = b.power_limit
-
-    w = _weights(H, keep)  # soc_h = base_h + sum_j w[h,j] * flow_j
-    base = keep ** (np.arange(H) + 1.0) * day.soc_start
-
-    def soc_coeffs(h: int) -> np.ndarray:
-        row = np.zeros(n)
-        row[i_cha : i_cha + H] = w[h] * eta
-        row[i_dis : i_dis + H] = -w[h] / eta
-        if swap_on:
-            row[i_swp : i_swp + H] = -w[h] / eta
-        return row
-
-    rows, rels, rhs = [], [], []
-    for h in range(H):
-        coeff = soc_coeffs(h)
-        rows.append(-coeff)  # soc_h >= 0
-        rels.append(LE)
-        rhs.append(base[h])
-        rows.append(coeff)  # soc_h <= capacity
-        rels.append(LE)
-        rhs.append(day.capacity_now - base[h])
-
-    if swap_on:
-        cap_row = np.zeros(n)
-        cap_row[i_swp : i_swp + H] = 1.0
-        rows.append(cap_row)
-        rels.append(LE)
-        rhs.append(day.swap.daily_swap_cap)
-
-    if res:
-        for h in range(H):
-            row = np.zeros(n)
-            row[i_res + h] = 1.0
-            row[i_dis + h] = 1.0
-            rows.append(row)
-            rels.append(LE)
-            rhs.append(b.power_limit)
-        for h in range(H):
-            row = -eta * soc_coeffs(h)
-            row[i_res + h] += 1.0
-            rows.append(row)
-            rels.append(LE)
-            rhs.append(eta * base[h])
-
-    A = np.array(rows)
-    rhs = np.array(rhs)
-    # Drop rows no corner of the box can violate.
-    sup = np.where(A > 0, A * upper[None, :], A * lower[None, :]).sum(axis=1)
-    live = sup > rhs
-    A, rhs = A[live], rhs[live]
-    rels = [r for r, keep_row in zip(rels, live) if keep_row]
-
-    return LinearProgram(
-        objective=_objective(day, H, with_swap=swap_on, with_reserve=res, with_soc=False),
-        lower=lower, upper=upper, A=A, relations=rels, rhs=rhs,
     )
 
 
@@ -330,7 +232,7 @@ class DailyModel:
     adjusted MDC, reserve price), the derated capacity bounding the swap
     and SOC columns, and the carried SOC in SOC row 0.  HiGHS then starts
     from the previous day's basis.  The battery, swap terms and reserve
-    switch must stay those of the first day.  Needs ``lp.HIGHS_BINDING``.
+    switch must stay those of the first day.
     """
 
     def __init__(self) -> None:
@@ -347,36 +249,27 @@ class DailyModel:
         if fixed != self._fixed:
             raise ValueError("a DailyModel serves one battery, swap policy and reserve setting")
         H = 24
-        self.model.set_objective(_objective(day, H, with_swap=True,
-                                            with_reserve=day.reserve_enabled, with_soc=True))
+        self.model.set_objective(_objective(day, H))
         self.model.set_upper(slice(2 * H, 4 * H), day.capacity_now)  # swap and SOC
         self.model.set_rhs(0, (1.0 - day.battery.self_discharge) * day.soc_start)
         return self.model
 
 
-def solve_day(day: DayInput, hours: int = 24, *,
-              model: DailyModel | None = None) -> DailySchedule:
+def solve_day(day: DayInput, *, model: DailyModel | None = None) -> DailySchedule:
     """Solve one day and return the schedule with its profit decomposition.
 
-    ``hours`` < 24 truncates the horizon (test reductions only).  With
-    ``model`` the full day is solved in that persistent program, warm from
-    its previous solve; without, it is built and solved from scratch.
-    Raises ScheduleError if the LP is anything but optimal: the all-zero
-    schedule is always feasible, so a non-optimal verdict means an internal
-    bug.
+    With ``model`` the day is solved in that persistent program, warm from
+    its previous solve; without, in a fresh ``DailyModel``.  Raises
+    ScheduleError if the LP is anything but optimal: the all-zero schedule
+    is always feasible, so a non-optimal verdict means an internal bug.
     """
-    if model is None:
-        sol = solve_lp(build_daily_lp(day, hours))
-    elif hours != 24:
-        raise ValueError("a DailyModel holds the full 24-hour day")
-    else:
-        held = model.load(day)
-        sol = solve_lp(held.lp, model=held)
+    held = (DailyModel() if model is None else model).load(day)
+    sol = solve_lp(held.lp, model=held)
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "
             f"feasible, so this is a modeling bug")
-    H = hours
+    H = 24
     x = sol.x
     charge = x[0:H]
     discharge = x[H : 2 * H]
@@ -384,9 +277,9 @@ def solve_day(day: DayInput, hours: int = 24, *,
     soc = x[3 * H : 4 * H]
     reserve = x[4 * H : 5 * H] if day.reserve_enabled else np.zeros(H)
 
-    energy_rev = float(day.lmp[:H] @ (discharge - charge))
+    energy_rev = float(day.lmp @ (discharge - charge))
     swap_rev = float(day.swap.swap_price * swap_out.sum())
-    reserve_rev = float(day.reserve_price[:H] @ reserve)
+    reserve_rev = float(day.reserve_price @ reserve)
     labor = float(day.swap.labor_cost * swap_out.sum())
     moved = float(charge.sum() + discharge.sum() + swap_out.sum())
     throughput = moved + day.calendar_throughput_today
@@ -404,67 +297,3 @@ def solve_day(day: DayInput, hours: int = 24, *,
         energy_revenue=energy_rev, swap_revenue=swap_rev, reserve_revenue=reserve_rev,
         lp_objective=float(sol.objective_value),
     )
-
-
-def validate_schedule(schedule: DailySchedule, day: DayInput,
-                      soc_tol: float = 1e-9) -> None:
-    """Assert the schedule's physical invariants; raises ScheduleError."""
-    b = day.battery
-    H = len(schedule.charge)
-    eta, keep = b.efficiency, 1.0 - b.self_discharge
-    prev = np.concatenate([[day.soc_start], schedule.soc[:-1]])
-    resid = schedule.soc - (keep * prev + eta * schedule.charge
-                            - schedule.discharge / eta - schedule.swap_out / eta)
-    checks = [
-        (np.max(np.abs(resid)), soc_tol, "SOC recursion residual"),
-        (np.max(-schedule.soc, initial=-np.inf), 1e-7, "negative SOC"),
-        (np.max(schedule.soc - day.capacity_now, initial=-np.inf), 1e-7, "SOC above capacity"),
-        (np.max(schedule.swap_out - day.capacity_now, initial=-np.inf), 1e-7,
-         "hourly swap above capacity"),
-        (schedule.swap_out.sum() - day.swap.daily_swap_cap, 1e-7, "swap above daily cap"),
-        (np.max(np.concatenate([schedule.charge, schedule.discharge]) - b.power_limit),
-         1e-7, "power limit"),
-        (np.max(-np.concatenate([schedule.charge, schedule.discharge,
-                                 schedule.swap_out, schedule.reserve_offer])),
-         1e-7, "negative quantity"),
-        (abs(schedule.sb_star - (schedule.market_revenue - schedule.swap_labor_cost
-                                 - schedule.degradation_cost)), 1e-6, "profit identity"),
-    ]
-    if day.reserve_enabled:
-        checks.append((np.max(schedule.reserve_offer + schedule.discharge - b.power_limit),
-                       1e-7, "reserve headroom"))
-        checks.append((np.max(schedule.reserve_offer - eta * schedule.soc),
-                       1e-7, "reserve energy coupling"))
-    for value, tol, label in checks:
-        if value > tol:
-            raise ScheduleError(f"{label} violated by {value:.3e}")
-
-
-def decompose_profit(schedule: DailySchedule, day: DayInput) -> dict[str, float]:
-    """Recompute the profit decomposition from the raw schedule.
-
-    Returns {'revenue', 'labor', 'degradation', 'sb_star'} and raises
-    ScheduleError if the recomputation disagrees with the schedule's own
-    totals beyond tolerance (a corrupted schedule).
-    """
-    H = len(schedule.charge)
-    energy_rev = float(day.lmp[:H] @ (schedule.discharge - schedule.charge))
-    swap_total = float(schedule.swap_out.sum())
-    revenue = energy_rev + day.swap.swap_price * swap_total \
-        + float(day.reserve_price[:H] @ schedule.reserve_offer)
-    labor = day.swap.labor_cost * swap_total
-    moved = float(schedule.charge.sum() + schedule.discharge.sum() + swap_total)
-    degradation = day.amdc * (moved + day.calendar_throughput_today)
-    sb = revenue - labor - degradation
-
-    scale = max(1.0, abs(revenue), abs(degradation))
-    for got, stored, label in [
-        (revenue, schedule.market_revenue, "revenue"),
-        (labor, schedule.swap_labor_cost, "labor"),
-        (degradation, schedule.degradation_cost, "degradation"),
-        (sb, schedule.sb_star, "sb_star"),
-    ]:
-        if abs(got - stored) > 1e-6 * scale:
-            raise ScheduleError(
-                f"schedule inconsistent: recomputed {label} {got} != stored {stored}")
-    return {"revenue": revenue, "labor": labor, "degradation": degradation, "sb_star": sb}

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from swapval.lp import LinearProgram, oracle_cost
+from swapval.lp import LinearProgram
 from swapval.market_data import synth_price_series
-from swapval.scheduler import NO_SWAP, BatterySpec, DayInput, SwapTerms, build_compact_lp
+from swapval.scheduler import NO_SWAP, BatterySpec, DayInput, SwapTerms
+
+from _reference import build_compact_lp, oracle_cost
 
 ORACLE_BUDGET = 8_000_000
 

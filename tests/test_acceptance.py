@@ -23,7 +23,7 @@ from swapval.lifecycle import (
     simulate_lifecycle,
     total_budget,
 )
-from swapval.lp import enumerate_oracle, oracle_cost
+from swapval.lp import solve_lp
 from swapval.market_data import load_price_series, synth_price_series
 from swapval.optimizers import DemandPriceCurve, demand_at_price, optimize_mdc, sweep_swap_price
 from swapval.scheduler import (
@@ -31,11 +31,12 @@ from swapval.scheduler import (
     BatterySpec,
     DayInput,
     SwapTerms,
-    build_compact_lp,
+    build_daily_lp,
     solve_day,
 )
 
 from _generators import DAY_FAMILIES, ORACLE_BUDGET, random_day, reference_battery
+from _reference import build_compact_lp, enumerate_oracle, oracle_cost
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -72,10 +73,10 @@ def test_criterion_1_lp_oracle_equivalence():
                 day = candidate
                 break
         assert day is not None, f"instance {i}: could not fit the oracle budget"
-        schedule = solve_day(day, hours=hours)
+        sol = solve_lp(build_daily_lp(day, hours))
         oracle = enumerate_oracle(build_compact_lp(day, hours))
         scale = max(1.0, abs(oracle.objective_value))
-        err = abs(schedule.lp_objective - oracle.objective_value) / scale
+        err = abs(sol.objective_value - oracle.objective_value) / scale
         worst = max(worst, err)
         assert err <= 1e-6, f"instance {i}: relative error {err:.2e}"
     elapsed = time.perf_counter() - start

@@ -278,14 +278,17 @@ SINE = ["--synth", "daily-sine:40:30", "--days", "2"]
     ["--seed", "-1", "--synth", "flat:0", "--days", "2"],
     ["--synth", "flat:0", "--days", "0"],
     ["--days", "-3"],
-], ids=["negative-seed-sine", "negative-seed-flat", "zero-days", "negative-days"])
+    ["--synth", "flat:10", "--days", "10000000000000"],
+    ["--synth", "flat:10", "--days", "365001"],
+], ids=["negative-seed-sine", "negative-seed-flat", "zero-days", "negative-days",
+        "huge-days", "days-past-horizon"])
 def test_bad_price_source_flags_exit_2(argv, tmp_path, monkeypatch):
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
     TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1"] + argv, tmp_path / "out")
 
 
 @pytest.mark.parametrize("field,value", [("seed", -1), ("days", 0), ("seed", 1.5),
-                                         ("days", 2.5)])
+                                         ("days", 2.5), ("days", 365001)])
 def test_bad_price_source_in_config_exits_2(field, value, tmp_path, monkeypatch):
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
     data = config_to_dict(paper_defaults())
@@ -394,6 +397,30 @@ def test_non_finite_config_value_exits_2(section, field, value, tmp_path, monkey
     path.write_text(json.dumps(data))  # writes NaN and Infinity
     TestBadInputExits2()._assert_exit_2(["sweep-price", "--config", str(path)] + FAST,
                                         tmp_path / "out")
+
+
+UNDYING = {"cycle_life": 1e9, "calendar_fade_per_year": 0.0}
+
+
+@pytest.mark.parametrize("economics,battery", [
+    ({"horizon_cap_years": 2.5}, {}),
+    ({"horizon_cap_years": 1e300}, UNDYING),
+    ({"horizon_cap_years": 1001}, {}),
+    ({"horizon_cap_years": True}, {}),
+    ({"discount_rate": 1e12}, UNDYING),
+], ids=["fractional-horizon", "huge-horizon", "horizon-past-max", "bool-horizon",
+        "overflowing-discount"])
+def test_bad_horizon_config_exits_2(economics, battery, tmp_path, monkeypatch):
+    """A horizon not a whole number of years in [1, 1000], or one whose last
+    year's MDC factor (1 + r) ** (years - 1) overflows."""
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    data = config_to_dict(paper_defaults())
+    data["economics"].update(economics)
+    data["battery"].update(battery)
+    path = tmp_path / "bad_horizon.json"
+    path.write_text(json.dumps(data))
+    TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)]
+                                        + FAST, tmp_path / "out")
 
 
 @pytest.mark.parametrize("text,match", [

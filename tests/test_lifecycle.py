@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapval import lp as lp_kernel
 from swapval.lifecycle import (
     DegradationLedger,
     EconomicParams,
@@ -15,7 +14,6 @@ from swapval.lifecycle import (
     adjusted_mdc,
     calendar_throughput_per_day,
     eol_analysis,
-    max_daily_throughput,
     simulate_lifecycle,
     total_budget,
 )
@@ -28,6 +26,8 @@ from swapval.scheduler import (
     SwapTerms,
     solve_day,
 )
+
+from _reference import max_daily_throughput, solve_lp_linprog
 
 
 class TestBudgetArithmetic:
@@ -293,9 +293,8 @@ class TestIdleMemoExact:
         assert skipped > 0, "the memo never skipped a day"
 
 
-@pytest.mark.skipif(not lp_kernel.HIGHS_BINDING, reason="no HiGHS binding")
 class TestWarmLifecycle:
-    """Whole lifecycles on the warm daily model against the linprog path."""
+    """Whole lifecycles on the warm daily model against cold linprog solves."""
 
     # A fast calendar fade caps every life at 74 days; these live 9-74 and
     # solve 9-50 days each.
@@ -310,12 +309,16 @@ class TestWarmLifecycle:
     @pytest.mark.parametrize("swap", [None, SwapTerms(160.0, 1.0, 10.0)])
     @pytest.mark.parametrize("reserve", [False, True])
     def test_warm_equals_linprog(self, monkeypatch, econ, mu, swap, reserve):
+        import swapval.scheduler as scheduler
+
         def run():
             return simulate_lifecycle(self.SPEC, econ, self._prices(), mu, swap_policy=swap,
                                       reserve_enabled=reserve, keep_daily_log=False)
 
         warm = run()
-        monkeypatch.setattr(lp_kernel, "HIGHS_BINDING", False)
+        # Each day the held program equals build_daily_lp(day), so every
+        # solve is the cold linprog solve of that day.
+        monkeypatch.setattr(scheduler, "solve_lp", solve_lp_linprog)
         cold = run()
         assert warm.days_lived == cold.days_lived
         assert warm.lb_star == pytest.approx(cold.lb_star, rel=1e-9)

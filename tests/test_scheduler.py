@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from swapval import lp as lp_kernel
-from swapval.lp import enumerate_oracle, solve_lp
+import swapval.scheduler as scheduler
+from swapval.lp import solve_lp
 from swapval.market_data import synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
@@ -14,14 +14,12 @@ from swapval.scheduler import (
     DayInput,
     ScheduleError,
     SwapTerms,
-    build_compact_lp,
     build_daily_lp,
-    decompose_profit,
     solve_day,
-    validate_schedule,
 )
 
 from _generators import random_day, random_oracle_day
+from _reference import build_compact_lp, check_schedule, enumerate_oracle, solve_lp_linprog
 
 ETA = 0.95
 
@@ -125,19 +123,18 @@ class TestSolveDay:
         for _ in range(10):
             day = random_day(rng, hours=24, with_swap=True, with_reserve=True)
             schedule = solve_day(day)
-            validate_schedule(schedule, day)
-            decompose_profit(schedule, day)
+            check_schedule(schedule, day)
 
     def test_oracle_equivalence_families(self, rng):
-        """solve_day matches exhaustive enumeration across channel mixes,
-        including reserve and self-discharge."""
+        """The daily LP at a reduced horizon matches exhaustive enumeration
+        across channel mixes, including reserve and self-discharge."""
         for i in range(40):
             day, hours = random_oracle_day(rng, i)
-            schedule = solve_day(day, hours=hours)
+            sol = solve_lp(build_daily_lp(day, hours))
             oracle = enumerate_oracle(build_compact_lp(day, hours))
             scale = max(1.0, abs(oracle.objective_value))
-            assert abs(schedule.lp_objective - oracle.objective_value) <= 1e-6 * scale, (
-                f"instance {i}: solver {schedule.lp_objective} "
+            assert abs(sol.objective_value - oracle.objective_value) <= 1e-6 * scale, (
+                f"instance {i}: solver {sol.objective_value} "
                 f"vs oracle {oracle.objective_value}")
 
     def test_reserve_earns_without_throughput(self, battery):
@@ -154,7 +151,7 @@ class TestDecomposeProfit:
     def test_all_zero_schedule(self, battery):
         day = flat_day(battery)
         schedule = solve_day(day)
-        parts = decompose_profit(schedule, day)
+        parts = check_schedule(schedule, day)
         assert parts == pytest.approx(
             {"revenue": 0.0, "labor": 0.0, "degradation": 17.5, "sb_star": -17.5})
 
@@ -175,7 +172,7 @@ class TestDecomposeProfit:
             market_revenue=90.0, swap_labor_cost=0.0,
             degradation_cost=35.0 * 1.5, sb_star=90.0 - 52.5,
             throughput_today=1.5)
-        parts = decompose_profit(schedule, day)
+        parts = check_schedule(schedule, day)
         assert parts["revenue"] == pytest.approx(90.0)
         assert parts["degradation"] == pytest.approx(35.0 * (1.0 + 0.5))
 
@@ -183,8 +180,35 @@ class TestDecomposeProfit:
         day = flat_day(battery)
         schedule = solve_day(day)
         schedule.market_revenue += 5.0
-        with pytest.raises(ScheduleError, match="inconsistent"):
-            decompose_profit(schedule, day)
+        with pytest.raises(ScheduleError, match="profit identity"):
+            check_schedule(schedule, day)
+
+    # One corruption per invariant, each in place on hour 12 of a solved day.
+    CORRUPTIONS = {
+        "SOC recursion": lambda s, d: np.put(s.soc, 12, s.soc[12] + 1e-3),
+        "negative SOC": lambda s, d: np.put(s.soc, 12, -1e-3),
+        "SOC above capacity": lambda s, d: np.put(s.soc, 12, d.capacity_now + 1e-3),
+        "power limit": lambda s, d: np.put(s.charge, 12, d.battery.power_limit + 1e-3),
+        "swap above daily cap": lambda s, d: np.put(s.swap_out, 12,
+                                                    s.swap_out[12] + d.swap.daily_swap_cap),
+        "reserve headroom": lambda s, d: np.put(
+            s.reserve_offer, 12, d.battery.power_limit - s.discharge[12] + 1e-3),
+        "reserve energy coupling": lambda s, d: np.put(
+            s.reserve_offer, 12, d.battery.efficiency * s.soc[12] + 1e-3),
+        "profit identity": lambda s, d: setattr(s, "sb_star", s.sb_star + 1.0),
+    }
+
+    @pytest.mark.parametrize("invariant", list(CORRUPTIONS))
+    def test_each_violated_invariant_is_named(self, battery, two_level_series, invariant):
+        day = DayInput(battery=battery, lmp=two_level_series.lmp,
+                       reserve_price=np.full(24, 5.0), amdc=10.0,
+                       swap=SwapTerms(160.0, 2.0, 10.0), soc_start=1.0, capacity_now=2.7,
+                       calendar_throughput_today=0.5, reserve_enabled=True)
+        schedule = solve_day(day)
+        check_schedule(schedule, day)
+        self.CORRUPTIONS[invariant](schedule, day)
+        with pytest.raises(ScheduleError, match=invariant):
+            check_schedule(schedule, day)
 
 
 class TestScheduleProperties:
@@ -242,7 +266,7 @@ class TestScheduleProperties:
         schedule = solve_day(day)
         # Charging while discharging burns energy at negative price: profit.
         assert schedule.sb_star > 0
-        validate_schedule(schedule, day)
+        check_schedule(schedule, day)
 
     def test_compact_form_matches_full_form_at_any_horizon(self, rng):
         """The state-eliminated LP is an exact reformulation: both forms
@@ -256,7 +280,6 @@ class TestScheduleProperties:
             assert abs(full.objective_value - compact.objective_value) <= 1e-7 * scale
 
 
-@pytest.mark.skipif(not lp_kernel.HIGHS_BINDING, reason="no HiGHS binding")
 class TestDailyModel:
     """The persistent daily model holds exactly the day's program."""
 
@@ -285,15 +308,17 @@ class TestDailyModel:
                     assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
                 assert held.relations == fresh.relations
 
-    def test_warm_day_matches_cold_day(self, rng):
+    def test_warm_day_matches_cold_day(self, monkeypatch, rng):
         day = random_day(rng, 24, with_swap=True, with_reserve=True)
         model = DailyModel()
         for _ in range(20):
             warm = solve_day(day, model=model)
-            cold = solve_day(day)
+            with monkeypatch.context() as patch:
+                patch.setattr(scheduler, "solve_lp", solve_lp_linprog)
+                cold = solve_day(day)
             assert warm.lp_objective == pytest.approx(cold.lp_objective, rel=1e-9, abs=1e-9)
             assert warm.sb_star == pytest.approx(cold.sb_star, rel=1e-6, abs=1e-6)
-            validate_schedule(warm, day)
+            check_schedule(warm, day)
             day = self._next_day(rng, day)
 
     def test_rejects_another_battery_swap_or_horizon(self, battery):
@@ -303,5 +328,5 @@ class TestDailyModel:
             solve_day(flat_day(battery, reserve=True), model=model)
         with pytest.raises(ValueError):
             solve_day(flat_day(battery, swap=SwapTerms(100.0, 1.0)), model=model)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # the model always holds the full day
             solve_day(flat_day(battery), hours=4, model=model)
