@@ -24,7 +24,7 @@ from swapval.config import (
     load_config,
     resolve_prices,
 )
-from swapval.lifecycle import eol_analysis, simulate_lifecycle
+from swapval.lifecycle import check_mdc, eol_analysis, simulate_lifecycle
 from swapval.lp import LPError
 from swapval.market_data import PriceDataError
 from swapval.optimizers import (
@@ -212,6 +212,8 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     price_grid = _checked(_validate_grid, price_grid, "price")
     if getattr(args, "refine_step", None) is not None:
         _checked(_refine_spacing, mdc_grid, args.refine_step)
+    for mu in mdc_grid + ([] if args.mu is None else [args.mu]):
+        _checked(check_mdc, mu, config.battery, economics)
 
     return ScenarioConfig(battery=config.battery, economics=economics, prices=prices,
                           swap=swap, demand_curve=config.demand_curve, flags=flags,

@@ -172,6 +172,29 @@ def adjusted_mdc(mu: float, day_index: int, econ: EconomicParams) -> float:
     return mu * (1.0 + econ.discount_rate) ** kappa
 
 
+def check_mdc(mu: float, spec: BatterySpec, econ: EconomicParams) -> None:
+    """Raise ValueError unless every degradation charge a lifecycle at ``mu``
+    can make is a float: the last year's adjusted MDC, ``mu * (1 + r) **
+    (horizon_cap_years - 1)``, times the most throughput a life can draw.
+
+    A day draws at most ``24 * (2 * power_limit + energy_capacity_0)`` MWh
+    (each hour's charge, discharge and swap at their bounds) plus the
+    calendar share, and a life stops at the horizon cap or on the day that
+    exhausts the budget.
+    """
+    if mu <= 0:
+        return
+    day = 24.0 * (2.0 * spec.power_limit + spec.energy_capacity_0) \
+        + calendar_throughput_per_day(spec)
+    life = min(total_budget(spec) + day, DAYS_PER_YEAR * econ.horizon_cap_years * day)
+    years = econ.horizon_cap_years - 1
+    if math.log(mu) + years * math.log1p(econ.discount_rate) + math.log(life) \
+            >= _LOG_FLOAT_MAX:
+        raise ValueError(
+            f"mu {mu!r} is too large: its last-year adjusted MDC times the "
+            f"{life:.6g} MWh a lifecycle can draw overflows")
+
+
 def abu(lb_star: float, budget: float) -> float:
     """Average benefit of usage: life-cycle profit per MWh of budget."""
     if budget <= 0:

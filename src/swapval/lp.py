@@ -4,7 +4,8 @@
 <= / = / >= rows through scipy's bundled HiGHS binding.  A ``HighsModel``
 keeps one program loaded in HiGHS, so that each re-solve of a modified
 program starts from the previous basis; without one, ``solve_lp`` loads the
-program into a fresh model.
+program into a fresh model.  ``HighsModel.certify`` proves a modified
+program optimal without HiGHS when the basis of the last run still does.
 """
 
 from __future__ import annotations
@@ -111,8 +112,7 @@ def _row_masks(relations: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     """Worst-case feasibility violations of x (0 means satisfied)."""
-    bound_viol = float(max((lp.lower - x).max(initial=0.0),
-                           (x - lp.upper).max(initial=0.0)))
+    bound_viol = float(np.maximum(lp.lower - x, x - lp.upper).max(initial=0.0))
     le, ge = _row_masks(tuple(lp.relations))
     r = lp.A @ x - lp.rhs
     viol = np.where(le, r, np.where(ge, -r, np.abs(r)))
@@ -137,25 +137,60 @@ _STATUS = {
 }
 
 
+_OK = _highs.HighsStatus.kOk
+
+
 def _highs_tolerance(tol: float) -> float:
     return max(tol / 10.0, 1e-10)
+
+
+# Basis certificate tolerances.  A reduced cost within _TIE of 0 keeps its
+# variable's bound: HiGHS, at its 1e-10 dual tolerance, leaves such a
+# variable where it is too.  One between _TIE and _CLEAR is too close to
+# call, so the day goes to HiGHS.  Basic values may leave their bounds by
+# _PRIMAL, the HiGHS primal feasibility tolerance.
+_TIE = 1e-12
+_CLEAR = 1e-9
+_PRIMAL = 1e-10
 
 
 class HighsModel:
     """One LinearProgram kept loaded in a HiGHS instance across solves.
 
     Change the program only through ``set_objective``, ``set_upper`` and
-    ``set_rhs``: each updates ``lp`` and HiGHS alike.  HiGHS keeps its basis
-    through such changes, so ``solve_lp(model.lp, model=model)`` restarts the
-    simplex from the previous optimum.
+    ``set_rhs``: each updates ``lp`` at once and HiGHS before its next run.
+    HiGHS keeps its basis through such changes, so ``solve_lp(model.lp,
+    model=model)`` restarts the simplex from the previous optimum, and
+    ``certify`` can often prove the changed program optimal without it.
+
+    The program is held in bounded form: columns x and row activities r = Ax
+    are the n + m variables of ``[A, -I] (x, r) = 0``, each in a box (an LE
+    row's r in (-inf, rhs], an EQ row's fixed at rhs).  ``lp.objective``,
+    ``lp.lower`` and ``lp.upper`` are views of the first n entries of the
+    bounded form's costs and boxes, so both always agree.
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
         n, m = lp.n_vars, lp.n_constraints
+        le, ge = _row_masks(tuple(lp.relations))
+        self._cost = np.concatenate((lp.objective, np.zeros(m)))
+        self._lo = np.concatenate((lp.lower, np.where(le, -np.inf, lp.rhs)))
+        self._hi = np.concatenate((lp.upper, np.where(ge, np.inf, lp.rhs)))
+        lp.objective, lp.lower, lp.upper = self._cost[:n], self._lo[:n], self._hi[:n]
+        self.lp = lp
+        # [A, -I]^T, and the bounded-form index of each of HiGHS's basic
+        # variable codes plus m (a column j is j, a row i is -1 - i).
+        self._bounded_t = np.vstack((lp.A.T, -np.eye(m)))
+        self._bounded_index = np.concatenate((np.arange(n + m - 1, n - 1, -1), np.arange(n)))
         self._cols = np.arange(n, dtype=np.int32)
         self._tol: float | None = None
-        le, ge = _row_masks(tuple(lp.relations))
+        # Changes HiGHS has not seen yet: costs, column bounds, row bounds.
+        self._stale_cost = False
+        self._stale_cols = np.zeros(n, dtype=bool)
+        self._stale_rows: set[int] = set()
+        # The optimal point of the last run, until certify reads its basis.
+        self._solved: np.ndarray | None = None
+        self._basis: tuple | None = None
         program = _highs.HighsLp()
         program.num_col_ = n
         program.num_row_ = m
@@ -163,8 +198,8 @@ class HighsModel:
         program.col_cost_ = lp.objective
         program.col_lower_ = lp.lower
         program.col_upper_ = lp.upper
-        program.row_lower_ = np.where(le, -_highs.kHighsInf, lp.rhs)
-        program.row_upper_ = np.where(ge, _highs.kHighsInf, lp.rhs)
+        program.row_lower_ = self._lo[n:]
+        program.row_upper_ = self._hi[n:]
         cols, rows = np.nonzero(lp.A.T)  # column-wise nonzeros
         matrix = program.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kColwise
@@ -182,7 +217,7 @@ class HighsModel:
         if not np.isfinite(objective).all():
             raise DimensionError("non-finite coefficient in program")
         self.lp.objective[:] = objective
-        self._highs.changeColsCost(self.lp.n_vars, self._cols, self.lp.objective)
+        self._stale_cost = True
 
     def set_upper(self, cols: slice, value) -> None:
         """Set the upper bounds of ``cols``: one float for all, or one per column."""
@@ -195,30 +230,117 @@ class HighsModel:
         if not (finite and (lower <= value).all()):
             raise DimensionError("upper bounds must be finite and >= lower")
         self.lp.upper[cols] = value
-        idx = self._cols[cols]
-        self._highs.changeColsBounds(len(idx), idx, lower, self.lp.upper[cols])
+        self._stale_cols[cols] = True
 
     def set_rhs(self, row: int, value: float) -> None:
         if not math.isfinite(value):
             raise DimensionError("non-finite coefficient in program")
         self.lp.rhs[row] = value
-        rel = self.lp.relations[row]
-        self._highs.changeRowBounds(row, -_highs.kHighsInf if rel == LE else value,
-                                    _highs.kHighsInf if rel == GE else value)
+        rel, i = self.lp.relations[row], self.lp.n_vars + row
+        if rel != LE:
+            self._lo[i] = value
+        if rel != GE:
+            self._hi[i] = value
+        self._stale_rows.add(row)
+
+    def _sync(self) -> None:
+        """Pass HiGHS the changes made since its last run."""
+        highs, n = self._highs, self.lp.n_vars
+        if self._stale_cost:
+            highs.changeColsCost(n, self._cols, self.lp.objective)
+            self._stale_cost = False
+        if self._stale_cols.any():
+            idx = self._cols[self._stale_cols]
+            highs.changeColsBounds(len(idx), idx, self.lp.lower[idx], self.lp.upper[idx])
+            self._stale_cols[:] = False
+        for row in self._stale_rows:
+            highs.changeRowBounds(row, self._lo[n + row], self._hi[n + row])
+        self._stale_rows.clear()
 
     def run(self, tol: float) -> tuple[int, np.ndarray | None, str]:
         """Re-solve from the current basis: (status code, x, message)."""
         highs = self._highs
+        self._sync()
         if tol != self._tol:
             for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
                 highs.setOptionValue(option, _highs_tolerance(tol))
             self._tol = tol
+        self._solved = self._basis = None
         if highs.run() == _highs.HighsStatus.kError:
             return 4, None, "HiGHS run failed"
         status = highs.getModelStatus()
         code = _STATUS.get(status, 4)
         x = np.array(highs.getSolution().col_value) if code == 0 else None
+        self._solved = x
         return code, x, highs.modelStatusToString(status)
+
+    def _read_basis(self, x: np.ndarray) -> tuple | None:
+        """The certificate's view of the last run's optimal basis, or None.
+
+        That is the basic and nonbasic variables of the bounded form, the
+        nonbasic rows of ``[A, -I]^T``, the bound each nonbasic variable sits
+        at in the optimum ``x``, and the signs that turn a solve with HiGHS's
+        basis matrix (whose row variable columns are +e_i) into a basic point.
+        """
+        status, basic = self._highs.getBasicVariables()
+        if status != _OK:
+            return None
+        basic = self._bounded_index[basic + len(basic)]
+        is_basic = np.zeros(len(self._cost), dtype=bool)
+        is_basic[basic] = True
+        nonbasic = np.flatnonzero(~is_basic)
+        value = np.concatenate((x, self.lp.A @ x))[nonbasic]
+        at_upper = value - self._lo[nonbasic] > self._hi[nonbasic] - value
+        sign = np.where(basic < self.lp.n_vars, -1.0, 1.0)
+        return basic, nonbasic, self._bounded_t[nonbasic], at_upper, sign
+
+    def certify(self, tol: float = 1e-9, scale: float | None = None) -> LPSolution | None:
+        """The optimum of the current program, proven without HiGHS, or None.
+
+        The basis of the last run stays optimal for changed costs and bounds
+        when its dual is still feasible and, with every nonbasic variable at
+        the bound its reduced cost favours, its primal is too (Bertsimas &
+        Tsitsiklis, *Introduction to Linear Optimization*, 1997, ch. 5).
+        Moving a nonbasic variable to its other bound is the dual simplex's
+        bound flip, which costs HiGHS no iteration either.  A reduced cost
+        within ``_TIE`` of 0 keeps the variable's bound; one up to ``_CLEAR``
+        declines.  Declines too when no run has solved the program since it
+        was loaded, so the first solve always runs HiGHS.  The solves with
+        the basis matrix use the factor HiGHS holds from that run: nothing
+        passes HiGHS a change before the next run.
+
+        The point passes the feasibility re-check of ``solve_lp`` at ``tol``
+        (``scale`` as in ``_verdict``).
+        """
+        if self._basis is None:
+            if self._solved is None:
+                return None
+            self._basis = self._read_basis(self._solved)
+            self._solved = None
+            if self._basis is None:
+                return None
+        basic, nonbasic, bounded_n, at_upper, sign = self._basis
+        cost, lo, hi, highs = self._cost, self._lo, self._hi, self._highs
+        status, y = highs.getBasisTransposeSolve(cost[basic])
+        reduced = cost[nonbasic] - bounded_n @ y
+        size = np.abs(reduced)
+        # A fixed variable (an EQ row's) too close to call declines too:
+        # rare, and safe.
+        if status != _OK or ((size > _TIE) & (size < _CLEAR)).any():
+            return None
+        at_upper = np.where(size <= _TIE, at_upper, reduced > 0.0)
+        value = np.where(at_upper, hi[nonbasic], lo[nonbasic])
+        if not math.isfinite(value.sum()):  # an LE row's slack, favoured at -inf
+            return None
+        status, solved = highs.getBasisSolve(value @ bounded_n)
+        point = np.empty(len(cost))
+        point[nonbasic] = value
+        point[basic] = sign * solved
+        if status != _OK or not ((point - lo).min() >= -_PRIMAL
+                                 and (hi - point).min() >= -_PRIMAL):
+            return None
+        self._basis = basic, nonbasic, bounded_n, at_upper, sign
+        return _verdict(self.lp, tol, 0, point[:self.lp.n_vars], "", scale)
 
 
 def solve_lp(lp: LinearProgram, tol: float = 1e-9,
@@ -244,9 +366,10 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
 
 
 def _verdict(lp: LinearProgram, tol: float, status: int, x: np.ndarray | None,
-             message: str) -> LPSolution:
+             message: str, scale: float | None = None) -> LPSolution:
     """The LPSolution for a solver's status code and point, after the
-    feasibility re-check."""
+    feasibility re-check.  ``scale`` is ``_scale(lp)``, for a caller that
+    knows it without the three array maxima."""
     if status == 2:
         return LPSolution("infeasible", None, None)
     if status == 3:
@@ -257,7 +380,7 @@ def _verdict(lp: LinearProgram, tol: float, status: int, x: np.ndarray | None,
         raise LPError(f"solver failure: {message}")
 
     x = np.asarray(x, dtype=float)
-    atol = tol * _scale(lp) * 10.0
+    atol = tol * (_scale(lp) if scale is None else scale) * 10.0
     viol = residuals(lp, x)
     if viol["bounds"] > atol or viol["constraints"] > atol:
         raise LPError(f"solution failed feasibility re-check: {viol} > {atol}")

@@ -44,9 +44,11 @@ def write_table(path: str, columns: list[str], rows: list[dict]) -> str:
 
 
 def write_json(path: str, payload: dict) -> str:
+    """Write ``payload`` as JSON; a NaN or infinity raises ValueError, since
+    JSON has no such values, and leaves no file."""
+    text = json.dumps(payload, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 

@@ -30,6 +30,13 @@ from swapval.lp import LE, EQ, HighsModel, LinearProgram, solve_lp
 
 TIE_BREAK_EPS = 1e-7
 
+# The daily LP spans 24 hours; its swap and SOC columns are bounded by the
+# derated capacity.
+_H = 24
+_SWAP_AND_SOC = slice(2 * _H, 4 * _H)
+# Feasibility tolerance of every daily solve, certified or not.
+_TOL = 1e-9
+
 
 class ScheduleError(RuntimeError):
     """Internal scheduling failure: an infeasible daily LP or a corrupted
@@ -140,18 +147,21 @@ class DailySchedule:
     lp_objective: float = 0.0  # raw LP optimum (tie-break included, no calendar)
 
 
-def _objective(day: DayInput, hours: int) -> np.ndarray:
-    lmp = day.lmp[:hours]
-    mu = day.amdc
-    parts = [
-        -lmp - mu - TIE_BREAK_EPS,  # charge
-        lmp - mu - TIE_BREAK_EPS,  # discharge
-        np.full(hours, day.swap.swap_price - day.swap.labor_cost - mu - TIE_BREAK_EPS),
-        np.zeros(hours),  # soc
-    ]
+def _objective(day: DayInput, hours: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The day's column costs: charge, discharge, swap, SOC (0) and reserve.
+
+    Written into ``out`` when given, whose SOC block must already hold zeros.
+    """
+    H, mu = hours, day.amdc
+    cost = np.zeros((5 if day.reserve_enabled else 4) * H) if out is None else out
+    np.negative(day.lmp[:H], out=cost[:H])
+    cost[H:2 * H] = day.lmp[:H]
+    cost[:2 * H] -= mu
+    cost[:2 * H] -= TIE_BREAK_EPS
+    cost[2 * H:3 * H] = day.swap.swap_price - day.swap.labor_cost - mu - TIE_BREAK_EPS
     if day.reserve_enabled:
-        parts.append(day.reserve_price[:hours])
-    return np.concatenate(parts)
+        cost[4 * H:] = day.reserve_price[:H]
+    return cost
 
 
 def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
@@ -230,28 +240,35 @@ class DailyModel:
     The first day builds the program with ``build_daily_lp``.  Later days
     change only what varies within a lifecycle: the column costs (LMP,
     adjusted MDC, reserve price), the derated capacity bounding the swap
-    and SOC columns, and the carried SOC in SOC row 0.  HiGHS then starts
-    from the previous day's basis.  The battery, swap terms and reserve
-    switch must stay those of the first day.
+    and SOC columns, and the carried SOC in SOC row 0.  ``solve_day`` then
+    offers the day to the held model's basis certificate; HiGHS sees the
+    changes, and starts from the previous basis, only on the days the
+    certificate declines.  The battery, swap terms and reserve switch must
+    stay those of the first day.
     """
 
     def __init__(self) -> None:
         self.model: HighsModel | None = None
+        self.scale = 1.0  # lp._scale of the held program, from its varying scalars
         self._fixed: tuple | None = None
 
     def load(self, day: DayInput) -> HighsModel:
         """Make the held program equal ``build_daily_lp(day)``."""
         fixed = (day.battery, day.swap, day.reserve_enabled)
+        rhs0 = (1.0 - day.battery.self_discharge) * day.soc_start
         if self.model is None:
             self.model = HighsModel(build_daily_lp(day))
             self._fixed = fixed
-            return self.model
-        if fixed != self._fixed:
+            self._cost = self.model.lp.objective.copy()
+            # The program's bounds and right-hand sides that never change.
+            self._static_scale = max(1.0, day.battery.power_limit, day.swap.daily_swap_cap)
+        elif fixed != self._fixed:
             raise ValueError("a DailyModel serves one battery, swap policy and reserve setting")
-        H = 24
-        self.model.set_objective(_objective(day, H))
-        self.model.set_upper(slice(2 * H, 4 * H), day.capacity_now)  # swap and SOC
-        self.model.set_rhs(0, (1.0 - day.battery.self_discharge) * day.soc_start)
+        else:
+            self.model.set_objective(_objective(day, _H, out=self._cost))
+            self.model.set_upper(_SWAP_AND_SOC, day.capacity_now)
+            self.model.set_rhs(0, rhs0)
+        self.scale = max(self._static_scale, day.capacity_now, rhs0)
         return self.model
 
 
@@ -259,29 +276,36 @@ def solve_day(day: DayInput, *, model: DailyModel | None = None) -> DailySchedul
     """Solve one day and return the schedule with its profit decomposition.
 
     With ``model`` the day is solved in that persistent program, warm from
-    its previous solve; without, in a fresh ``DailyModel``.  Raises
-    ScheduleError if the LP is anything but optimal: the all-zero schedule
-    is always feasible, so a non-optimal verdict means an internal bug.
+    its previous solve; without, in a fresh ``DailyModel``.  When the basis
+    of the held program's last HiGHS run still proves the day optimal
+    (``HighsModel.certify``), the day takes that optimum and HiGHS does not
+    run; every other day is solved by ``solve_lp``.  Either way the point
+    passes the same feasibility re-check.  Raises ScheduleError if the LP is
+    anything but optimal: the all-zero schedule is always feasible, so a
+    non-optimal verdict means an internal bug.
     """
-    held = (DailyModel() if model is None else model).load(day)
-    sol = solve_lp(held.lp, model=held)
+    daily = DailyModel() if model is None else model
+    held = daily.load(day)
+    sol = held.certify(_TOL, daily.scale)
+    if sol is None:
+        sol = solve_lp(held.lp, _TOL, model=held)
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "
             f"feasible, so this is a modeling bug")
-    H = 24
     x = sol.x
-    charge = x[0:H]
-    discharge = x[H : 2 * H]
-    swap_out = x[2 * H : 3 * H]
-    soc = x[3 * H : 4 * H]
-    reserve = x[4 * H : 5 * H] if day.reserve_enabled else np.zeros(H)
+    charge = x[0:_H]
+    discharge = x[_H : 2 * _H]
+    swap_out = x[2 * _H : 3 * _H]
+    soc = x[3 * _H : 4 * _H]
+    reserve = x[4 * _H : 5 * _H] if day.reserve_enabled else np.zeros(_H)
 
+    swapped = swap_out.sum()
     energy_rev = float(day.lmp @ (discharge - charge))
-    swap_rev = float(day.swap.swap_price * swap_out.sum())
+    swap_rev = float(day.swap.swap_price * swapped)
     reserve_rev = float(day.reserve_price @ reserve)
-    labor = float(day.swap.labor_cost * swap_out.sum())
-    moved = float(charge.sum() + discharge.sum() + swap_out.sum())
+    labor = float(day.swap.labor_cost * swapped)
+    moved = float(charge.sum() + discharge.sum() + swapped)
     throughput = moved + day.calendar_throughput_today
     degradation = day.amdc * throughput
     revenue = energy_rev + swap_rev + reserve_rev

@@ -423,6 +423,34 @@ def test_bad_horizon_config_exits_2(economics, battery, tmp_path, monkeypatch):
                                         + FAST, tmp_path / "out")
 
 
+@pytest.mark.parametrize("argv,economics,battery", [
+    (["simulate", "--mu", "1e306"], {}, {}),
+    (["simulate", "--mu", "1e300"], {"discount_rate": 1e10}, UNDYING),
+    (["optimize-mdc", "--mdc-grid", "0:1e306:1e306"], {}, {}),
+], ids=["mu", "mu-fast-discount", "mdc-grid-point"])
+def test_overflowing_mdc_exits_2(argv, economics, battery, tmp_path, monkeypatch):
+    """A finite MDC whose last-year adjusted value times a life's throughput
+    overflows would write NaN or -Infinity into the reports."""
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    data = config_to_dict(paper_defaults())
+    data["economics"].update(economics)
+    data["battery"].update(battery)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    TestBadInputExits2()._assert_exit_2(
+        argv + ["--config", str(path), "--synth", "flat:10", "--days", "2"], tmp_path / "out")
+
+
+def test_write_json_refuses_nan(tmp_path):
+    from swapval.report import write_json
+
+    path = tmp_path / "bad.json"
+    for value in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError):
+            write_json(str(path), {"lb_star": value})
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("text,match", [
     ("0:inf:1", "finite"), ("-inf:0:1", "finite"), ("0:10:inf", "finite"),
     ("nan:1:1", "finite"), ("0:1e300:1", "more than"), ("-1e300:0:1", "more than"),

@@ -17,6 +17,7 @@ from swapval.lifecycle import (
     simulate_lifecycle,
     total_budget,
 )
+from swapval.lp import HighsModel
 from swapval.market_data import synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
@@ -28,6 +29,8 @@ from swapval.scheduler import (
 )
 
 from _reference import max_daily_throughput, solve_lp_linprog
+
+_CERTIFY = HighsModel.certify  # the real one, which tests wrap
 
 
 class TestBudgetArithmetic:
@@ -576,3 +579,119 @@ class TestIdleProofExact:
         assert calls == []
         assert result.days_lived > 300 and result.lb_star < 0.0
         assert not result.daily_log.throughput.max() > calendar_throughput_per_day(self.SPEC)
+
+
+class TestBasisCertificate:
+    """Days proven optimal from the last HiGHS basis change no lifecycle.
+
+    A stub ``certify`` that always declines sends every solved day to HiGHS.
+    A certified day's point comes from solves with the basis, not from a
+    HiGHS run, so floats may move in the last digits (relative 1e-12, or
+    1e-12 absolute below 1; daily-log columns 1e-9); the day counts must
+    match exactly.
+    """
+
+    PAPER = BatterySpec(2.7, 2.7, 0.95)
+    SHORT = BatterySpec(2.7, 2.7, 0.95, cycle_life=60.0, calendar_fade_per_year=0.2)
+
+    @staticmethod
+    def _run(monkeypatch, certify, spec, days, mu, swap, reserve):
+        """The lifecycle, and its (solved, idle-tail, certified) day counts."""
+        import swapval.lifecycle as lifecycle
+
+        counts = {"solved": 0, "tail": 0, "certified": 0}
+
+        def certify_or_decline(self, *args):
+            sol = _CERTIFY(self, *args) if certify else None
+            counts["certified"] += sol is not None
+            return sol
+
+        def solve(day, **kw):
+            counts["solved"] += 1
+            return solve_day(day, **kw)
+
+        def idle_days(*args):
+            idle = _idle_days(*args)
+            counts["tail"] += 0 if idle is None else len(idle.soh)
+            return idle
+
+        monkeypatch.setattr(HighsModel, "certify", certify_or_decline)
+        monkeypatch.setattr(lifecycle, "solve_day", solve)
+        monkeypatch.setattr(lifecycle, "_idle_days", idle_days)
+        prices = synth_price_series("daily-sine", days=days, seed=days, mean=40.0,
+                                    amplitude=30.0, reserve_level=5.0 if reserve else 0.0)
+        result = simulate_lifecycle(spec, EconomicParams(), prices, mu, swap_policy=swap,
+                                    reserve_enabled=reserve, keep_daily_log=True)
+        return result, counts
+
+    @staticmethod
+    def _assert_close(got, want):
+        def close(a, b):
+            return abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "daily_log":
+                for column in dataclasses.fields(b):
+                    np.testing.assert_allclose(getattr(a, column.name),
+                                               getattr(b, column.name),
+                                               rtol=1e-9, atol=1e-9, err_msg=column.name)
+            elif field.name == "yearly":
+                assert [sorted(row) for row in a] == [sorted(row) for row in b]
+                for row_a, row_b in zip(a, b):
+                    for key in row_b:
+                        assert close(row_a[key], row_b[key]) if isinstance(row_b[key], float) \
+                            else row_a[key] == row_b[key], key
+            elif isinstance(b, np.ndarray):
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=field.name)
+            elif isinstance(b, float):
+                assert close(a, b), (field.name, a, b)
+            else:
+                assert a == b, field.name
+
+    # The paper battery's lives are long (900-7300 days), so it runs on one
+    # pattern length; the 60-cycle battery's short lives run on all three.
+    @pytest.mark.parametrize("battery,days", [("paper", 28), ("short", 7), ("short", 28),
+                                              ("short", 365)])
+    @pytest.mark.parametrize("swap", [None, SwapTerms(140.0, 0.0, 10.0),
+                                      SwapTerms(160.0, 2.7, 10.0)],
+                             ids=["no-swap", "cap-0", "swap"])
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_certificate_equals_highs(self, monkeypatch, battery, days, swap, reserve):
+        spec = self.PAPER if battery == "paper" else self.SHORT
+        certified = 0
+        for mu in (0.0, 35.0, 100.0):
+            on, counts_on = self._run(monkeypatch, True, spec, days, mu, swap, reserve)
+            off, counts_off = self._run(monkeypatch, False, spec, days, mu, swap, reserve)
+            assert counts_off["certified"] == 0
+            assert on.days_lived == off.days_lived
+            assert counts_on["solved"] == counts_off["solved"]
+            assert counts_on["tail"] == counts_off["tail"]
+            self._assert_close(on, off)
+            certified += counts_on["certified"]
+        assert certified > 0, "no day was certified"
+
+    def test_busy_lifecycle_runs_highs_only_on_declined_days(self, monkeypatch, tmp_path):
+        """The lifecycle-busy benchmark's inputs: a 365-day sine CSV with reserve
+        prices, simulated at mu 35 with the paper-defaults swap terms."""
+        import swapval.scheduler as scheduler
+        from swapval.market_data import load_price_series, write_series
+
+        path = str(tmp_path / "prices.csv")
+        write_series(synth_price_series("daily-sine", days=365, seed=3, reserve_level=5.0,
+                                        mean=40.0, amplitude=30.0), path)
+        runs, certified = [], []
+        real_solve_lp = scheduler.solve_lp
+
+        def certify(self, *args):
+            sol = _CERTIFY(self, *args)
+            certified.append(sol is not None)
+            return sol
+
+        monkeypatch.setattr(scheduler, "solve_lp",
+                            lambda *args, **kw: runs.append(1) or real_solve_lp(*args, **kw))
+        monkeypatch.setattr(HighsModel, "certify", certify)
+        result = simulate_lifecycle(self.PAPER, EconomicParams(), load_price_series(path),
+                                    35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
+        assert len(certified) == result.days_lived  # every day is solved
+        assert 0 < len(runs) == len(certified) - sum(certified) < len(certified) / 2

@@ -205,3 +205,63 @@ def test_highs_model_verdicts_and_misuse():
         model.set_upper(slice(0, 1), -1.0)
     with pytest.raises(DimensionError):
         model.set_objective([np.nan])
+
+
+class TestCertify:
+    """``HighsModel.certify`` on max c1 x1 + c2 x2, x1 + x2 <= b, 0 <= x <= 1.
+
+    From c = (1, -1) and b = 1.5 the optimum is (1, 0) with the row slack
+    strictly inside its bound, so the row is the one basic variable, and the
+    reduced cost of x2 is c2 itself.
+    """
+
+    @staticmethod
+    def _solved_model():
+        lp = LinearProgram([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [LE], [1.5])
+        model = HighsModel(lp)
+        assert model.certify() is None  # nothing to certify from before a run
+        assert solve_lp(lp, model=model).x.tolist() == [1.0, 0.0]
+        return model
+
+    def test_unchanged_program_certifies(self):
+        model = self._solved_model()
+        assert model.certify().x.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("c2", [-5e-8, -1e-13, 0.0, 1e-13])
+    def test_clear_or_tied_reduced_cost_keeps_the_bound(self, c2):
+        model = self._solved_model()
+        model.set_objective([1.0, c2])
+        assert model.certify().x.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("c2", [-5e-10, -2e-12, 2e-12, 5e-10])
+    def test_reduced_cost_too_close_to_call_declines(self, c2):
+        model = self._solved_model()
+        model.set_objective([1.0, c2])
+        assert model.certify() is None
+
+    def test_bound_flip_certifies_when_the_basis_stays_feasible(self):
+        model = self._solved_model()
+        model.set_objective([1.0, 0.3])
+        model.set_rhs(0, 2.5)
+        assert model.certify().x.tolist() == [1.0, 1.0]
+        assert solve_lp(model.lp, model=model).x.tolist() == [1.0, 1.0]
+
+    def test_bound_flip_that_breaks_the_basis_declines_and_refactors(self):
+        model = self._solved_model()
+        model.set_objective([1.0, 0.3])
+        assert model.certify() is None  # x2 at 1 would push the row to 2 > 1.5
+        x = solve_lp(model.lp, model=model).x
+        assert x.tolist() == [1.0, 0.5]
+        # The new basis (x2 basic, the row at its bound) certifies the same
+        # program; the old one would still decline.
+        assert model.certify().x.tolist() == x.tolist()
+
+    def test_a_slack_favoured_at_minus_infinity_declines(self):
+        model = self._solved_model()
+        model.set_objective([1.0, 0.3])
+        solve_lp(model.lp, model=model)  # x2 basic, the row at its bound 1.5
+        # The row's reduced cost is now c2 < 0: it favours the row's lower
+        # bound, -inf, and only a pivot (x2 out, the row in) reaches (1, 0).
+        model.set_objective([1.0, -0.3])
+        assert model.certify() is None
+        assert solve_lp(model.lp, model=model).x.tolist() == [1.0, 0.0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import swapval.scheduler as scheduler
-from swapval.lp import solve_lp
+from swapval.lp import _scale, solve_lp
 from swapval.market_data import synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
@@ -307,6 +307,7 @@ class TestDailyModel:
                 for name in ("objective", "lower", "upper", "A", "rhs"):
                     assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
                 assert held.relations == fresh.relations
+                assert model.scale == _scale(fresh)
 
     def test_warm_day_matches_cold_day(self, monkeypatch, rng):
         day = random_day(rng, 24, with_swap=True, with_reserve=True)
@@ -320,6 +321,23 @@ class TestDailyModel:
             assert warm.sb_star == pytest.approx(cold.sb_star, rel=1e-6, abs=1e-6)
             check_schedule(warm, day)
             day = self._next_day(rng, day)
+
+    def test_first_day_runs_highs_and_a_repeat_is_certified(self, monkeypatch, rng):
+        runs = []
+        real = scheduler.solve_lp
+        monkeypatch.setattr(scheduler, "solve_lp",
+                            lambda *args, **kw: runs.append(1) or real(*args, **kw))
+        day = random_day(rng, 24, with_swap=True, with_reserve=True)
+        model = DailyModel()
+        first = solve_day(day, model=model)
+        assert len(runs) == 1
+        again = solve_day(day, model=model)
+        assert len(runs) == 1  # the same program: the last basis proves it
+        np.testing.assert_allclose(again.soc, first.soc, rtol=1e-12, atol=1e-12)
+        assert again.lp_objective == pytest.approx(first.lp_objective, rel=1e-12)
+        check_schedule(again, day)
+        assert solve_day(day).lp_objective == pytest.approx(first.lp_objective, rel=1e-12)
+        assert len(runs) == 2  # a fresh model has no basis yet
 
     def test_rejects_another_battery_swap_or_horizon(self, battery):
         model = DailyModel()
