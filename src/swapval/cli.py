@@ -17,6 +17,7 @@ import os
 import sys
 
 from swapval.config import (
+    _SYNTH_PARAMS,
     ConfigError,
     PriceSource,
     ScenarioConfig,
@@ -95,21 +96,23 @@ def _parse_curve(text: str) -> DemandPriceCurve:
 
 
 def _parse_synth(text: str) -> tuple[str, dict]:
-    parts = text.split(":")
-    name, args = parts[0], parts[1:]
+    """``PATTERN:V1:V2...``: the values fill the pattern's parameters in order,
+    the required ones first; ``sine`` is ``daily-sine``."""
+    name, *values = text.split(":")
+    pattern = "daily-sine" if name == "sine" else name
+    if pattern not in _SYNTH_PARAMS:
+        raise ConfigError(f"unknown synth pattern {name!r}")
+    required, optional = _SYNTH_PARAMS[pattern]
+    names = (*required, *optional)
+    if not len(required) <= len(values) <= len(names):
+        usage = ":".join((pattern, *required)) + "".join(f"[:{o}]" for o in optional)
+        raise ConfigError(f"bad synth spec {text!r}: expected {usage}, "
+                          f"got {len(values)} values")
     try:
-        if name == "flat":
-            return "flat", {"level": float(args[0])}
-        if name == "two-level":
-            params = {"low": float(args[0]), "high": float(args[1])}
-            if len(args) > 2:
-                params["split_hour"] = int(args[2])
-            return "two-level", params
-        if name in ("daily-sine", "sine"):
-            return "daily-sine", {"mean": float(args[0]), "amplitude": float(args[1])}
-    except (IndexError, ValueError) as exc:
+        return pattern, {key: int(value) if key == "split_hour" else float(value)
+                         for key, value in zip(names, values)}
+    except ValueError as exc:
         raise ConfigError(f"bad synth spec {text!r}: {exc}") from exc
-    raise ConfigError(f"unknown synth pattern {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

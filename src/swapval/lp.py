@@ -1,23 +1,21 @@
 """Small dense linear programs with box bounds, solved by HiGHS.
 
-``solve_lp`` maximizes a program with finite box bounds and general
-<= / = / >= rows through scipy's bundled HiGHS binding.  A ``HighsModel``
-keeps one program loaded in HiGHS, so that each re-solve of a modified
-program starts from the previous basis; without one, ``solve_lp`` loads the
-program into a fresh model.  ``HighsModel.certify`` proves a modified
-program optimal without HiGHS when the basis of the last run still does.
+``solve_lp`` maximizes a program with finite column boxes and rows bounded
+as ``row_lower <= A x <= row_upper`` (HiGHS's own form) through scipy's
+bundled HiGHS binding.  A ``HighsModel`` keeps one program loaded in HiGHS,
+so that each re-solve of a modified program starts from the previous basis;
+without one, ``solve_lp`` loads the program into a fresh model.
+``HighsModel.certify`` proves a modified program optimal without HiGHS when
+the basis of the last run still does.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
-
-LE, EQ, GE = "<=", "==", ">="
 
 
 class LPError(Exception):
@@ -34,25 +32,28 @@ class IterationLimitError(LPError):
 
 @dataclass
 class LinearProgram:
-    """max objective @ x  s.t.  lower <= x <= upper and A x (<=, ==, >=) rhs.
+    """max objective @ x  s.t.  lower <= x <= upper and row_lower <= A x <= row_upper.
 
-    All bounds must be finite; the scheduler always supplies finite boxes.
+    Column bounds must be finite; the scheduler always supplies finite boxes.
+    A row bound may be infinite on its open side: a ``<=`` row has
+    ``row_lower = -inf``, a ``>=`` row ``row_upper = +inf``, and an equality
+    row equal bounds.
     """
 
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     A: np.ndarray
-    relations: list[str]
-    rhs: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
 
     def __post_init__(self):
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
         self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
         self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         self.A = np.asarray(self.A, dtype=float).reshape(-1, self.n_vars)
-        self.rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float)) if np.size(self.rhs) else np.zeros(0)
-        self.relations = list(self.relations)
+        self.row_lower = np.atleast_1d(np.asarray(self.row_lower, dtype=float))
+        self.row_upper = np.atleast_1d(np.asarray(self.row_upper, dtype=float))
         _validate(self)
 
     @property
@@ -61,7 +62,7 @@ class LinearProgram:
 
     @property
     def n_constraints(self) -> int:
-        return len(self.relations)
+        return len(self.row_lower)
 
 
 @dataclass
@@ -72,58 +73,44 @@ class LPSolution:
 
 
 def _validate(lp: LinearProgram) -> None:
-    n = lp.n_vars
+    n, m = lp.n_vars, lp.n_constraints
     if n < 1:
         raise DimensionError("program must have at least one variable")
     if len(lp.lower) != n or len(lp.upper) != n:
         raise DimensionError(
             f"bound lengths ({len(lp.lower)}, {len(lp.upper)}) != n_vars {n}")
-    if lp.A.shape != (len(lp.relations), n):
+    if lp.A.shape != (m, n) or len(lp.row_upper) != m:
         raise DimensionError(
-            f"constraint matrix {lp.A.shape} inconsistent with "
-            f"{len(lp.relations)} relations over {n} vars")
-    if len(lp.rhs) != len(lp.relations):
-        raise DimensionError(f"rhs length {len(lp.rhs)} != {len(lp.relations)} relations")
-    for rel in lp.relations:
-        if rel not in (LE, EQ, GE):
-            raise DimensionError(f"unknown relation {rel!r}")
+            f"constraint matrix {lp.A.shape} inconsistent with row bounds of lengths "
+            f"({m}, {len(lp.row_upper)}) over {n} vars")
     if not (np.all(np.isfinite(lp.lower)) and np.all(np.isfinite(lp.upper))):
         raise DimensionError("all variable bounds must be finite")
     if np.any(lp.lower > lp.upper):
         bad = int(np.flatnonzero(lp.lower > lp.upper)[0])
         raise DimensionError(f"lower > upper for variable {bad}")
-    if not np.all(np.isfinite(lp.A)) or not np.all(np.isfinite(lp.rhs)) \
-            or not np.all(np.isfinite(lp.objective)):
+    if not _row_bounds_ok(lp.row_lower, lp.row_upper).all():
+        raise DimensionError("row bounds must be ordered, not NaN, nor both +inf or both -inf")
+    if not np.all(np.isfinite(lp.A)) or not np.all(np.isfinite(lp.objective)):
         raise DimensionError("non-finite coefficient in program")
 
 
-@functools.lru_cache(maxsize=32)
-def _row_masks(relations: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (LE, GE) row masks of a relations tuple; the other rows are EQ.
-
-    Keyed on the relations themselves, so a cached pair always describes
-    the program it is asked for.
-    """
-    rel = np.array(relations)
-    le, ge = rel == LE, rel == GE
-    le.flags.writeable = ge.flags.writeable = False
-    return le, ge
+def _row_bounds_ok(lower, upper):
+    """Where row bounds are ordered, not NaN, nor both +inf or both -inf."""
+    return (lower <= upper) & (lower < np.inf) & (upper > -np.inf)
 
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     """Worst-case feasibility violations of x (0 means satisfied)."""
     bound_viol = float(np.maximum(lp.lower - x, x - lp.upper).max(initial=0.0))
-    le, ge = _row_masks(tuple(lp.relations))
-    r = lp.A @ x - lp.rhs
-    viol = np.where(le, r, np.where(ge, -r, np.abs(r)))
+    r = lp.A @ x
+    viol = np.maximum(lp.row_lower - r, r - lp.row_upper)
     return {"bounds": bound_viol, "constraints": float(viol.max(initial=0.0))}
 
 
 def _scale(lp: LinearProgram) -> float:
-    parts = [1.0, float(np.abs(lp.lower).max()), float(np.abs(lp.upper).max())]
-    if lp.n_constraints:
-        parts.append(float(np.abs(lp.rhs).max()))
-    return max(parts)
+    """The feasibility re-check's tolerance scale: the largest finite bound, at least 1."""
+    bounds = np.abs(np.concatenate((lp.lower, lp.upper, lp.row_lower, lp.row_upper)))
+    return max(1.0, float(bounds[bounds < np.inf].max()))
 
 
 # HiGHS model status -> the status code ``_verdict`` reads (0 optimal,
@@ -158,25 +145,24 @@ class HighsModel:
     """One LinearProgram kept loaded in a HiGHS instance across solves.
 
     Change the program only through ``set_objective``, ``set_upper`` and
-    ``set_rhs``: each updates ``lp`` at once and HiGHS before its next run.
-    HiGHS keeps its basis through such changes, so ``solve_lp(model.lp,
+    ``set_row_bounds``: each updates ``lp`` at once and HiGHS before its next
+    run.  HiGHS keeps its basis through such changes, so ``solve_lp(model.lp,
     model=model)`` restarts the simplex from the previous optimum, and
     ``certify`` can often prove the changed program optimal without it.
 
     The program is held in bounded form: columns x and row activities r = Ax
-    are the n + m variables of ``[A, -I] (x, r) = 0``, each in a box (an LE
-    row's r in (-inf, rhs], an EQ row's fixed at rhs).  ``lp.objective``,
-    ``lp.lower`` and ``lp.upper`` are views of the first n entries of the
-    bounded form's costs and boxes, so both always agree.
+    are the n + m variables of ``[A, -I] (x, r) = 0``, each in its box
+    (a row's is ``[row_lower, row_upper]``).  The program's costs and bounds
+    are views of the bounded form's, so both always agree.
     """
 
     def __init__(self, lp: LinearProgram):
         n, m = lp.n_vars, lp.n_constraints
-        le, ge = _row_masks(tuple(lp.relations))
         self._cost = np.concatenate((lp.objective, np.zeros(m)))
-        self._lo = np.concatenate((lp.lower, np.where(le, -np.inf, lp.rhs)))
-        self._hi = np.concatenate((lp.upper, np.where(ge, np.inf, lp.rhs)))
-        lp.objective, lp.lower, lp.upper = self._cost[:n], self._lo[:n], self._hi[:n]
+        self._lo = np.concatenate((lp.lower, lp.row_lower))
+        self._hi = np.concatenate((lp.upper, lp.row_upper))
+        lp.objective, lp.lower, lp.row_lower = self._cost[:n], self._lo[:n], self._lo[n:]
+        lp.upper, lp.row_upper = self._hi[:n], self._hi[n:]
         self.lp = lp
         # [A, -I]^T, and the bounded-form index of each of HiGHS's basic
         # variable codes plus m (a column j is j, a row i is -1 - i).
@@ -198,8 +184,8 @@ class HighsModel:
         program.col_cost_ = lp.objective
         program.col_lower_ = lp.lower
         program.col_upper_ = lp.upper
-        program.row_lower_ = self._lo[n:]
-        program.row_upper_ = self._hi[n:]
+        program.row_lower_ = lp.row_lower
+        program.row_upper_ = lp.row_upper
         cols, rows = np.nonzero(lp.A.T)  # column-wise nonzeros
         matrix = program.a_matrix_
         matrix.format_ = _highs.MatrixFormat.kColwise
@@ -232,15 +218,11 @@ class HighsModel:
         self.lp.upper[cols] = value
         self._stale_cols[cols] = True
 
-    def set_rhs(self, row: int, value: float) -> None:
-        if not math.isfinite(value):
-            raise DimensionError("non-finite coefficient in program")
-        self.lp.rhs[row] = value
-        rel, i = self.lp.relations[row], self.lp.n_vars + row
-        if rel != LE:
-            self._lo[i] = value
-        if rel != GE:
-            self._hi[i] = value
+    def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
+        if not _row_bounds_ok(lower, upper):
+            raise DimensionError(f"row bounds ({lower}, {upper}) admit no activity")
+        self.lp.row_lower[row] = lower
+        self.lp.row_upper[row] = upper
         self._stale_rows.add(row)
 
     def _sync(self) -> None:
@@ -254,7 +236,7 @@ class HighsModel:
             highs.changeColsBounds(len(idx), idx, self.lp.lower[idx], self.lp.upper[idx])
             self._stale_cols[:] = False
         for row in self._stale_rows:
-            highs.changeRowBounds(row, self._lo[n + row], self._hi[n + row])
+            highs.changeRowBounds(row, self.lp.row_lower[row], self.lp.row_upper[row])
         self._stale_rows.clear()
 
     def run(self, tol: float) -> tuple[int, np.ndarray | None, str]:
@@ -294,7 +276,7 @@ class HighsModel:
         sign = np.where(basic < self.lp.n_vars, -1.0, 1.0)
         return basic, nonbasic, self._bounded_t[nonbasic], at_upper, sign
 
-    def certify(self, tol: float = 1e-9, scale: float | None = None) -> LPSolution | None:
+    def certify(self, tol: float = 1e-9) -> LPSolution | None:
         """The optimum of the current program, proven without HiGHS, or None.
 
         The basis of the last run stays optimal for changed costs and bounds
@@ -309,8 +291,7 @@ class HighsModel:
         the basis matrix use the factor HiGHS holds from that run: nothing
         passes HiGHS a change before the next run.
 
-        The point passes the feasibility re-check of ``solve_lp`` at ``tol``
-        (``scale`` as in ``_verdict``).
+        The point passes the feasibility re-check of ``solve_lp`` at ``tol``.
         """
         if self._basis is None:
             if self._solved is None:
@@ -324,13 +305,13 @@ class HighsModel:
         status, y = highs.getBasisTransposeSolve(cost[basic])
         reduced = cost[nonbasic] - bounded_n @ y
         size = np.abs(reduced)
-        # A fixed variable (an EQ row's) too close to call declines too:
-        # rare, and safe.
+        # A fixed variable (an equality row's) too close to call declines
+        # too: rare, and safe.
         if status != _OK or ((size > _TIE) & (size < _CLEAR)).any():
             return None
         at_upper = np.where(size <= _TIE, at_upper, reduced > 0.0)
         value = np.where(at_upper, hi[nonbasic], lo[nonbasic])
-        if not math.isfinite(value.sum()):  # an LE row's slack, favoured at -inf
+        if not math.isfinite(value.sum()):  # a row favoured at an infinite bound
             return None
         status, solved = highs.getBasisSolve(value @ bounded_n)
         point = np.empty(len(cost))
@@ -340,7 +321,7 @@ class HighsModel:
                                  and (hi - point).min() >= -_PRIMAL):
             return None
         self._basis = basic, nonbasic, bounded_n, at_upper, sign
-        return _verdict(self.lp, tol, 0, point[:self.lp.n_vars], "", scale)
+        return _verdict(self.lp, tol, 0, point[:self.lp.n_vars], "")
 
 
 def solve_lp(lp: LinearProgram, tol: float = 1e-9,
@@ -366,10 +347,9 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
 
 
 def _verdict(lp: LinearProgram, tol: float, status: int, x: np.ndarray | None,
-             message: str, scale: float | None = None) -> LPSolution:
+             message: str) -> LPSolution:
     """The LPSolution for a solver's status code and point, after the
-    feasibility re-check.  ``scale`` is ``_scale(lp)``, for a caller that
-    knows it without the three array maxima."""
+    feasibility re-check."""
     if status == 2:
         return LPSolution("infeasible", None, None)
     if status == 3:
@@ -380,7 +360,7 @@ def _verdict(lp: LinearProgram, tol: float, status: int, x: np.ndarray | None,
         raise LPError(f"solver failure: {message}")
 
     x = np.asarray(x, dtype=float)
-    atol = tol * (_scale(lp) if scale is None else scale) * 10.0
+    atol = tol * _scale(lp) * 10.0
     viol = residuals(lp, x)
     if viol["bounds"] > atol or viol["constraints"] > atol:
         raise LPError(f"solution failed feasibility re-check: {viol} > {atol}")

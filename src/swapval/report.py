@@ -130,32 +130,3 @@ def emit_curve_optima(results: list[tuple[float, float, CurvePriceResult]],
 def emit_eol_sensitivity(rows: list[dict], out_dir: str) -> list[str]:
     return [write_table(os.path.join(out_dir, "eol_sensitivity.csv"), EOL_COLUMNS, rows)]
 
-
-def emit_report(result, format: str, out_dir: str) -> list[str]:
-    """Write a result's artifacts and return their paths.
-
-    Dispatches on the result type; 'json' keeps only the JSON documents,
-    'csv' only the tables, 'both' everything.  The output directory must be
-    writable; re-running with identical inputs reproduces identical bytes.
-    """
-    if format not in ("json", "csv", "both"):
-        raise ValueError(f"format must be 'json', 'csv' or 'both', got {format!r}")
-    os.makedirs(out_dir, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
-        raise PermissionError(f"output directory not writable: {out_dir}")
-    if isinstance(result, LifecycleResult):
-        paths = emit_lifecycle(result, out_dir)
-    elif isinstance(result, MdcSweepResult):
-        paths = emit_mdc_sweep(result, out_dir)
-    else:
-        raise TypeError(f"no emitter for {type(result).__name__}")
-    if format == "both":
-        return paths
-    suffix = ".json" if format == "json" else ".csv"
-    kept = []
-    for p in paths:
-        if p.endswith(suffix):
-            kept.append(p)
-        else:
-            os.remove(p)
-    return kept

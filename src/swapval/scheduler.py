@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapval.lp import LE, EQ, HighsModel, LinearProgram, solve_lp
+from swapval.lp import HighsModel, LinearProgram, solve_lp
 
 TIE_BREAK_EPS = 1e-7
 
@@ -168,10 +168,10 @@ def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
     """Assemble the scheduling LP for the first ``hours`` hours of a day.
 
     Variable order: charge[0..H), discharge[0..H), swap[0..H), soc[0..H),
-    and reserve[0..H) when reserve is enabled.  The SOC recursion appears as
-    equality rows; swap demand as one cap row; reserve as headroom and
-    stored-energy coupling rows.  The daily calendar charge is a constant
-    and is excluded here (see module docstring).
+    and reserve[0..H) when reserve is enabled.  Row order: the SOC recursion
+    as H equality rows, the swap demand as one cap row, then, with reserve,
+    H headroom and H stored-energy coupling rows.  The daily calendar charge
+    is a constant and is excluded here (see module docstring).
     """
     if not 1 <= hours <= 24:
         raise ValueError(f"hours must be in [1, 24], got {hours}")
@@ -179,59 +179,37 @@ def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
     eta, keep = b.efficiency, 1.0 - b.self_discharge
     H = hours
     res = day.reserve_enabled
-    n = (5 if res else 4) * H
-    i_cha, i_dis, i_swp, i_soc = 0, H, 2 * H, 3 * H
-    i_res = 4 * H
+    n, m = (5 if res else 4) * H, (3 if res else 1) * H + 1
+    i_cha, i_dis, i_swp, i_soc, i_res = 0, H, 2 * H, 3 * H, 4 * H
 
-    lower = np.zeros(n)
     upper = np.empty(n)
-    upper[i_cha:i_dis] = b.power_limit
-    upper[i_dis:i_swp] = b.power_limit
-    upper[i_swp:i_soc] = day.capacity_now
-    upper[i_soc : i_soc + H] = day.capacity_now
+    upper[i_cha:i_swp] = b.power_limit
+    upper[i_swp:i_res] = day.capacity_now
+    upper[i_res:] = b.power_limit
+
+    h = np.arange(H)
+    A = np.zeros((m, n))
+    row_lower = np.full(m, -np.inf)
+    row_upper = np.zeros(m)
+    # soc[h] - keep soc[h-1] - eta charge[h] + (discharge[h] + swap[h]) / eta
+    # equals keep * soc_start in hour 0 and 0 after.
+    A[h, i_soc + h] = 1.0
+    A[h[1:], i_soc + h[:-1]] = -keep
+    A[h, i_cha + h] = -eta
+    A[h, i_dis + h] = A[h, i_swp + h] = 1.0 / eta
+    row_lower[:H] = 0.0
+    row_lower[0] = row_upper[0] = keep * day.soc_start
+    A[H, i_swp:i_soc] = 1.0
+    row_upper[H] = day.swap.daily_swap_cap
     if res:
-        upper[i_res:] = b.power_limit
+        headroom, coupling = H + 1 + h, 2 * H + 1 + h
+        A[headroom, i_res + h] = A[headroom, i_dis + h] = 1.0
+        row_upper[headroom] = b.power_limit
+        A[coupling, i_res + h] = 1.0
+        A[coupling, i_soc + h] = -eta
 
-    rows, rels, rhs = [], [], []
-    for h in range(H):
-        row = np.zeros(n)
-        row[i_soc + h] = 1.0
-        if h > 0:
-            row[i_soc + h - 1] = -keep
-        row[i_cha + h] = -eta
-        row[i_dis + h] = 1.0 / eta
-        row[i_swp + h] = 1.0 / eta
-        rows.append(row)
-        rels.append(EQ)
-        rhs.append(keep * day.soc_start if h == 0 else 0.0)
-
-    cap_row = np.zeros(n)
-    cap_row[i_swp:i_soc] = 1.0
-    rows.append(cap_row)
-    rels.append(LE)
-    rhs.append(day.swap.daily_swap_cap)
-
-    if res:
-        for h in range(H):
-            row = np.zeros(n)
-            row[i_res + h] = 1.0
-            row[i_dis + h] = 1.0
-            rows.append(row)
-            rels.append(LE)
-            rhs.append(b.power_limit)
-        for h in range(H):
-            row = np.zeros(n)
-            row[i_res + h] = 1.0
-            row[i_soc + h] = -eta
-            rows.append(row)
-            rels.append(LE)
-            rhs.append(0.0)
-
-    return LinearProgram(
-        objective=_objective(day, H),
-        lower=lower, upper=upper,
-        A=np.array(rows), relations=rels, rhs=np.array(rhs),
-    )
+    return LinearProgram(objective=_objective(day, H), lower=np.zeros(n), upper=upper,
+                         A=A, row_lower=row_lower, row_upper=row_upper)
 
 
 class DailyModel:
@@ -249,26 +227,22 @@ class DailyModel:
 
     def __init__(self) -> None:
         self.model: HighsModel | None = None
-        self.scale = 1.0  # lp._scale of the held program, from its varying scalars
         self._fixed: tuple | None = None
 
     def load(self, day: DayInput) -> HighsModel:
         """Make the held program equal ``build_daily_lp(day)``."""
         fixed = (day.battery, day.swap, day.reserve_enabled)
-        rhs0 = (1.0 - day.battery.self_discharge) * day.soc_start
         if self.model is None:
             self.model = HighsModel(build_daily_lp(day))
             self._fixed = fixed
             self._cost = self.model.lp.objective.copy()
-            # The program's bounds and right-hand sides that never change.
-            self._static_scale = max(1.0, day.battery.power_limit, day.swap.daily_swap_cap)
         elif fixed != self._fixed:
             raise ValueError("a DailyModel serves one battery, swap policy and reserve setting")
         else:
             self.model.set_objective(_objective(day, _H, out=self._cost))
             self.model.set_upper(_SWAP_AND_SOC, day.capacity_now)
-            self.model.set_rhs(0, rhs0)
-        self.scale = max(self._static_scale, day.capacity_now, rhs0)
+            soc0 = (1.0 - day.battery.self_discharge) * day.soc_start
+            self.model.set_row_bounds(0, soc0, soc0)
         return self.model
 
 
@@ -286,7 +260,7 @@ def solve_day(day: DayInput, *, model: DailyModel | None = None) -> DailySchedul
     """
     daily = DailyModel() if model is None else model
     held = daily.load(day)
-    sol = held.certify(_TOL, daily.scale)
+    sol = held.certify(_TOL)
     if sol is None:
         sol = solve_lp(held.lp, _TOL, model=held)
     if sol.status != "optimal":

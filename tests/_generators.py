@@ -21,7 +21,7 @@ ORACLE_BUDGET = 8_000_000
 
 def random_lp(rng: np.random.Generator, max_vars: int = 8,
               max_rows: int = 10) -> LinearProgram:
-    """Feasible, bounded random LP: rhs values are anchored to an interior point."""
+    """Feasible, bounded random LP: row bounds are anchored to an interior point."""
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(0, max_rows + 1))
     c = rng.normal(size=n) * 10.0
@@ -29,7 +29,7 @@ def random_lp(rng: np.random.Generator, max_vars: int = 8,
     hi = lo + rng.uniform(0.1, 10.0, size=n)
     A = rng.normal(size=(m, n))
     x0 = rng.uniform(lo, hi)
-    rels, rhs = [], []
+    row_lower, row_upper = [], []
     n_eq = 0
     for i in range(m):
         rel = str(rng.choice(["<=", "==", ">="]))
@@ -40,13 +40,15 @@ def random_lp(rng: np.random.Generator, max_vars: int = 8,
         value = float(A[i] @ x0)
         slack = float(rng.uniform(0.0, 3.0))
         if rel == "<=":
-            rhs.append(value + slack)
+            row_lower.append(-np.inf)
+            row_upper.append(value + slack)
         elif rel == ">=":
-            rhs.append(value - slack)
+            row_lower.append(value - slack)
+            row_upper.append(np.inf)
         else:
-            rhs.append(value)
-        rels.append(rel)
-    return LinearProgram(c, lo, hi, A, rels, np.array(rhs) if rhs else [])
+            row_lower.append(value)
+            row_upper.append(value)
+    return LinearProgram(c, lo, hi, A, row_lower, row_upper)
 
 
 def random_day(rng: np.random.Generator, hours: int, with_swap: bool,

@@ -6,6 +6,8 @@ Nothing here runs in production:
 - ``enumerate_oracle`` finds the optimum of a small program by exhaustive
   basic-feasible-point enumeration, sharing no solve logic with HiGHS, and
   ``build_compact_lp`` states a short day in few enough variables for it;
+- ``build_daily_lp_rows`` builds the day's program row by row, the
+  reference for the block-layout ``build_daily_lp``;
 - ``max_daily_throughput`` bounds one day's budget draw;
 - ``check_schedule`` recomputes a solved day's invariants and profit.
 """
@@ -20,9 +22,6 @@ from scipy.optimize import linprog
 
 from swapval.lifecycle import calendar_throughput_per_day
 from swapval.lp import (
-    EQ,
-    GE,
-    LE,
     DimensionError,
     LinearProgram,
     LPSolution,
@@ -52,18 +51,17 @@ def solve_lp_linprog(lp: LinearProgram, tol: float = 1e-9, max_iter: int | None 
     wherever production passes one.  ``max_iter`` caps the simplex
     iterations, with presolve off so that it cannot mask the cap.
     """
-    rel = np.array(lp.relations)
-    le_rows = rel == LE
-    ge_rows = rel == GE
-    eq_rows = rel == EQ
+    eq_rows = lp.row_lower == lp.row_upper
+    le_rows = np.isfinite(lp.row_upper) & ~eq_rows
+    ge_rows = np.isfinite(lp.row_lower) & ~eq_rows
 
     A_ub = b_ub = A_eq = b_eq = None
     if np.any(le_rows) or np.any(ge_rows):
         A_ub = np.vstack([lp.A[le_rows], -lp.A[ge_rows]])
-        b_ub = np.concatenate([lp.rhs[le_rows], -lp.rhs[ge_rows]])
+        b_ub = np.concatenate([lp.row_upper[le_rows], -lp.row_lower[ge_rows]])
     if np.any(eq_rows):
         A_eq = lp.A[eq_rows]
-        b_eq = lp.rhs[eq_rows]
+        b_eq = lp.row_upper[eq_rows]
 
     options = {
         "presolve": True,
@@ -89,7 +87,7 @@ def oracle_cost(lp: LinearProgram) -> int:
     Useful for keeping randomized test instances inside a runtime budget.
     """
     n = lp.n_vars
-    e = sum(r == EQ for r in lp.relations)
+    e = int(np.count_nonzero(lp.row_lower == lp.row_upper))
     m_ineq = lp.n_constraints - e
     if e > n:
         return 0
@@ -111,13 +109,18 @@ def enumerate_oracle(lp: LinearProgram, feas_tol: float = 1e-8) -> LPSolution:
     enumeration order.
 
     Guarded to n <= 12 variables; beyond that the combinatorics blow up.
+    Every row is an equality or bounded on one side only.
     """
     n = lp.n_vars
     if n > _ORACLE_MAX_VARS:
         raise DimensionError(f"oracle limited to {_ORACLE_MAX_VARS} variables, got {n}")
-    rel = np.array(lp.relations)
-    eq_idx = np.flatnonzero(rel == EQ)
-    ineq_idx = np.flatnonzero(rel != EQ)
+    eq = lp.row_lower == lp.row_upper
+    if (np.isfinite(lp.row_lower) & np.isfinite(lp.row_upper) & ~eq).any():
+        raise DimensionError("oracle takes no row bounded on both sides")
+    eq_idx = np.flatnonzero(eq)
+    ineq_idx = np.flatnonzero(~eq)
+    # The bound an active row sits at: its only finite one.
+    rhs = np.where(np.isfinite(lp.row_upper), lp.row_upper, lp.row_lower)
     e = len(eq_idx)
     if e > n:
         raise DimensionError(f"{e} equality rows exceed {n} variables")
@@ -137,15 +140,8 @@ def enumerate_oracle(lp: LinearProgram, feas_tol: float = 1e-8) -> LPSolution:
         ok = np.all(points >= lower - atol, axis=1) & np.all(points <= upper + atol, axis=1)
         if lp.n_constraints and np.any(ok):
             vals = points[ok] @ lp.A.T
-            sub_ok = np.ones(len(vals), dtype=bool)
-            for ci, r in enumerate(lp.relations):
-                diff = vals[:, ci] - lp.rhs[ci]
-                if r == LE:
-                    sub_ok &= diff <= atol
-                elif r == GE:
-                    sub_ok &= diff >= -atol
-                else:
-                    sub_ok &= np.abs(diff) <= atol
+            sub_ok = np.all((vals - lp.row_upper <= atol) & (lp.row_lower - vals <= atol),
+                            axis=1)
             idx = np.flatnonzero(ok)
             ok[idx] = sub_ok
         if not np.any(ok):
@@ -168,7 +164,7 @@ def enumerate_oracle(lp: LinearProgram, feas_tol: float = 1e-8) -> LPSolution:
                 _enumerate_pure_corners(lp, consider)
                 continue
             A_act = lp.A[active_rows]  # (k, n)
-            r_act = lp.rhs[active_rows]  # (k,)
+            r_act = rhs[active_rows]  # (k,)
             _enumerate_with_active_rows(lp, A_act, r_act, k, nb, consider)
 
     if best_x is None:
@@ -300,21 +296,19 @@ def build_compact_lp(day: DayInput, hours: int) -> LinearProgram:
             row[i_swp : i_swp + H] = -w[h] / eta
         return row
 
-    rows, rels, rhs = [], [], []
+    # Every row is A x <= rhs.
+    rows, rhs = [], []
     for h in range(H):
         coeff = soc_coeffs(h)
         rows.append(-coeff)  # soc_h >= 0
-        rels.append(LE)
         rhs.append(base[h])
         rows.append(coeff)  # soc_h <= capacity
-        rels.append(LE)
         rhs.append(day.capacity_now - base[h])
 
     if swap_on:
         cap_row = np.zeros(n)
         cap_row[i_swp : i_swp + H] = 1.0
         rows.append(cap_row)
-        rels.append(LE)
         rhs.append(day.swap.daily_swap_cap)
 
     if res:
@@ -323,13 +317,11 @@ def build_compact_lp(day: DayInput, hours: int) -> LinearProgram:
             row[i_res + h] = 1.0
             row[i_dis + h] = 1.0
             rows.append(row)
-            rels.append(LE)
             rhs.append(b.power_limit)
         for h in range(H):
             row = -eta * soc_coeffs(h)
             row[i_res + h] += 1.0
             rows.append(row)
-            rels.append(LE)
             rhs.append(eta * base[h])
 
     A = np.array(rows)
@@ -338,13 +330,65 @@ def build_compact_lp(day: DayInput, hours: int) -> LinearProgram:
     sup = np.where(A > 0, A * upper[None, :], A * lower[None, :]).sum(axis=1)
     live = sup > rhs
     A, rhs = A[live], rhs[live]
-    rels = [r for r, keep_row in zip(rels, live) if keep_row]
 
     # The full form's blocks are charge, discharge, swap, soc, [reserve].
     kept = [0, 1] + ([2] if swap_on else []) + ([4] if res else [])
     objective = _objective(day, H).reshape(-1, H)[kept].ravel()
     return LinearProgram(objective=objective, lower=lower, upper=upper,
-                         A=A, relations=rels, rhs=rhs)
+                         A=A, row_lower=np.full(len(rhs), -np.inf), row_upper=rhs)
+
+
+def build_daily_lp_rows(day: DayInput, hours: int = 24) -> LinearProgram:
+    """``build_daily_lp`` written one row at a time: the same program."""
+    b = day.battery
+    eta, keep = b.efficiency, 1.0 - b.self_discharge
+    H = hours
+    res = day.reserve_enabled
+    n = (5 if res else 4) * H
+    i_cha, i_dis, i_swp, i_soc = 0, H, 2 * H, 3 * H
+    i_res = 4 * H
+
+    lower = np.zeros(n)
+    upper = np.empty(n)
+    upper[i_cha:i_dis] = b.power_limit
+    upper[i_dis:i_swp] = b.power_limit
+    upper[i_swp:i_soc] = day.capacity_now
+    upper[i_soc : i_soc + H] = day.capacity_now
+    if res:
+        upper[i_res:] = b.power_limit
+
+    # Each row is (coefficients, row_lower, row_upper).
+    rows = []
+    for h in range(H):
+        row = np.zeros(n)
+        row[i_soc + h] = 1.0
+        if h > 0:
+            row[i_soc + h - 1] = -keep
+        row[i_cha + h] = -eta
+        row[i_dis + h] = 1.0 / eta
+        row[i_swp + h] = 1.0 / eta
+        value = keep * day.soc_start if h == 0 else 0.0
+        rows.append((row, value, value))
+
+    cap_row = np.zeros(n)
+    cap_row[i_swp:i_soc] = 1.0
+    rows.append((cap_row, -np.inf, day.swap.daily_swap_cap))
+
+    if res:
+        for h in range(H):
+            row = np.zeros(n)
+            row[i_res + h] = 1.0
+            row[i_dis + h] = 1.0
+            rows.append((row, -np.inf, b.power_limit))
+        for h in range(H):
+            row = np.zeros(n)
+            row[i_res + h] = 1.0
+            row[i_soc + h] = -eta
+            rows.append((row, -np.inf, 0.0))
+
+    A, row_lower, row_upper = zip(*rows)
+    return LinearProgram(objective=_objective(day, H), lower=lower, upper=upper,
+                         A=np.array(A), row_lower=row_lower, row_upper=row_upper)
 
 
 def max_daily_throughput(spec: BatterySpec, swap: SwapTerms | None = None) -> float:

@@ -21,7 +21,7 @@ from swapval.config import (
 )
 from swapval.lifecycle import simulate_lifecycle
 from swapval.market_data import synth_price_series
-from swapval.report import emit_report
+from swapval.report import emit_lifecycle
 
 FAST = ["--synth", "two-level:10:90", "--days", "2", "--no-reserve"]
 TINY_GRID = ["--mdc-grid", "0:20:10"]
@@ -187,26 +187,15 @@ class TestEmitReport:
         series = synth_price_series("two-level", days=1, low=10.0, high=90.0)
         result = simulate_lifecycle(tiny_battery, econ, series, 10.0,
                                     swap_policy=None, reserve_enabled=False)
-        paths = emit_report(result, "both", str(tmp_path))
+        paths = emit_lifecycle(result, str(tmp_path))
         names = sorted(p.split("/")[-1] for p in paths)
         assert names == ["cashflow.csv", "daily_log.csv", "lifecycle.json", "soh.csv"]
-        # json-only keeps just the document
-        sub = tmp_path / "json_only"
-        paths = emit_report(result, "json", str(sub))
-        assert [p.split("/")[-1] for p in paths] == ["lifecycle.json"]
-
-    def test_rejects_unknown_format(self, tmp_path, tiny_battery, econ):
-        series = synth_price_series("flat", days=1, level=0.0)
-        result = simulate_lifecycle(tiny_battery, econ, series, 0.0,
-                                    swap_policy=None, reserve_enabled=False)
-        with pytest.raises(ValueError):
-            emit_report(result, "xml", str(tmp_path))
 
     def test_soh_csv_matches_series(self, tmp_path, tiny_battery, econ):
         series = synth_price_series("flat", days=1, level=0.0)
         result = simulate_lifecycle(tiny_battery, econ, series, 0.0,
                                     swap_policy=None, reserve_enabled=False)
-        emit_report(result, "csv", str(tmp_path))
+        emit_lifecycle(result, str(tmp_path))
         lines = (tmp_path / "soh.csv").read_text().splitlines()
         assert lines[0] == "day,soh"
         assert len(lines) == 1 + result.days_lived
@@ -553,7 +542,8 @@ def test_one_study_starts_one_pool(argv, tmp_path, fast_config, monkeypatch):
 
 
 @pytest.mark.parametrize("synth", ["flat:nan", "flat:inf", "flat:1e400", "daily-sine:40:nan",
-                                   "daily-sine:40:-5", "two-level:10:20:30"])
+                                   "daily-sine:40:-5", "two-level:10:20:30", "flat:10:99",
+                                   "daily-sine:40:30:7", "two-level:10:90:12:5"])
 def test_bad_synthetic_parameter_exits_2(synth, tmp_path, monkeypatch):
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
     TestBadInputExits2()._assert_exit_2(

@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from swapval.lp import (
-    EQ,
-    GE,
-    LE,
     DimensionError,
     HighsModel,
     IterationLimitError,
@@ -16,7 +13,7 @@ from swapval.lp import (
 from _generators import random_lp
 from _reference import enumerate_oracle, oracle_cost, solve_lp_linprog
 
-NO_ROWS = dict(A=np.zeros((0, 1)), relations=[], rhs=[])
+INF = np.inf
 
 
 def test_single_bound_active_variable():
@@ -28,14 +25,14 @@ def test_single_bound_active_variable():
 
 
 def test_infeasible():
-    lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [">="], [2.0])
+    lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [2.0], [INF])
     assert solve_lp(lp).status == "infeasible"
     assert enumerate_oracle(lp).status == "infeasible"
 
 
 def test_two_variable_vertex():
     # max 2x+y s.t. x+y <= 4, 0 <= x <= 3, 0 <= y <= 3
-    lp = LinearProgram([2.0, 1.0], [0.0, 0.0], [3.0, 3.0], [[1.0, 1.0]], ["<="], [4.0])
+    lp = LinearProgram([2.0, 1.0], [0.0, 0.0], [3.0, 3.0], [[1.0, 1.0]], [-INF], [4.0])
     sol = solve_lp(lp)
     assert sol.objective_value == pytest.approx(7.0)
     assert sol.x == pytest.approx([3.0, 1.0])
@@ -63,13 +60,26 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionError):
         LinearProgram([1.0, 2.0], [0.0], [1.0], np.zeros((0, 2)), [], [])
     with pytest.raises(DimensionError):
-        LinearProgram([1.0], [0.0], [1.0], [[1.0, 2.0]], ["<="], [1.0])
+        LinearProgram([1.0], [0.0], [1.0], [[1.0, 2.0]], [-INF], [1.0])
     with pytest.raises(DimensionError, match="lower > upper"):
         LinearProgram([1.0], [2.0], [1.0], np.zeros((0, 1)), [], [])
     with pytest.raises(DimensionError, match="finite"):
         LinearProgram([1.0], [0.0], [np.inf], np.zeros((0, 1)), [], [])
-    with pytest.raises(DimensionError, match="relation"):
-        LinearProgram([1.0], [0.0], [1.0], [[1.0]], ["<"], [1.0])
+
+
+@pytest.mark.parametrize("row_lower,row_upper", [
+    ([np.nan], [1.0]), ([0.0], [np.nan]), ([2.0], [1.0]), ([INF], [INF]), ([-INF], [-INF]),
+    ([0.0, 0.0], [1.0]), ([0.0], [1.0, 1.0]),
+], ids=["nan-lower", "nan-upper", "crossed", "lower-plus-inf", "upper-minus-inf",
+        "long-lower", "long-upper"])
+def test_bad_row_bounds_rejected(row_lower, row_upper):
+    with pytest.raises(DimensionError):
+        LinearProgram([1.0], [0.0], [1.0], [[1.0]], row_lower, row_upper)
+    # A held model refuses the same bounds row by row.
+    if len(row_lower) == len(row_upper) == 1:
+        model = HighsModel(LinearProgram([1.0], [0.0], [1.0], [[1.0]], [-INF], [1.0]))
+        with pytest.raises(DimensionError):
+            model.set_row_bounds(0, row_lower[0], row_upper[0])
 
 
 def test_oracle_agreement_on_200_random_lps(rng):
@@ -94,7 +104,7 @@ def test_objective_scaling_property(rng):
         base = solve_lp(lp)
         factor = float(rng.uniform(0.1, 50.0))
         scaled = LinearProgram(lp.objective * factor, lp.lower, lp.upper,
-                               lp.A, lp.relations, lp.rhs)
+                               lp.A, lp.row_lower, lp.row_upper)
         scaled_sol = solve_lp(scaled)
         scale = max(1.0, abs(base.objective_value) * factor)
         assert abs(scaled_sol.objective_value - factor * base.objective_value) \
@@ -110,7 +120,8 @@ def test_feasibility_residuals_within_tol(rng):
         lp = random_lp(rng, max_vars=7, max_rows=8)
         sol = solve_lp(lp, tol=tol)
         viol = residuals(lp, sol.x)
-        scale = max(1.0, float(np.max(np.abs(lp.rhs))) if lp.n_constraints else 1.0)
+        rows = np.concatenate((lp.row_lower, lp.row_upper))
+        scale = max(1.0, float(np.abs(rows[np.isfinite(rows)]).max(initial=0.0)))
         assert viol["bounds"] <= tol * scale * 10
         assert viol["constraints"] <= tol * scale * 10
         assert sol.objective_value == pytest.approx(float(lp.objective @ sol.x))
@@ -118,13 +129,13 @@ def test_feasibility_residuals_within_tol(rng):
 
 def test_oracle_handles_equalities():
     # max x+y s.t. x+y == 1, 0 <= x,y <= 1
-    lp = LinearProgram([1.0, 1.0], [0, 0], [1, 1], [[1.0, 1.0]], ["=="], [1.0])
+    lp = LinearProgram([1.0, 1.0], [0, 0], [1, 1], [[1.0, 1.0]], [1.0], [1.0])
     oracle = enumerate_oracle(lp)
     assert oracle.objective_value == pytest.approx(1.0)
 
 
 def test_oracle_cost_counts_candidates():
-    lp = LinearProgram([1.0, 1.0], [0, 0], [1, 1], [[1.0, 1.0]], ["<="], [1.5])
+    lp = LinearProgram([1.0, 1.0], [0, 0], [1, 1], [[1.0, 1.0]], [-INF], [1.5])
     # j=0: 2^2 corners; j=1: C(2,1) free choices * 2 sides each = 4
     assert oracle_cost(lp) == 8
 
@@ -139,7 +150,7 @@ def test_unbounded_defensive():
 def test_iteration_limit_reported_distinctly():
     lp = LinearProgram([-1.0, -2.0, 1.0], [0, 0, 0], [10, 10, 10],
                        [[1, 1, 1], [1, -1, 0], [0, 1, 1]],
-                       ["<=", "<=", "<="], [4.0, 1.0, 3.0])
+                       [-INF, -INF, -INF], [4.0, 1.0, 3.0])
     model = HighsModel(lp)
     model._highs.setOptionValue("presolve", "off")
     model._highs.setOptionValue("simplex_iteration_limit", 1)
@@ -157,9 +168,14 @@ def _loop_residuals(lp, x):
                            np.max(x - lp.upper, initial=0.0)))
     con_viol = 0.0
     vals = lp.A @ x
-    for i, rel in enumerate(lp.relations):
-        r = vals[i] - lp.rhs[i]
-        con_viol = max(con_viol, r if rel == LE else -r if rel == GE else abs(r))
+    for i, (lower, upper) in enumerate(zip(lp.row_lower, lp.row_upper)):
+        if lower == upper:
+            viol = abs(vals[i] - upper)
+        elif lower == -INF:
+            viol = vals[i] - upper
+        else:
+            viol = lower - vals[i]
+        con_viol = max(con_viol, viol)
     return {"bounds": bound_viol, "constraints": float(con_viol)}
 
 
@@ -182,9 +198,11 @@ def test_highs_model_matches_linprog_through_updates(rng):
                 model.set_upper(cols, lp.upper[cols] + rng.uniform(0.0, 1.0))
                 if lp.n_constraints:
                     row = int(rng.integers(lp.n_constraints))
-                    # Loosen the row so the program stays feasible.
-                    loosen = {LE: 1.0, GE: -1.0, EQ: 0.0}[lp.relations[row]]
-                    model.set_rhs(row, lp.rhs[row] + loosen * rng.uniform(0.0, 1.0))
+                    # Loosen the row so the program stays feasible; an
+                    # equality row keeps its bounds.
+                    loosen = rng.uniform(0.0, 1.0) * (lp.row_lower[row] < lp.row_upper[row])
+                    model.set_row_bounds(row, lp.row_lower[row] - loosen,
+                                         lp.row_upper[row] + loosen)
             warm = solve_lp(lp, model=model)
             cold = solve_lp_linprog(lp)
             assert warm.status == cold.status == "optimal"
@@ -193,12 +211,12 @@ def test_highs_model_matches_linprog_through_updates(rng):
 
 
 def test_highs_model_verdicts_and_misuse():
-    lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [">="], [0.5])
+    lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [0.5], [INF])
     model = HighsModel(lp)
     assert solve_lp(lp, model=model).x[0] == pytest.approx(1.0)
-    model.set_rhs(0, 2.0)
+    model.set_row_bounds(0, 2.0, INF)
     assert solve_lp(lp, model=model).status == "infeasible"
-    other = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [">="], [0.5])
+    other = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [0.5], [INF])
     with pytest.raises(ValueError):
         solve_lp(other, model=model)
     with pytest.raises(DimensionError):
@@ -217,7 +235,7 @@ class TestCertify:
 
     @staticmethod
     def _solved_model():
-        lp = LinearProgram([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [LE], [1.5])
+        lp = LinearProgram([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [-INF], [1.5])
         model = HighsModel(lp)
         assert model.certify() is None  # nothing to certify from before a run
         assert solve_lp(lp, model=model).x.tolist() == [1.0, 0.0]
@@ -242,7 +260,7 @@ class TestCertify:
     def test_bound_flip_certifies_when_the_basis_stays_feasible(self):
         model = self._solved_model()
         model.set_objective([1.0, 0.3])
-        model.set_rhs(0, 2.5)
+        model.set_row_bounds(0, -INF, 2.5)
         assert model.certify().x.tolist() == [1.0, 1.0]
         assert solve_lp(model.lp, model=model).x.tolist() == [1.0, 1.0]
 
