@@ -106,6 +106,11 @@ class Flags:
     reserve_enabled: bool = True
     include_mdc_in_cashflow: bool = False
 
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, bool):
+                raise ConfigError(f"flag {name} must be true or false, got {value!r}")
+
 
 @dataclass
 class ScenarioConfig:

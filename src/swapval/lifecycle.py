@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,10 +34,6 @@ DAYS_PER_YEAR = 365
 
 # Longest horizon cap a lifecycle may run to, in years.
 MAX_HORIZON_YEARS = 1000
-
-# A schedule whose largest hourly move is below this is "all zero" for the
-# idle-day shortcut.
-_ZERO_EPS = 1e-11
 
 # Relative clearance each hour's charge bound must keep in ``_idle_proof``,
 # far above the round-off of its arithmetic and HiGHS's 1e-10 tolerances.
@@ -202,43 +197,31 @@ def abu(lb_star: float, budget: float) -> float:
     return lb_star / budget
 
 
-def _running(ufunc: np.ufunc, start: float, step: float, n: int) -> np.ndarray:
-    """``start`` and the n values after it of ``x = ufunc(x, step)``.
+def _running_sum(start: float, step: float, n: int) -> np.ndarray:
+    """``start`` and the n values after it of ``x += step``.
 
-    ``accumulate`` folds strictly left to right, so every value is rounded
-    exactly as the same Python loop rounds it.
+    ``np.add.accumulate`` folds strictly left to right, so every value is
+    rounded exactly as the same Python loop rounds it.
     """
     values = np.full(n + 1, step)
     values[0] = start
-    return ufunc.accumulate(values)
+    return np.add.accumulate(values)
 
 
-class _IdleDays(NamedTuple):
-    soh: np.ndarray  # at the start of each day
-    cumulative: np.ndarray  # the ledger's cumulative throughput after each day
-    soc_end: np.ndarray
-
-
-def _idle_days(spec: BatterySpec, ledger: DegradationLedger, soc: float,
-               q_day: float, keep24: float, n: int) -> _IdleDays | None:
+def _idle_days(ledger: DegradationLedger, q_day: float, n: int) -> tuple[int, np.ndarray]:
     """The next ``n`` days of the idle tail, fewer if the budget runs out.
 
-    In the tail every day is an idle-memo day: it draws ``q_day`` from the
-    budget and lets SOC decay by ``keep24``.  The arrays repeat the day
-    loop's arithmetic in its order (running sums and products, the ledger's
-    SOH formula), so they are bit-identical to it.  They end with the first
-    day that exhausts the budget.  Returns None when ``_ZERO_EPS`` is not
-    below the smallest derated capacity, where the loop's SOC clamp to the
-    capacity could bite.
+    Each idle day draws ``q_day`` from the budget and leaves the battery
+    empty.  Returns the day count and the ledger's cumulative throughput at
+    the start of each day and after the last, a running sum in the day
+    loop's order, so bit-identical to it.  The days end with the first one
+    that exhausts the budget.
     """
-    if not _ZERO_EPS < spec.eol_capacity_fraction * spec.energy_capacity_0:
-        return None
-    cumulative = _running(np.add, ledger.cumulative_throughput, q_day, n)
+    cumulative = _running_sum(ledger.cumulative_throughput, q_day, n)
     spent = np.flatnonzero(cumulative[1:] >= ledger.total_budget)
     if spent.size:
         n = int(spent[0]) + 1
-    return _IdleDays(soh=ledger.soh_at(cumulative[:n]), cumulative=cumulative[1:n + 1],
-                     soc_end=_running(np.multiply, max(soc, 0.0), keep24, n)[1:])
+    return n, cumulative[:n + 1]
 
 
 def _idle_proof(spec: BatterySpec, prices: HourlyPriceSeries, amdc: float,
@@ -265,9 +248,11 @@ def _idle_proof(spec: BatterySpec, prices: HourlyPriceSeries, amdc: float,
     Tsitsiklis, *Introduction to Linear Optimization*, 1997, ch. 4).
 
     Capacity never enters the proof, and a larger ``amdc`` only lowers
-    ``lam`` and raises the bound: as with the idle memo, a day proven at
-    one point of a life stays proven for every later day of it.  Works a
-    pattern hour at a time, so memory is O(pattern days).
+    ``lam`` and raises the bound, so a day proven at one point of a life
+    stays proven for every later day of it.  An idle day from an empty
+    battery ends empty, so once every pattern day is proven, the rest of
+    the life is idle.  Works a pattern hour at a time, on arrays of one
+    value per pattern day.
     """
     eta, keep = spec.efficiency, 1.0 - spec.self_discharge
     A = amdc + TIE_BREAK_EPS
@@ -309,19 +294,14 @@ def simulate_lifecycle(
     budget.  Stops the first day cumulative throughput reaches the budget;
     the final day may overshoot by at most one day's maximum throughput.
 
-    Idle shortcut: once a given price-pattern day solves to the all-zero
-    schedule from an empty battery, later visits to that pattern day skip
-    the solve.  This is exact: the adjusted MDC never decreases and the
-    capacity never increases as the simulation advances, so a day that was
-    not worth operating never becomes worth operating.  Once every pattern
-    day is memoized and the carried SOC is at or below ``_ZERO_EPS``, every
-    later day is such a skip: that idle tail is closed out a calendar year
-    at a time in numpy (``_idle_days``), bit-identical to the day loop.
-    The tail can open before the memo is full: once a year, from an empty
-    battery, ``_idle_proof`` may show without a solver that every pattern
-    day is idle, which fills the memo at once.  The proof never skips a
-    single day in mid-life, so the solved days and their warm starts are
-    those of the memo alone.
+    Idle tail: once a year, on a day that starts with the battery exactly
+    empty, ``_idle_proof`` tries to show without a solver that every
+    pattern day is idle at that year's adjusted MDC.  The adjusted MDC
+    never decreases and the capacity never increases as the simulation
+    advances, so when the proof holds, every later day is idle too: the
+    rest of the life is calendar fade, closed out a calendar year at a
+    time in numpy (``_idle_days``), bit-identical to solving each day.
+    Every other day is solved.
 
     The days are solved in one ``DailyModel``, each warm from the previous
     solved day; the model lives and dies with this call, so the result
@@ -340,11 +320,9 @@ def simulate_lifecycle(
     rate = econ.discount_rate
 
     soc = 0.0
-    keep24 = (1.0 - spec.self_discharge) ** 24
-    zero_memo: set[int] = set()
+    idle = False  # from the day _idle_proof holds to the end of the life
     proof_year = -1  # the last year _idle_proof was tried in
     model = DailyModel()
-    n_pattern_days = prices.n_days
 
     log_rows: list[tuple] = []
     soh_series: list[float] = []
@@ -361,37 +339,34 @@ def simulate_lifecycle(
         kappa = day // DAYS_PER_YEAR
         delta = (1.0 + rate) ** (-kappa)
         mu_t = adjusted_mdc(mu, day, econ)
-        if soc == 0.0 and len(zero_memo) < n_pattern_days and proof_year < kappa \
-                and _ZERO_EPS >= 0:
+        if not idle and soc == 0.0 and proof_year < kappa:
             # The MDC is constant within a year, so one try per year does.
             proof_year = kappa
-            if _idle_proof(spec, prices, mu_t, swap, reserve_enabled).all():
-                zero_memo.update(range(n_pattern_days))
-        if soc <= _ZERO_EPS and len(zero_memo) == n_pattern_days:
-            idle = _idle_days(spec, ledger, soc, q_day, keep24,
-                              min(DAYS_PER_YEAR * (kappa + 1), max_days) - day)
-            if idle is not None:
-                # Idle days earn nothing: the discounted revenues and the
-                # operating cash would each gain exactly 0.0.
-                n = len(idle.soh)
-                degradation = mu_t * q_day
-                lb = float(_running(np.add, lb, delta * -degradation, n)[-1])
-                row = _year_row(yearly, kappa + 1)
-                row["days"] += n
-                row["mdc_cost"] = float(_running(np.add, row["mdc_cost"], degradation, n)[-1])
-                soh_series.extend(idle.soh.tolist())
-                if keep_daily_log:
-                    zeros = [0.0] * n
-                    log_rows.extend(zip(
-                        range(day, day + n), idle.soh.tolist(), [q_day] * n,
-                        [-degradation] * n, idle.soc_end.tolist(),
-                        zeros, zeros, zeros, zeros, [degradation] * n))
-                ledger.cumulative_throughput = float(idle.cumulative[-1])
-                soc = float(idle.soc_end[-1])
-                day += n
-                if ledger.exhausted:
-                    break
-                continue
+            idle = bool(_idle_proof(spec, prices, mu_t, swap, reserve_enabled).all())
+        if idle:
+            # Idle days earn nothing: the discounted revenues and the
+            # operating cash would each gain exactly 0.0.  The profit is
+            # 0.0 - degradation, as on a solved idle day: 0.0, not -0.0,
+            # when the charge is 0.
+            n, cumulative = _idle_days(
+                ledger, q_day, min(DAYS_PER_YEAR * (kappa + 1), max_days) - day)
+            soh = ledger.soh_at(cumulative[:n]).tolist()
+            degradation = mu_t * q_day
+            sb = 0.0 - degradation
+            lb = float(_running_sum(lb, delta * sb, n)[-1])
+            row = _year_row(yearly, kappa + 1)
+            row["days"] += n
+            row["mdc_cost"] = float(_running_sum(row["mdc_cost"], degradation, n)[-1])
+            soh_series.extend(soh)
+            if keep_daily_log:
+                zeros = [0.0] * n
+                log_rows.extend(zip(range(day, day + n), soh, [q_day] * n, [sb] * n,
+                                    zeros, zeros, zeros, zeros, zeros, [degradation] * n))
+            ledger.cumulative_throughput = float(cumulative[-1])
+            day += n
+            if ledger.exhausted:
+                break
+            continue
         soh = ledger.soh
         capacity_now = soh * spec.energy_capacity_0
         # Capacity fade can strand stored energy, and solver round-off can
@@ -399,40 +374,27 @@ def simulate_lifecycle(
         soc = min(max(soc, 0.0), capacity_now)
         soh_series.append(soh)
 
-        pattern_day = day % n_pattern_days
-        if pattern_day in zero_memo and soc <= _ZERO_EPS:
-            energy_rev = swap_rev = reserve_rev = labor = 0.0
-            degradation = mu_t * q_day
-            sb = -degradation
-            throughput = q_day
-            soc = soc * keep24
-        else:
-            lmp, reserve_price = prices.day(day)
-            day_input = DayInput(
-                battery=spec, lmp=lmp, reserve_price=reserve_price,
-                amdc=mu_t, swap=swap, soc_start=soc, capacity_now=capacity_now,
-                calendar_throughput_today=q_day, reserve_enabled=reserve_enabled,
-            )
-            try:
-                schedule = solve_day(day_input, model=model)
-            except (ScheduleError, lp.LPError) as exc:
-                raise type(exc)(
-                    f"{exc} [day {day}, pattern day {pattern_day}, soc_start {soc!r}, "
-                    f"capacity_now {capacity_now!r}, adjusted MDC {mu_t!r}]") from exc
-            moved = schedule.throughput_today - q_day
-            if soc <= _ZERO_EPS and moved <= _ZERO_EPS \
-                    and float(schedule.reserve_offer.sum()) <= _ZERO_EPS:
-                zero_memo.add(pattern_day)
-            energy_rev = schedule.energy_revenue
-            swap_rev = schedule.swap_revenue
-            reserve_rev = schedule.reserve_revenue
-            labor = schedule.swap_labor_cost
-            degradation = schedule.degradation_cost
-            sb = schedule.sb_star
-            throughput = schedule.throughput_today
-            # + 0.0 turns a -0.0 from HiGHS into 0.0, as on a day the memo or
-            # the idle proof skips.
-            soc = float(schedule.soc[-1]) + 0.0
+        lmp, reserve_price = prices.day(day)
+        day_input = DayInput(
+            battery=spec, lmp=lmp, reserve_price=reserve_price,
+            amdc=mu_t, swap=swap, soc_start=soc, capacity_now=capacity_now,
+            calendar_throughput_today=q_day, reserve_enabled=reserve_enabled,
+        )
+        try:
+            schedule = solve_day(day_input, model=model)
+        except (ScheduleError, lp.LPError) as exc:
+            raise type(exc)(
+                f"{exc} [day {day}, pattern day {day % prices.n_days}, soc_start {soc!r}, "
+                f"capacity_now {capacity_now!r}, adjusted MDC {mu_t!r}]") from exc
+        energy_rev = schedule.energy_revenue
+        swap_rev = schedule.swap_revenue
+        reserve_rev = schedule.reserve_revenue
+        labor = schedule.swap_labor_cost
+        degradation = schedule.degradation_cost
+        sb = schedule.sb_star
+        throughput = schedule.throughput_today
+        # + 0.0 turns a -0.0 from HiGHS into the 0.0 the idle tail carries.
+        soc = float(schedule.soc[-1]) + 0.0
 
         ledger.add(throughput)
         lb += delta * sb

@@ -57,6 +57,9 @@ class BatterySpec:
     calendar_fade_per_year: float = 0.01  # fraction of initial capacity
 
     def __post_init__(self):
+        for name in ("energy_capacity_0", "power_limit", "cycle_life", "calendar_fade_per_year"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if not 0 <= self.self_discharge < 1:

@@ -374,6 +374,14 @@ def test_out_of_range_flag_exits_2(case, tmp_path, monkeypatch):
     ("economics", "horizon_cap_years", float("nan")),
     ("swap", "labor_cost", float("inf")),
     ("swap", "swap_price", float("nan")),
+    ("battery", "cycle_life", float("nan")),
+    ("battery", "cycle_life", float("inf")),
+    ("battery", "energy_capacity_0", float("nan")),
+    ("battery", "energy_capacity_0", float("inf")),
+    ("battery", "power_limit", float("nan")),
+    ("battery", "power_limit", float("inf")),
+    ("battery", "calendar_fade_per_year", float("nan")),
+    ("battery", "calendar_fade_per_year", float("inf")),
 ])
 def test_non_finite_config_value_exits_2(section, field, value, tmp_path, monkeypatch):
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
@@ -384,8 +392,25 @@ def test_non_finite_config_value_exits_2(section, field, value, tmp_path, monkey
         data[section][field] = value
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(data))  # writes NaN and Infinity
-    TestBadInputExits2()._assert_exit_2(["sweep-price", "--config", str(path)] + FAST,
-                                        tmp_path / "out")
+    out = tmp_path / "out"
+    TestBadInputExits2()._assert_exit_2(["sweep-price", "--config", str(path)] + FAST, out)
+    if section == "battery":  # named, not blamed on the MDC it would overflow
+        assert field in json.loads((out / "error.json").read_text())["message"]
+
+
+@pytest.mark.parametrize("field", ["reserve_enabled", "include_mdc_in_cashflow"])
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_non_boolean_flag_exits_2(field, value, tmp_path, monkeypatch):
+    """A flag that is not a JSON boolean; the string "false" would be truthy."""
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    data = config_to_dict(paper_defaults())
+    data["flags"][field] = value
+    path = tmp_path / "flags.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)]
+                                        + FAST, out)
+    assert field in json.loads((out / "error.json").read_text())["message"]
 
 
 UNDYING = {"cycle_life": 1e9, "calendar_fade_per_year": 0.0}

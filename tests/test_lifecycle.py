@@ -247,55 +247,6 @@ class TestEolAnalysis:
         assert with_mdc["economic_eol_year"] <= base["economic_eol_year"]
 
 
-class TestIdleMemoExact:
-    """The idle-day memo skips solves without changing the lifecycle.
-
-    A negative ``_ZERO_EPS`` turns the memo off: no day is ever recorded as
-    idle and no day is skipped, so every day is solved.
-    """
-
-    @staticmethod
-    def _prices():
-        # Four pattern days of very different spreads: as the MDC rises the
-        # flat days idle and hit the memo while the steep ones keep trading.
-        hours = np.arange(24)
-        days = [40.0 + a * np.sin(2 * np.pi * (hours - 12) / 24)
-                for a in (2.0, 60.0, 1.0, 30.0)]
-        series = synth_price_series("flat", days=4, level=0.0, reserve_level=3.0)
-        series.lmp[:] = np.concatenate(days)
-        return series
-
-    @pytest.mark.parametrize("swap", [None, SwapTerms(60.0, 1.0, 10.0)])
-    @pytest.mark.parametrize("reserve", [False, True])
-    def test_memo_on_equals_memo_off(self, monkeypatch, econ, swap, reserve):
-        import swapval.lifecycle as lifecycle
-
-        # A fast calendar fade caps every life at 73 days; these live 9-40.
-        spec = BatterySpec(2.7, 2.7, 0.95, cycle_life=20.0, calendar_fade_per_year=1.0)
-        prices = self._prices()
-        memo_eps, real_solve = lifecycle._ZERO_EPS, lifecycle.solve_day
-        solved = []
-        monkeypatch.setattr(lifecycle, "solve_day",
-                            lambda day, **kw: solved.append(day) or real_solve(day, **kw))
-
-        def run(mu, eps):
-            monkeypatch.setattr(lifecycle, "_ZERO_EPS", eps)
-            solved.clear()
-            result = simulate_lifecycle(spec, econ, prices, mu, swap_policy=swap,
-                                        reserve_enabled=reserve, keep_daily_log=False)
-            return result, len(solved)
-
-        skipped = 0
-        for mu in (0.0, 20.0, 40.0):
-            on, solved_on = run(mu, memo_eps)
-            off, solved_off = run(mu, -1.0)
-            assert solved_off == off.days_lived
-            assert on.days_lived == off.days_lived
-            assert on.lb_star == pytest.approx(off.lb_star, rel=1e-9, abs=1e-9)
-            skipped += solved_off - solved_on
-        assert skipped > 0, "the memo never skipped a day"
-
-
 class TestWarmLifecycle:
     """Whole lifecycles on the warm daily model against cold linprog solves."""
 
@@ -341,95 +292,6 @@ class TestWarmLifecycle:
         assert again.lb_star == first.lb_star
         assert again.days_lived == first.days_lived
         assert np.array_equal(again.soh_series, first.soh_series)
-
-
-class TestIdleTailExact:
-    """The idle tail, closed out a year at a time in numpy, equals the day loop.
-
-    A stub ``_idle_days`` that always returns None leaves every day of the
-    tail to the day loop; every field of the result must match bit for bit.
-    """
-
-    # A 300-cycle battery on a 7-day sine at mu 28 trades through its first
-    # year, idles from year 2 on (the adjusted MDC rises 7% a year) and runs
-    # out of budget in the middle of year 5.
-    SPEC = BatterySpec(2.7, 2.7, 0.95, cycle_life=300.0, calendar_fade_per_year=0.03)
-    # No calendar fade and an endless cycle life: only the horizon cap stops it.
-    ETERNAL = BatterySpec(2.7, 2.7, 0.95, cycle_life=1e9, calendar_fade_per_year=0.0)
-
-    @staticmethod
-    def _run(monkeypatch, tail, spec, econ, mu, swap=None, residual_soc=0.0):
-        import swapval.lifecycle as lifecycle
-
-        closed = []
-
-        def idle_days(*args):
-            days = _idle_days(*args) if tail else None
-            closed.append(days is not None)
-            return days
-
-        def solve_with_residual(day, **kw):
-            # A carried SOC just under _ZERO_EPS, so the tail's SOC decay is live.
-            schedule = solve_day(day, **kw)
-            schedule.soc[-1] += residual_soc
-            return schedule
-
-        monkeypatch.setattr(lifecycle, "_idle_days", idle_days)
-        monkeypatch.setattr(lifecycle, "solve_day", solve_with_residual)
-        prices = synth_price_series("daily-sine", days=7, seed=3, mean=40.0, amplitude=30.0)
-        result = simulate_lifecycle(spec, econ, prices, mu, swap_policy=swap,
-                                    reserve_enabled=False, keep_daily_log=True)
-        return result, sum(closed)
-
-    @staticmethod
-    def _assert_bit_equal(got, want):
-        for field in dataclasses.fields(want):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            if field.name == "daily_log":
-                for column in dataclasses.fields(b):
-                    x, y = getattr(a, column.name), getattr(b, column.name)
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), column.name
-            elif isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
-            else:
-                assert repr(a) == repr(b), field.name
-
-    @pytest.mark.parametrize("case", ["exhausted-mid-year", "horizon-cap", "self-discharge",
-                                      "residual-soc", "swap-idle", "swap-busy"])
-    def test_tail_equals_day_loop(self, monkeypatch, econ, case):
-        spec, mu, swap, residual_soc = self.SPEC, 28.0, None, 0.0
-        if case == "horizon-cap":
-            spec, mu = self.ETERNAL, 60.0
-        elif case == "self-discharge":
-            spec = dataclasses.replace(spec, self_discharge=0.001)
-        elif case == "residual-soc":
-            spec, residual_soc = dataclasses.replace(spec, self_discharge=0.001), 5e-12
-        elif case == "swap-idle":
-            swap = SwapTerms(30.0, 1.0, 10.0)  # swapping never pays at this MDC
-        elif case == "swap-busy":
-            swap = SwapTerms(160.0, 1.0, 10.0)  # swapping pays every day: no tail
-
-        on, closed = self._run(monkeypatch, True, spec, econ, mu, swap, residual_soc)
-        off, closed_off = self._run(monkeypatch, False, spec, econ, mu, swap, residual_soc)
-        self._assert_bit_equal(on, off)
-        assert closed_off == 0
-        if case == "swap-busy":
-            assert closed == 0
-        else:
-            assert closed >= 2, "the idle tail did not run"
-        if case == "exhausted-mid-year":
-            assert on.days_lived % 365 != 0 and not on.horizon_capped
-        if case == "horizon-cap":
-            assert on.horizon_capped and on.days_lived == 365 * econ.horizon_cap_years
-        if case == "residual-soc":
-            assert 0.0 < on.daily_log.soc_end[-1] < on.daily_log.soc_end[400] <= 1e-11
-
-    def test_memo_off_turns_the_tail_off(self, monkeypatch, econ):
-        import swapval.lifecycle as lifecycle
-
-        monkeypatch.setattr(lifecycle, "_ZERO_EPS", -1.0)
-        _, closed = self._run(monkeypatch, True, self.SPEC, econ, 28.0)
-        assert closed == 0
 
 
 class TestIdleProof:
@@ -501,11 +363,10 @@ def _assert_bit_equal(got, want):
 
 
 class TestIdleProofExact:
-    """The proof only opens the idle tail early: proof on equals proof off.
+    """The idle tail equals solving every day: proof on equals proof off.
 
-    A stub ``_idle_proof`` that proves nothing leaves the memo to fill by
-    solving each pattern day; every field of the result must match bit for
-    bit.
+    A stub ``_idle_proof`` that proves nothing sends every day to the
+    solver; every field of the result must match bit for bit.
     """
 
     # A 60-cycle battery whose 20%-a-year calendar fade ends an idle life in
@@ -515,9 +376,16 @@ class TestIdleProofExact:
     # At mu 27 this one trades for 3-4 years, until the adjusted MDC has
     # risen past every pattern day's spread: the proof opens the tail then.
     MIDLIFE = BatterySpec(2.7, 2.7, 0.95, cycle_life=1000.0, calendar_fade_per_year=0.03)
+    # A 300-cycle battery on the 7-day sine of seed 3 at mu 28 trades through
+    # its first year, idles from year 2 on (the adjusted MDC rises 7% a year)
+    # and runs out of budget in the middle of year 5.
+    TAIL = BatterySpec(2.7, 2.7, 0.95, cycle_life=300.0, calendar_fade_per_year=0.03)
+    # No calendar fade and an endless cycle life: only the horizon cap stops
+    # it, and every idle day's degradation charge is exactly 0.
+    ETERNAL = BatterySpec(2.7, 2.7, 0.95, cycle_life=1e9, calendar_fade_per_year=0.0)
 
     @staticmethod
-    def _run(monkeypatch, proof, spec, days, mu, swap, reserve, log):
+    def _run(monkeypatch, proof, spec, days, mu, swap, reserve, log, seed=None):
         """The lifecycle, and the adjusted MDCs at which the proof opened the tail."""
         import swapval.lifecycle as lifecycle
 
@@ -532,7 +400,8 @@ class TestIdleProofExact:
             return proven
 
         monkeypatch.setattr(lifecycle, "_idle_proof", idle_proof)
-        prices = synth_price_series("daily-sine", days=days, seed=days, mean=40.0,
+        prices = synth_price_series("daily-sine", days=days,
+                                    seed=days if seed is None else seed, mean=40.0,
                                     amplitude=30.0, reserve_level=1.0 if reserve else 0.0)
         result = simulate_lifecycle(spec, EconomicParams(), prices, mu, swap_policy=swap,
                                     reserve_enabled=reserve, keep_daily_log=log)
@@ -553,18 +422,37 @@ class TestIdleProofExact:
             on, opened_on = self._run(monkeypatch, True, spec, days, mu, swap, reserve, log)
             off, opened_off = self._run(monkeypatch, False, spec, days, mu, swap, reserve, log)
             _assert_bit_equal(on, off)
-            assert opened_off == []
+            assert opened_off == [] and len(opened_on) <= 1
             opened += [amdc / mu for amdc in opened_on]
         assert 1.0 in opened, "the proof never opened the tail on day 0"
         if not reserve:
             assert max(opened) > 1.0, "the proof never opened the tail in mid-life"
 
-    def test_memo_off_turns_the_proof_off(self, monkeypatch):
-        import swapval.lifecycle as lifecycle
+    @pytest.mark.parametrize("case", ["exhausted-mid-year", "horizon-cap", "self-discharge",
+                                      "swap-idle", "swap-busy"])
+    def test_tail_equals_solving_every_day(self, monkeypatch, case):
+        spec, mu, swap = self.TAIL, 28.0, None
+        if case == "horizon-cap":
+            spec, mu = self.ETERNAL, 60.0
+        elif case == "self-discharge":
+            spec = dataclasses.replace(spec, self_discharge=0.001)
+        elif case == "swap-idle":
+            swap = SwapTerms(30.0, 1.0, 10.0)  # swapping never pays at this MDC
+        elif case == "swap-busy":
+            swap = SwapTerms(160.0, 1.0, 10.0)  # swapping pays every day: no tail
 
-        monkeypatch.setattr(lifecycle, "_ZERO_EPS", -1.0)
-        _, opened = self._run(monkeypatch, True, self.SPEC, 7, 100.0, None, False, False)
-        assert opened == []
+        on, opened = self._run(monkeypatch, True, spec, 7, mu, swap, False, True, seed=3)
+        off, _ = self._run(monkeypatch, False, spec, 7, mu, swap, False, True, seed=3)
+        _assert_bit_equal(on, off)
+        # The tail opens once, in year 2 (on day 0 with the eternal battery),
+        # and runs to the end of the life.
+        assert opened == ([] if case == "swap-busy" else
+                          [60.0] if case == "horizon-cap" else [28.0 * 1.07])
+        if case == "exhausted-mid-year":
+            assert on.days_lived % 365 != 0 and not on.horizon_capped
+        if case == "horizon-cap":
+            assert on.horizon_capped and on.days_lived == 365 * 30
+            assert on.daily_log.degradation_cost[-1] == 0.0
 
     def test_all_idle_lifecycle_never_solves(self, monkeypatch):
         import swapval.scheduler as scheduler
@@ -611,9 +499,9 @@ class TestBasisCertificate:
             return solve_day(day, **kw)
 
         def idle_days(*args):
-            idle = _idle_days(*args)
-            counts["tail"] += 0 if idle is None else len(idle.soh)
-            return idle
+            n, cumulative = _idle_days(*args)
+            counts["tail"] += n
+            return n, cumulative
 
         monkeypatch.setattr(HighsModel, "certify", certify_or_decline)
         monkeypatch.setattr(lifecycle, "solve_day", solve)

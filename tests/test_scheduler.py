@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import swapval.scheduler as scheduler
-from swapval.lp import solve_lp
+from swapval.lp import LPError, _verdict, solve_lp
 from swapval.market_data import synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
@@ -229,10 +229,21 @@ class TestDecomposeProfit:
                        swap=SwapTerms(160.0, 2.0, 10.0), soc_start=1.0, capacity_now=2.7,
                        calendar_throughput_today=0.5, reserve_enabled=True)
         schedule = solve_day(day)
+
+        def recheck():
+            """The feasibility re-check every solved day passes in production."""
+            x = np.concatenate([schedule.charge, schedule.discharge, schedule.swap_out,
+                                schedule.soc, schedule.reserve_offer])
+            return _verdict(build_daily_lp(day), scheduler._TOL, 0, x, "")
+
         check_schedule(schedule, day)
+        recheck()
         self.CORRUPTIONS[invariant](schedule, day)
         with pytest.raises(ScheduleError, match=invariant):
             check_schedule(schedule, day)
+        if invariant != "profit identity":  # the one invariant that is no LP row
+            with pytest.raises(LPError, match="feasibility re-check"):
+                recheck()
 
 
 class TestScheduleProperties:
