@@ -162,6 +162,9 @@ def parse_config(data: dict) -> ScenarioConfig:
         flags = Flags(**data.get("flags", {}))
         mdc_grid = [float(v) for v in data.get("mdc_grid", range(0, 101, 5))]
         price_grid = [float(v) for v in data.get("price_grid", range(0, 201, 10))]
+        for name in ("mdc_grid", "price_grid"):
+            if any(isinstance(v, bool) for v in data.get(name, ())):
+                raise ConfigError(f"{name} must hold numbers, got {data[name]!r}")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

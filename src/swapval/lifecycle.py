@@ -27,6 +27,7 @@ from swapval.scheduler import (
     DayInput,
     ScheduleError,
     SwapTerms,
+    check_numbers,
     solve_day,
 )
 
@@ -79,15 +80,13 @@ class EconomicParams:
     horizon_cap_years: int = 30  # safety stop for immortal configurations
 
     def __post_init__(self):
-        if not (math.isfinite(self.discount_rate) and self.discount_rate >= 0):
-            raise ValueError(
-                f"discount_rate must be finite and >= 0, got {self.discount_rate}")
-        if not (math.isfinite(self.fixed_om_per_kw_year) and self.fixed_om_per_kw_year >= 0):
-            raise ValueError(
-                f"fixed O&M must be finite and >= 0, got {self.fixed_om_per_kw_year}")
+        check_numbers(self)
+        if self.discount_rate < 0:
+            raise ValueError(f"discount_rate must be >= 0, got {self.discount_rate}")
+        if self.fixed_om_per_kw_year < 0:
+            raise ValueError(f"fixed O&M must be >= 0, got {self.fixed_om_per_kw_year}")
         years = self.horizon_cap_years
-        if isinstance(years, bool) or not isinstance(years, int) \
-                or not 1 <= years <= MAX_HORIZON_YEARS:
+        if not isinstance(years, int) or not 1 <= years <= MAX_HORIZON_YEARS:
             raise ValueError(f"horizon_cap_years must be an integer in "
                              f"[1, {MAX_HORIZON_YEARS}], got {years!r}")
         # The last year's MDC factor (1 + r) ** (years - 1) must be a float.
@@ -197,15 +196,15 @@ def abu(lb_star: float, budget: float) -> float:
     return lb_star / budget
 
 
-def _running_sum(start: float, step: float, n: int) -> np.ndarray:
-    """``start`` and the n values after it of ``x += step``.
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """Each row's running sum: column 0 holds the row's start, and column j
+    becomes its value after ``x += step`` for the steps in columns 1 to j.
 
     ``np.add.accumulate`` folds strictly left to right, so every value is
-    rounded exactly as the same Python loop rounds it.
+    rounded exactly as the same Python loop rounds it (``np.sum`` adds
+    pairwise and would not be).
     """
-    values = np.full(n + 1, step)
-    values[0] = start
-    return np.add.accumulate(values)
+    return np.add.accumulate(values, axis=-1)
 
 
 def _idle_days(ledger: DegradationLedger, q_day: float, n: int) -> tuple[int, np.ndarray]:
@@ -213,11 +212,12 @@ def _idle_days(ledger: DegradationLedger, q_day: float, n: int) -> tuple[int, np
 
     Each idle day draws ``q_day`` from the budget and leaves the battery
     empty.  Returns the day count and the ledger's cumulative throughput at
-    the start of each day and after the last, a running sum in the day
-    loop's order, so bit-identical to it.  The days end with the first one
-    that exhausts the budget.
+    the start of each day and after the last.  The days end with the first
+    one that exhausts the budget.
     """
-    cumulative = _running_sum(ledger.cumulative_throughput, q_day, n)
+    cumulative = np.full(n + 1, q_day)
+    cumulative[0] = ledger.cumulative_throughput
+    cumulative = _running_sums(cumulative)
     spent = np.flatnonzero(cumulative[1:] >= ledger.total_budget)
     if spent.size:
         n = int(spent[0]) + 1
@@ -271,12 +271,6 @@ def _idle_proof(spec: BatterySpec, prices: HourlyPriceSeries, amdc: float,
     return proven
 
 
-def _year_row(yearly: dict[int, dict], year: int) -> dict:
-    return yearly.setdefault(year, {
-        "year": year, "days": 0, "operating_cash": 0.0, "mdc_cost": 0.0,
-    })
-
-
 def simulate_lifecycle(
     spec: BatterySpec,
     econ: EconomicParams,
@@ -286,22 +280,30 @@ def simulate_lifecycle(
     reserve_enabled: bool = True,
     keep_daily_log: bool = True,
 ) -> LifecycleResult:
-    """Run day-by-day from fresh battery to physical EOL (or the horizon cap).
+    """Run a year at a time from fresh battery to physical EOL (or the horizon cap).
 
-    Each day solves the scheduling LP at the year-adjusted MDC and the
-    SOH-derated capacity, carries end-of-day SOC into the next morning, and
-    draws the day's throughput (plus the calendar equivalent) from the
-    budget.  Stops the first day cumulative throughput reaches the budget;
-    the final day may overshoot by at most one day's maximum throughput.
+    Each year prices throughput at its adjusted MDC and discounts its
+    profits by ``(1 + r) ** -year``.  A solved day solves the scheduling LP
+    at that MDC and the SOH-derated capacity, carries end-of-day SOC into
+    the next morning, and draws the day's throughput (plus the calendar
+    equivalent) from the budget.  The life stops the first day cumulative
+    throughput reaches the budget; the final day may overshoot by at most
+    one day's maximum throughput.
 
-    Idle tail: once a year, on a day that starts with the battery exactly
-    empty, ``_idle_proof`` tries to show without a solver that every
-    pattern day is idle at that year's adjusted MDC.  The adjusted MDC
-    never decreases and the capacity never increases as the simulation
-    advances, so when the proof holds, every later day is idle too: the
-    rest of the life is calendar fade, closed out a calendar year at a
-    time in numpy (``_idle_days``), bit-identical to solving each day.
-    Every other day is solved.
+    Idle days: at most once a year, on the first day that starts with the
+    battery exactly empty, ``_idle_proof`` tries to show without a solver
+    that every pattern day is idle at that year's adjusted MDC.  The
+    adjusted MDC never decreases and the capacity never increases as the
+    simulation advances, so when the proof holds, every later day is idle
+    too: the rest of the life is calendar fade, which ``_idle_days`` fills
+    in a year at a time, bit-identical to solving each day.  Every other
+    day is solved.
+
+    Every day of a year, solved or idle, is one column of the year's table,
+    its rows in ``DailyLog`` order.  One close-out per year folds the table
+    into the discounted objective, the three discounted revenues and the
+    year's row of ``yearly``, rounding exactly as adding day by day does.
+    ``DailyLog`` and ``soh_series`` are rows of the years' tables.
 
     The days are solved in one ``DailyModel``, each warm from the previous
     solved day; the model lives and dies with this call, so the result
@@ -316,119 +318,95 @@ def simulate_lifecycle(
     q_day = calendar_throughput_per_day(spec)
     ledger = DegradationLedger(total_budget=budget,
                                eol_capacity_fraction=spec.eol_capacity_fraction)
-    max_days = DAYS_PER_YEAR * econ.horizon_cap_years
-    rate = econ.discount_rate
 
     soc = 0.0
     idle = False  # from the day _idle_proof holds to the end of the life
-    proof_year = -1  # the last year _idle_proof was tried in
     model = DailyModel()
 
-    log_rows: list[tuple] = []
-    soh_series: list[float] = []
-    yearly: dict[int, dict] = {}
-    lb = 0.0
-    disc_energy = disc_swap = disc_reserve = 0.0
+    tables: list[np.ndarray] = []
+    yearly: list[dict] = []
+    lb = disc_energy = disc_swap = disc_reserve = 0.0
+    days = 0  # lived before this year
 
-    day = 0
-    horizon_capped = False
-    while True:
-        if day >= max_days:
-            horizon_capped = True
-            break
-        kappa = day // DAYS_PER_YEAR
-        delta = (1.0 + rate) ** (-kappa)
-        mu_t = adjusted_mdc(mu, day, econ)
-        if not idle and soc == 0.0 and proof_year < kappa:
-            # The MDC is constant within a year, so one try per year does.
-            proof_year = kappa
-            idle = bool(_idle_proof(spec, prices, mu_t, swap, reserve_enabled).all())
-        if idle:
-            # Idle days earn nothing: the discounted revenues and the
-            # operating cash would each gain exactly 0.0.  The profit is
-            # 0.0 - degradation, as on a solved idle day: 0.0, not -0.0,
-            # when the charge is 0.
-            n, cumulative = _idle_days(
-                ledger, q_day, min(DAYS_PER_YEAR * (kappa + 1), max_days) - day)
-            soh = ledger.soh_at(cumulative[:n]).tolist()
-            degradation = mu_t * q_day
-            sb = 0.0 - degradation
-            lb = float(_running_sum(lb, delta * sb, n)[-1])
-            row = _year_row(yearly, kappa + 1)
-            row["days"] += n
-            row["mdc_cost"] = float(_running_sum(row["mdc_cost"], degradation, n)[-1])
-            soh_series.extend(soh)
-            if keep_daily_log:
-                zeros = [0.0] * n
-                log_rows.extend(zip(range(day, day + n), soh, [q_day] * n, [sb] * n,
-                                    zeros, zeros, zeros, zeros, zeros, [degradation] * n))
-            ledger.cumulative_throughput = float(cumulative[-1])
-            day += n
-            if ledger.exhausted:
+    for year in range(econ.horizon_cap_years):
+        mu_t = adjusted_mdc(mu, year * DAYS_PER_YEAR, econ)
+        solved: list[tuple] = []
+        tried = idle  # the proof is not tried again once it holds
+        while len(solved) < DAYS_PER_YEAR and not ledger.exhausted:
+            if not tried and soc == 0.0:
+                # The MDC is constant within a year, so one try per year does.
+                tried = True
+                idle = bool(_idle_proof(spec, prices, mu_t, swap, reserve_enabled).all())
+            if idle:
                 break
-            continue
-        soh = ledger.soh
-        capacity_now = soh * spec.energy_capacity_0
-        # Capacity fade can strand stored energy, and solver round-off can
-        # leave SOC a hair outside [0, capacity]; clamp the carried value.
-        soc = min(max(soc, 0.0), capacity_now)
-        soh_series.append(soh)
+            day = days + len(solved)
+            soh = ledger.soh
+            capacity_now = soh * spec.energy_capacity_0
+            # Capacity fade can strand stored energy, and solver round-off can
+            # leave SOC a hair outside [0, capacity]; clamp the carried value.
+            soc = min(max(soc, 0.0), capacity_now)
 
-        lmp, reserve_price = prices.day(day)
-        day_input = DayInput(
-            battery=spec, lmp=lmp, reserve_price=reserve_price,
-            amdc=mu_t, swap=swap, soc_start=soc, capacity_now=capacity_now,
-            calendar_throughput_today=q_day, reserve_enabled=reserve_enabled,
-        )
-        try:
-            schedule = solve_day(day_input, model=model)
-        except (ScheduleError, lp.LPError) as exc:
-            raise type(exc)(
-                f"{exc} [day {day}, pattern day {day % prices.n_days}, soc_start {soc!r}, "
-                f"capacity_now {capacity_now!r}, adjusted MDC {mu_t!r}]") from exc
-        energy_rev = schedule.energy_revenue
-        swap_rev = schedule.swap_revenue
-        reserve_rev = schedule.reserve_revenue
-        labor = schedule.swap_labor_cost
-        degradation = schedule.degradation_cost
-        sb = schedule.sb_star
-        throughput = schedule.throughput_today
-        # + 0.0 turns a -0.0 from HiGHS into the 0.0 the idle tail carries.
-        soc = float(schedule.soc[-1]) + 0.0
+            lmp, reserve_price = prices.day(day)
+            day_input = DayInput(
+                battery=spec, lmp=lmp, reserve_price=reserve_price,
+                amdc=mu_t, swap=swap, soc_start=soc, capacity_now=capacity_now,
+                calendar_throughput_today=q_day, reserve_enabled=reserve_enabled,
+            )
+            try:
+                schedule = solve_day(day_input, model=model)
+            except (ScheduleError, lp.LPError) as exc:
+                raise type(exc)(
+                    f"{exc} [day {day}, pattern day {day % prices.n_days}, "
+                    f"soc_start {soc!r}, capacity_now {capacity_now!r}, "
+                    f"adjusted MDC {mu_t!r}]") from exc
+            # + 0.0 turns a -0.0 from HiGHS into the 0.0 of an idle day.
+            soc = float(schedule.soc[-1]) + 0.0
+            ledger.add(schedule.throughput_today)
+            solved.append((soh, schedule.throughput_today, schedule.sb_star, soc,
+                           schedule.energy_revenue, schedule.swap_revenue,
+                           schedule.reserve_revenue, schedule.swap_labor_cost,
+                           schedule.degradation_cost))
 
-        ledger.add(throughput)
-        lb += delta * sb
-        disc_energy += delta * energy_rev
-        disc_swap += delta * swap_rev
-        disc_reserve += delta * reserve_rev
+        # Idle days fill the rest of the year once the proof holds.
+        n = len(solved)
+        n_idle, cumulative = _idle_days(ledger, q_day, DAYS_PER_YEAR - n if idle else 0)
+        ledger.cumulative_throughput = float(cumulative[-1])
+        table = np.empty((9, n + n_idle))
+        if solved:
+            table[:, :n] = np.array(solved).T
+        # Idle days earn nothing.  The profit is 0.0 - charge, as on a solved
+        # idle day: 0.0, not -0.0, when the degradation charge is 0.
+        charge = mu_t * q_day
+        table[0, n:] = ledger.soh_at(cumulative[:n_idle])
+        table[1:, n:] = np.array([q_day, 0.0 - charge, 0.0, 0.0, 0.0, 0.0, 0.0, charge])[:, None]
 
-        row = _year_row(yearly, kappa + 1)
-        row["days"] += 1
-        row["operating_cash"] += energy_rev + swap_rev + reserve_rev - labor
-        row["mdc_cost"] += degradation
-
-        if keep_daily_log:
-            log_rows.append((day, soh, throughput, sb, soc,
-                             energy_rev, swap_rev, reserve_rev, labor, degradation))
-
-        day += 1
+        # The year's close-out folds the days onto the running values: the
+        # discounted profit and revenues (sb_star, energy, swap, reserve),
+        # and the year's operating cash and degradation charge.
+        delta = (1.0 + econ.discount_rate) ** (-year)
+        energy, swap_rev, reserve, labor, degradation = table[4:]
+        values = np.empty((6, n + n_idle + 1))
+        values[:, 0] = lb, disc_energy, disc_swap, disc_reserve, 0.0, 0.0
+        np.multiply(delta, table[[2, 4, 5, 6]], out=values[:4, 1:])
+        values[4, 1:] = energy + swap_rev + reserve - labor
+        values[5, 1:] = degradation
+        lb, disc_energy, disc_swap, disc_reserve, cash, mdc_cost = \
+            _running_sums(values)[:, -1].tolist()
+        yearly.append({"year": year + 1, "days": n + n_idle,
+                       "operating_cash": cash, "mdc_cost": mdc_cost})
+        tables.append(table)
+        days += n + n_idle
         if ledger.exhausted:
             break
 
-    days_lived = day
-    physical_year = None if horizon_capped else (days_lived - 1) // DAYS_PER_YEAR + 1
-
-    log = None
-    if keep_daily_log and log_rows:
-        cols = [np.array(c) for c in zip(*log_rows)]
-        log = DailyLog(*cols)
-
+    horizon_capped = not ledger.exhausted
+    log = DailyLog(np.arange(days), *np.concatenate(tables, axis=1)) if keep_daily_log else None
     result = LifecycleResult(
         mu=mu,
         lb_star=lb,
         abu=abu(lb, budget),
-        days_lived=days_lived,
-        physical_eol_year=physical_year,
+        days_lived=days,
+        physical_eol_year=None if horizon_capped else len(yearly),
         economic_eol_year=None,
         horizon_capped=horizon_capped,
         cumulative_throughput=ledger.cumulative_throughput,
@@ -437,8 +415,8 @@ def simulate_lifecycle(
         discounted_reserve_revenue=disc_reserve,
         discounted_energy_revenue=disc_energy,
         discounted_swap_revenue=disc_swap,
-        yearly=[yearly[y] for y in sorted(yearly)],
-        soh_series=np.array(soh_series),
+        yearly=yearly,
+        soh_series=np.concatenate([table[0] for table in tables]),
         daily_log=log,
     )
     eol = eol_analysis(result, spec, econ)

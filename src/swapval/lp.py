@@ -126,19 +126,19 @@ _STATUS = {
 
 _OK = _highs.HighsStatus.kOk
 
-
-def _highs_tolerance(tol: float) -> float:
-    return max(tol / 10.0, 1e-10)
-
+# Feasibility tolerance of every solve: the re-check accepts bound and row
+# violations up to ``10 * _TOL * _scale(lp)``.  HiGHS runs at _HIGHS_TOL,
+# its primal and dual feasibility tolerances.
+_TOL = 1e-9
+_HIGHS_TOL = 1e-10
 
 # Basis certificate tolerances.  A reduced cost within _TIE of 0 keeps its
-# variable's bound: HiGHS, at its 1e-10 dual tolerance, leaves such a
+# variable's bound: HiGHS, at its _HIGHS_TOL dual tolerance, leaves such a
 # variable where it is too.  One between _TIE and _CLEAR is too close to
 # call, so the day goes to HiGHS.  Basic values may leave their bounds by
-# _PRIMAL, the HiGHS primal feasibility tolerance.
+# _HIGHS_TOL, as in a HiGHS optimum.
 _TIE = 1e-12
 _CLEAR = 1e-9
-_PRIMAL = 1e-10
 
 
 class HighsModel:
@@ -169,7 +169,6 @@ class HighsModel:
         self._bounded_t = np.vstack((lp.A.T, -np.eye(m)))
         self._bounded_index = np.concatenate((np.arange(n + m - 1, n - 1, -1), np.arange(n)))
         self._cols = np.arange(n, dtype=np.int32)
-        self._tol: float | None = None
         # Changes HiGHS has not seen yet: costs, column bounds, row bounds.
         self._stale_cost = False
         self._stale_cols = np.zeros(n, dtype=bool)
@@ -196,6 +195,8 @@ class HighsModel:
         matrix.value_ = lp.A[rows, cols]
         self._highs = _highs._Highs()
         self._highs.setOptionValue("output_flag", False)
+        for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
+            self._highs.setOptionValue(option, _HIGHS_TOL)
         if self._highs.passModel(program) == _highs.HighsStatus.kError:
             raise LPError("HiGHS rejected the program")
 
@@ -239,14 +240,10 @@ class HighsModel:
             highs.changeRowBounds(row, self.lp.row_lower[row], self.lp.row_upper[row])
         self._stale_rows.clear()
 
-    def run(self, tol: float) -> tuple[int, np.ndarray | None, str]:
+    def run(self) -> tuple[int, np.ndarray | None, str]:
         """Re-solve from the current basis: (status code, x, message)."""
         highs = self._highs
         self._sync()
-        if tol != self._tol:
-            for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-                highs.setOptionValue(option, _highs_tolerance(tol))
-            self._tol = tol
         self._solved = self._basis = None
         if highs.run() == _highs.HighsStatus.kError:
             return 4, None, "HiGHS run failed"
@@ -276,7 +273,7 @@ class HighsModel:
         sign = np.where(basic < self.lp.n_vars, -1.0, 1.0)
         return basic, nonbasic, self._bounded_t[nonbasic], at_upper, sign
 
-    def certify(self, tol: float = 1e-9) -> LPSolution | None:
+    def certify(self) -> LPSolution | None:
         """The optimum of the current program, proven without HiGHS, or None.
 
         The basis of the last run stays optimal for changed costs and bounds
@@ -291,7 +288,7 @@ class HighsModel:
         the basis matrix use the factor HiGHS holds from that run: nothing
         passes HiGHS a change before the next run.
 
-        The point passes the feasibility re-check of ``solve_lp`` at ``tol``.
+        The point passes the feasibility re-check of ``solve_lp``.
         """
         if self._basis is None:
             if self._solved is None:
@@ -317,16 +314,15 @@ class HighsModel:
         point = np.empty(len(cost))
         point[nonbasic] = value
         point[basic] = sign * solved
-        if status != _OK or not ((point - lo).min() >= -_PRIMAL
-                                 and (hi - point).min() >= -_PRIMAL):
+        if status != _OK or not ((point - lo).min() >= -_HIGHS_TOL
+                                 and (hi - point).min() >= -_HIGHS_TOL):
             return None
         self._basis = basic, nonbasic, bounded_n, at_upper, sign
-        return _verdict(self.lp, tol, 0, point[:self.lp.n_vars], "")
+        return _verdict(self.lp, 0, point[:self.lp.n_vars], "")
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9,
-             model: HighsModel | None = None) -> LPSolution:
-    """Maximize the program, verifying primal feasibility against tol.
+def solve_lp(lp: LinearProgram, model: HighsModel | None = None) -> LPSolution:
+    """Maximize the program, verifying primal feasibility against ``_TOL``.
 
     Without ``model`` the program is loaded into a fresh ``HighsModel`` and
     solved from scratch; with one (whose ``lp`` is this program) HiGHS
@@ -337,17 +333,14 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
     LPError if the solver reports success but the solution fails the
     feasibility re-check.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if model is None:
         model = HighsModel(lp)
     elif model.lp is not lp:
         raise ValueError("model holds a different program")
-    return _verdict(lp, tol, *model.run(tol))
+    return _verdict(lp, *model.run())
 
 
-def _verdict(lp: LinearProgram, tol: float, status: int, x: np.ndarray | None,
-             message: str) -> LPSolution:
+def _verdict(lp: LinearProgram, status: int, x: np.ndarray | None, message: str) -> LPSolution:
     """The LPSolution for a solver's status code and point, after the
     feasibility re-check."""
     if status == 2:
@@ -360,7 +353,7 @@ def _verdict(lp: LinearProgram, tol: float, status: int, x: np.ndarray | None,
         raise LPError(f"solver failure: {message}")
 
     x = np.asarray(x, dtype=float)
-    atol = tol * _scale(lp) * 10.0
+    atol = _TOL * _scale(lp) * 10.0
     viol = residuals(lp, x)
     if viol["bounds"] > atol or viol["constraints"] > atol:
         raise LPError(f"solution failed feasibility re-check: {viol} > {atol}")

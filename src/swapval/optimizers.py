@@ -21,7 +21,7 @@ import numpy as np
 
 from swapval.lifecycle import EconomicParams, LifecycleResult, simulate_lifecycle
 from swapval.market_data import HourlyPriceSeries
-from swapval.scheduler import BatterySpec, SwapTerms
+from swapval.scheduler import BatterySpec, SwapTerms, check_numbers
 
 
 # Most points one grid may hold: each is a whole lifecycle.
@@ -40,10 +40,11 @@ class DemandPriceCurve:
     intercept: float  # $/MWh at zero demand, > 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.slope) and self.slope < 0):
-            raise ValueError(f"slope must be finite and negative, got {self.slope}")
-        if not (math.isfinite(self.intercept) and self.intercept > 0):
-            raise ValueError(f"intercept must be finite and positive, got {self.intercept}")
+        check_numbers(self)
+        if self.slope >= 0:
+            raise ValueError(f"slope must be negative, got {self.slope}")
+        if self.intercept <= 0:
+            raise ValueError(f"intercept must be positive, got {self.intercept}")
 
 
 @dataclass

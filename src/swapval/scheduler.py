@@ -34,8 +34,14 @@ TIE_BREAK_EPS = 1e-7
 # derated capacity.
 _H = 24
 _SWAP_AND_SOC = slice(2 * _H, 4 * _H)
-# Feasibility tolerance of every daily solve, certified or not.
-_TOL = 1e-9
+
+
+def check_numbers(obj) -> None:
+    """Raise ValueError naming the first field of ``obj`` that is not a
+    finite number.  A bool (JSON's true or false) is not one."""
+    for name, value in vars(obj).items():
+        if isinstance(value, bool) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class ScheduleError(RuntimeError):
@@ -57,9 +63,7 @@ class BatterySpec:
     calendar_fade_per_year: float = 0.01  # fraction of initial capacity
 
     def __post_init__(self):
-        for name in ("energy_capacity_0", "power_limit", "cycle_life", "calendar_fade_per_year"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_numbers(self)
         if not 0 < self.efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
         if not 0 <= self.self_discharge < 1:
@@ -84,9 +88,7 @@ class SwapTerms:
     labor_cost: float = 10.0  # $/MWh delivered
 
     def __post_init__(self):
-        for name in ("swap_price", "daily_swap_cap", "labor_cost"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_numbers(self)
         if self.swap_price < 0:
             raise ValueError(f"swap_price must be >= 0, got {self.swap_price}")
         if self.daily_swap_cap < 0:
@@ -263,9 +265,9 @@ def solve_day(day: DayInput, *, model: DailyModel | None = None) -> DailySchedul
     """
     daily = DailyModel() if model is None else model
     held = daily.load(day)
-    sol = held.certify(_TOL)
+    sol = held.certify()
     if sol is None:
-        sol = solve_lp(held.lp, _TOL, model=held)
+        sol = solve_lp(held.lp, model=held)
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "

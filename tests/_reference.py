@@ -25,7 +25,7 @@ from swapval.lp import (
     DimensionError,
     LinearProgram,
     LPSolution,
-    _highs_tolerance,
+    _HIGHS_TOL,
     _scale,
     _verdict,
 )
@@ -43,7 +43,7 @@ _ORACLE_MAX_VARS = 12
 _ORACLE_CHUNK_ELEMS = 4_000_000
 
 
-def solve_lp_linprog(lp: LinearProgram, tol: float = 1e-9, max_iter: int | None = None,
+def solve_lp_linprog(lp: LinearProgram, max_iter: int | None = None,
                      model=None) -> LPSolution:
     """``solve_lp`` through a cold ``linprog`` solve, with the same verdict.
 
@@ -65,8 +65,8 @@ def solve_lp_linprog(lp: LinearProgram, tol: float = 1e-9, max_iter: int | None 
 
     options = {
         "presolve": True,
-        "primal_feasibility_tolerance": _highs_tolerance(tol),
-        "dual_feasibility_tolerance": _highs_tolerance(tol),
+        "primal_feasibility_tolerance": _HIGHS_TOL,
+        "dual_feasibility_tolerance": _HIGHS_TOL,
     }
     if max_iter is not None:
         options["maxiter"] = max_iter
@@ -78,7 +78,7 @@ def solve_lp_linprog(lp: LinearProgram, tol: float = 1e-9, max_iter: int | None 
         method="highs",
         options=options,
     )
-    return _verdict(lp, tol, result.status, result.x, result.message)
+    return _verdict(lp, result.status, result.x, result.message)
 
 
 def oracle_cost(lp: LinearProgram) -> int:

@@ -382,20 +382,29 @@ def test_out_of_range_flag_exits_2(case, tmp_path, monkeypatch):
     ("battery", "power_limit", float("inf")),
     ("battery", "calendar_fade_per_year", float("nan")),
     ("battery", "calendar_fade_per_year", float("inf")),
+    # A JSON boolean is no number, though Python's bool is an int.
+    ("battery", "cycle_life", True),
+    ("battery", "efficiency", True),
+    ("swap", "swap_price", True),
+    ("economics", "discount_rate", False),
+    ("demand_curve", "intercept", True),
+    ("mdc_grid", None, [0, True]),
+    ("price_grid", None, [False, 10]),
 ])
 def test_non_finite_config_value_exits_2(section, field, value, tmp_path, monkeypatch):
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
     data = config_to_dict(paper_defaults())
     if field is None:
         data[section] = value
-    else:
-        data[section][field] = value
+    else:  # the preset has no demand curve
+        data[section] = {**(data[section] or {"slope": -10.0, "intercept": 180.0}), field: value}
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(data))  # writes NaN and Infinity
     out = tmp_path / "out"
     TestBadInputExits2()._assert_exit_2(["sweep-price", "--config", str(path)] + FAST, out)
-    if section == "battery":  # named, not blamed on the MDC it would overflow
-        assert field in json.loads((out / "error.json").read_text())["message"]
+    boolean = any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value]))
+    if section == "battery" or boolean:  # named, not blamed on the MDC or taken as 1 or 0
+        assert (field or section) in json.loads((out / "error.json").read_text())["message"]
 
 
 @pytest.mark.parametrize("field", ["reserve_enabled", "include_mdc_in_cashflow"])

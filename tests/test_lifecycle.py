@@ -469,6 +469,77 @@ class TestIdleProofExact:
         assert not result.daily_log.throughput.max() > calendar_throughput_per_day(self.SPEC)
 
 
+def _busy_prices(tmp_path):
+    """The lifecycle-busy benchmark's prices: a 365-day sine CSV with reserve
+    prices, as read back from the file."""
+    from swapval.market_data import load_price_series, write_series
+
+    path = str(tmp_path / "prices.csv")
+    write_series(synth_price_series("daily-sine", days=365, seed=3, reserve_level=5.0,
+                                    mean=40.0, amplitude=30.0), path)
+    return load_price_series(path)
+
+
+class TestYearCloseOut:
+    """A year's close-out adds its days in order, as a plain Python loop does."""
+
+    @pytest.mark.parametrize("case", ["lifecycle-busy", "idle-tail"])
+    def test_close_out_equals_left_fold(self, case, tmp_path):
+        econ = EconomicParams(discount_rate=0.07)
+        if case == "lifecycle-busy":  # simulated at mu 35 with the paper swap terms
+            result = simulate_lifecycle(BatterySpec(2.7, 2.7, 0.95), econ, _busy_prices(tmp_path),
+                                        35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
+        else:  # trades through year 1, idles from year 2, dies in year 5
+            prices = synth_price_series("daily-sine", days=7, seed=3, mean=40.0, amplitude=30.0)
+            result = simulate_lifecycle(TestIdleProofExact.TAIL, econ, prices, 28.0)
+            assert 4 * 365 < result.days_lived < 5 * 365
+        log = {field.name: getattr(result.daily_log, field.name).tolist()
+               for field in dataclasses.fields(result.daily_log)}
+        lb = energy = swap = reserve = 0.0
+        cash, mdc_cost = {}, {}
+        for t in range(result.days_lived):
+            year = t // 365
+            delta = (1.0 + econ.discount_rate) ** (-year)
+            lb += delta * log["sb_star"][t]
+            energy += delta * log["energy_revenue"][t]
+            swap += delta * log["swap_revenue"][t]
+            reserve += delta * log["reserve_revenue"][t]
+            cash[year] = cash.get(year, 0.0) + (
+                log["energy_revenue"][t] + log["swap_revenue"][t] + log["reserve_revenue"][t]
+                - log["labor_cost"][t])
+            mdc_cost[year] = mdc_cost.get(year, 0.0) + log["degradation_cost"][t]
+        assert result.lb_star == lb
+        assert (result.discounted_energy_revenue, result.discounted_swap_revenue,
+                result.discounted_reserve_revenue) == (energy, swap, reserve)
+        assert [(row["operating_cash"], row["mdc_cost"]) for row in result.yearly] \
+            == [(cash[year], mdc_cost[year]) for year in sorted(cash)]
+        assert result.soh_series.tolist() == log["soh"]
+
+    def test_budget_runs_out_on_the_caps_last_day(self):
+        """The paper battery at mu 100 on the paper-defaults year never cycles
+        and lives exactly 20 years."""
+        from swapval.config import paper_defaults, resolve_prices
+
+        config = paper_defaults()
+        prices = resolve_prices(config)
+
+        def run(cap):
+            econ = dataclasses.replace(config.economics, horizon_cap_years=cap)
+            return simulate_lifecycle(config.battery, econ, prices, 100.0,
+                                      swap_policy=config.swap, keep_daily_log=False)
+
+        at_cap = run(20)
+        assert at_cap.days_lived == 7300 and not at_cap.horizon_capped
+        assert at_cap.physical_eol_year == 20
+        _assert_bit_equal(at_cap, run(21))
+        capped = run(19)
+        assert capped.horizon_capped and capped.days_lived == 6935
+        assert capped.physical_eol_year is None
+        # Without the daily log, the SOH series owns its data, not a view
+        # that keeps the lifecycle's whole daily table alive.
+        assert at_cap.soh_series.base is None and len(at_cap.soh_series) == 7300
+
+
 class TestBasisCertificate:
     """Days proven optimal from the last HiGHS basis change no lifecycle.
 
@@ -563,11 +634,7 @@ class TestBasisCertificate:
         """The lifecycle-busy benchmark's inputs: a 365-day sine CSV with reserve
         prices, simulated at mu 35 with the paper-defaults swap terms."""
         import swapval.scheduler as scheduler
-        from swapval.market_data import load_price_series, write_series
 
-        path = str(tmp_path / "prices.csv")
-        write_series(synth_price_series("daily-sine", days=365, seed=3, reserve_level=5.0,
-                                        mean=40.0, amplitude=30.0), path)
         runs, certified = [], []
         real_solve_lp = scheduler.solve_lp
 
@@ -579,7 +646,7 @@ class TestBasisCertificate:
         monkeypatch.setattr(scheduler, "solve_lp",
                             lambda *args, **kw: runs.append(1) or real_solve_lp(*args, **kw))
         monkeypatch.setattr(HighsModel, "certify", certify)
-        result = simulate_lifecycle(self.PAPER, EconomicParams(), load_price_series(path),
+        result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
                                     35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
         assert len(certified) == result.days_lived  # every day is solved
         assert 0 < len(runs) == len(certified) - sum(certified) < len(certified) / 2

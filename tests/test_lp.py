@@ -6,6 +6,7 @@ from swapval.lp import (
     HighsModel,
     IterationLimitError,
     LinearProgram,
+    _TOL,
     residuals,
     solve_lp,
 )
@@ -115,15 +116,14 @@ def test_objective_scaling_property(rng):
 
 
 def test_feasibility_residuals_within_tol(rng):
-    tol = 1e-9
     for _ in range(50):
         lp = random_lp(rng, max_vars=7, max_rows=8)
-        sol = solve_lp(lp, tol=tol)
+        sol = solve_lp(lp)
         viol = residuals(lp, sol.x)
         rows = np.concatenate((lp.row_lower, lp.row_upper))
         scale = max(1.0, float(np.abs(rows[np.isfinite(rows)]).max(initial=0.0)))
-        assert viol["bounds"] <= tol * scale * 10
-        assert viol["constraints"] <= tol * scale * 10
+        assert viol["bounds"] <= _TOL * scale * 10
+        assert viol["constraints"] <= _TOL * scale * 10
         assert sol.objective_value == pytest.approx(float(lp.objective @ sol.x))
 
 

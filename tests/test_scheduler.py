@@ -234,7 +234,7 @@ class TestDecomposeProfit:
             """The feasibility re-check every solved day passes in production."""
             x = np.concatenate([schedule.charge, schedule.discharge, schedule.swap_out,
                                 schedule.soc, schedule.reserve_offer])
-            return _verdict(build_daily_lp(day), scheduler._TOL, 0, x, "")
+            return _verdict(build_daily_lp(day), 0, x, "")
 
         check_schedule(schedule, day)
         recheck()
