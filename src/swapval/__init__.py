@@ -30,6 +30,7 @@ from swapval.scheduler import (
     ScheduleError,
     build_daily_lp,
     solve_day,
+    solve_one_day,
 )
 from swapval.lifecycle import (
     DegradationLedger,

@@ -24,7 +24,6 @@ from swapval.scheduler import (
     TIE_BREAK_EPS,
     BatterySpec,
     DailyModel,
-    DayInput,
     ScheduleError,
     SwapTerms,
     check_numbers,
@@ -306,9 +305,10 @@ def simulate_lifecycle(
     ``DailyLog`` and ``soh_series`` are rows of the years' tables.
 
     The days are solved in one ``DailyModel``, each warm from the previous
-    solved day; the model lives and dies with this call, so the result
-    depends only on its arguments.  A solver failure is re-raised with the
-    day, pattern day, SOC, capacity and adjusted MDC added to its message.
+    solved day, and priced once a year, on its first solved day.  The model
+    lives and dies with this call, so the result depends only on its
+    arguments.  A solver failure is re-raised with the day, pattern day,
+    SOC, capacity and adjusted MDC added to its message.
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -321,7 +321,7 @@ def simulate_lifecycle(
 
     soc = 0.0
     idle = False  # from the day _idle_proof holds to the end of the life
-    model = DailyModel()
+    model = DailyModel(spec, prices, swap, reserve_enabled, q_day)
 
     tables: list[np.ndarray] = []
     yearly: list[dict] = []
@@ -346,14 +346,10 @@ def simulate_lifecycle(
             # leave SOC a hair outside [0, capacity]; clamp the carried value.
             soc = min(max(soc, 0.0), capacity_now)
 
-            lmp, reserve_price = prices.day(day)
-            day_input = DayInput(
-                battery=spec, lmp=lmp, reserve_price=reserve_price,
-                amdc=mu_t, swap=swap, soc_start=soc, capacity_now=capacity_now,
-                calendar_throughput_today=q_day, reserve_enabled=reserve_enabled,
-            )
             try:
-                schedule = solve_day(day_input, model=model)
+                if not solved:  # the year's first solved day prices the year
+                    model.price(mu_t)
+                schedule = solve_day(model, day, soc, capacity_now)
             except (ScheduleError, lp.LPError) as exc:
                 raise type(exc)(
                     f"{exc} [day {day}, pattern day {day % prices.n_days}, "

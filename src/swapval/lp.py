@@ -99,12 +99,11 @@ def _row_bounds_ok(lower, upper):
     return (lower <= upper) & (lower < np.inf) & (upper > -np.inf)
 
 
-def residuals(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
-    """Worst-case feasibility violations of x (0 means satisfied)."""
-    bound_viol = float(np.maximum(lp.lower - x, x - lp.upper).max(initial=0.0))
+def residuals(lp: LinearProgram, x: np.ndarray) -> tuple[float, float]:
+    """x's worst column bound and row violations (0 means satisfied)."""
     r = lp.A @ x
-    viol = np.maximum(lp.row_lower - r, r - lp.row_upper)
-    return {"bounds": bound_viol, "constraints": float(viol.max(initial=0.0))}
+    return (float(np.maximum(lp.lower - x, x - lp.upper).max(initial=0.0)),
+            float(np.maximum(lp.row_lower - r, r - lp.row_upper).max(initial=0.0)))
 
 
 def _scale(lp: LinearProgram) -> float:
@@ -144,11 +143,11 @@ _CLEAR = 1e-9
 class HighsModel:
     """One LinearProgram kept loaded in a HiGHS instance across solves.
 
-    Change the program only through ``set_objective``, ``set_upper`` and
-    ``set_row_bounds``: each updates ``lp`` at once and HiGHS before its next
-    run.  HiGHS keeps its basis through such changes, so ``solve_lp(model.lp,
-    model=model)`` restarts the simplex from the previous optimum, and
-    ``certify`` can often prove the changed program optimal without it.
+    Change the program only through ``set_objective``, ``set_upper``,
+    ``set_row_bounds`` and ``set_day``: each updates ``lp`` at once and HiGHS
+    before its next run.  HiGHS keeps its basis through such changes, so
+    ``solve_lp(model.lp, model=model)`` restarts the simplex from the previous
+    optimum, and ``certify`` can often prove the changed program optimal.
 
     The program is held in bounded form: columns x and row activities r = Ax
     are the n + m variables of ``[A, -I] (x, r) = 0``, each in its box
@@ -173,6 +172,8 @@ class HighsModel:
         self._stale_cost = False
         self._stale_cols = np.zeros(n, dtype=bool)
         self._stale_rows: set[int] = set()
+        # The re-check's scale; None (as a bound setter leaves it) is _scale(lp).
+        self.scale: float | None = None
         # The optimal point of the last run, until certify reads its basis.
         self._solved: np.ndarray | None = None
         self._basis: tuple | None = None
@@ -207,23 +208,31 @@ class HighsModel:
         self._stale_cost = True
 
     def set_upper(self, cols: slice, value) -> None:
-        """Set the upper bounds of ``cols``: one float for all, or one per column."""
-        lower = self.lp.lower[cols]
-        if isinstance(value, float):
-            finite = math.isfinite(value)
-        else:
-            value = np.broadcast_to(np.asarray(value, dtype=float), lower.shape)
-            finite = np.isfinite(value).all()
-        if not (finite and (lower <= value).all()):
+        """Set the upper bounds of ``cols``: one value for all, or one per column."""
+        value = np.asarray(value, dtype=float)
+        if not (np.isfinite(value).all() and (self.lp.lower[cols] <= value).all()):
             raise DimensionError("upper bounds must be finite and >= lower")
         self.lp.upper[cols] = value
         self._stale_cols[cols] = True
+        self.scale = None
 
     def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
         if not _row_bounds_ok(lower, upper):
             raise DimensionError(f"row bounds ({lower}, {upper}) admit no activity")
         self.lp.row_lower[row] = lower
         self.lp.row_upper[row] = upper
+        self._stale_rows.add(row)
+        self.scale = None
+
+    def set_day(self, cost: np.ndarray, cols: slice, upper: float, row: int,
+                value: float) -> None:
+        """Set all costs, ``cols``' upper bound and ``row``'s bounds, unchecked;
+        the caller vouches for them and sets ``scale``."""
+        self.lp.objective[:] = cost
+        self.lp.upper[cols] = upper
+        self.lp.row_lower[row] = self.lp.row_upper[row] = value
+        self._stale_cost = True
+        self._stale_cols[cols] = True
         self._stale_rows.add(row)
 
     def _sync(self) -> None:
@@ -302,23 +311,27 @@ class HighsModel:
         status, y = highs.getBasisTransposeSolve(cost[basic])
         reduced = cost[nonbasic] - bounded_n @ y
         size = np.abs(reduced)
+        tied = size <= _TIE
         # A fixed variable (an equality row's) too close to call declines
         # too: rare, and safe.
-        if status != _OK or ((size > _TIE) & (size < _CLEAR)).any():
+        if status != _OK or np.count_nonzero(size < _CLEAR) != np.count_nonzero(tied):
             return None
-        at_upper = np.where(size <= _TIE, at_upper, reduced > 0.0)
+        at_upper = np.where(tied, at_upper, reduced > 0.0)
         value = np.where(at_upper, hi[nonbasic], lo[nonbasic])
         if not math.isfinite(value.sum()):  # a row favoured at an infinite bound
             return None
         status, solved = highs.getBasisSolve(value @ bounded_n)
+        solved = sign * solved
+        # Each nonbasic variable sits at one of its bounds, so only the basic
+        # ones can leave their boxes.
+        if status != _OK or not np.maximum(lo[basic] - solved,
+                                           solved - hi[basic]).max() <= _HIGHS_TOL:
+            return None
         point = np.empty(len(cost))
         point[nonbasic] = value
-        point[basic] = sign * solved
-        if status != _OK or not ((point - lo).min() >= -_HIGHS_TOL
-                                 and (hi - point).min() >= -_HIGHS_TOL):
-            return None
+        point[basic] = solved
         self._basis = basic, nonbasic, bounded_n, at_upper, sign
-        return _verdict(self.lp, 0, point[:self.lp.n_vars], "")
+        return _verdict(self.lp, 0, point[:self.lp.n_vars], "", self.scale)
 
 
 def solve_lp(lp: LinearProgram, model: HighsModel | None = None) -> LPSolution:
@@ -337,12 +350,14 @@ def solve_lp(lp: LinearProgram, model: HighsModel | None = None) -> LPSolution:
         model = HighsModel(lp)
     elif model.lp is not lp:
         raise ValueError("model holds a different program")
-    return _verdict(lp, *model.run())
+    return _verdict(lp, *model.run(), model.scale)
 
 
-def _verdict(lp: LinearProgram, status: int, x: np.ndarray | None, message: str) -> LPSolution:
+def _verdict(lp: LinearProgram, status: int, x: np.ndarray | None, message: str,
+             scale: float | None = None) -> LPSolution:
     """The LPSolution for a solver's status code and point, after the
-    feasibility re-check."""
+    feasibility re-check: every bound and row holds within ``10 * _TOL *
+    scale``, where ``scale`` is ``_scale(lp)`` unless given."""
     if status == 2:
         return LPSolution("infeasible", None, None)
     if status == 3:
@@ -353,8 +368,9 @@ def _verdict(lp: LinearProgram, status: int, x: np.ndarray | None, message: str)
         raise LPError(f"solver failure: {message}")
 
     x = np.asarray(x, dtype=float)
-    atol = _TOL * _scale(lp) * 10.0
-    viol = residuals(lp, x)
-    if viol["bounds"] > atol or viol["constraints"] > atol:
-        raise LPError(f"solution failed feasibility re-check: {viol} > {atol}")
+    atol = _TOL * (_scale(lp) if scale is None else scale) * 10.0
+    bounds, rows = residuals(lp, x)
+    if not (bounds <= atol and rows <= atol):
+        raise LPError(f"solution failed feasibility re-check: bounds {bounds:.3g}, "
+                      f"rows {rows:.3g} > {atol:.3g}")
     return LPSolution("optimal", x, float(lp.objective @ x))

@@ -61,15 +61,6 @@ class HourlyPriceSeries:
     def n_days(self) -> int:
         return len(self.lmp) // 24
 
-    def day(self, day_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """24-hour (lmp, reserve) slice for a day, tiling the series day-wise.
-
-        ``day_index`` may exceed the stored span; it wraps modulo ``n_days``
-        so one representative year repeats over the battery lifetime.
-        """
-        d = day_index % self.n_days
-        return (self.lmp[24 * d : 24 * (d + 1)], self.reserve_price[24 * d : 24 * (d + 1)])
-
 
 def validate_series(series: HourlyPriceSeries) -> None:
     """Check the series invariants, raising PriceDataError on violation."""
@@ -105,6 +96,17 @@ def _parse_number(cell: str, what: str, row: int) -> float:
     return value
 
 
+def _floats(columns) -> np.ndarray | None:
+    """The cells as floats, each stripped and read by ``float`` as in ``_parse_number``;
+    None if ``float`` rejects one or one holds an underscore, which it reads."""
+    if any("_" in "".join(column) for column in columns):
+        return None
+    try:
+        return np.array([[float(cell) for cell in map(str.strip, column)] for column in columns])
+    except ValueError:
+        return None
+
+
 def load_price_series(path: str | os.PathLike, schema: dict | None = None) -> HourlyPriceSeries:
     """Read and validate an hourly price CSV.
 
@@ -124,41 +126,48 @@ def load_price_series(path: str | os.PathLike, schema: dict | None = None) -> Ho
             data rows (header excluded).
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
-    hour_col = schema.get("hour")
-    lmp_col = schema.get("lmp")
-    reserve_col = schema.get("reserve")
+    hour_col, lmp_col = schema.get("hour"), schema.get("lmp")
+    reserve_col = schema.get("reserve") or None
     if not hour_col or not lmp_col:
         raise PriceDataError("schema must map 'hour' and 'lmp' columns")
 
     if not os.path.exists(path):
         raise PriceDataError(f"price file not found: {path}")
-
+    names = [hour_col, lmp_col] + ([reserve_col] if reserve_col else [])
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise PriceDataError("empty file (no header row)")
-        for col in filter(None, (hour_col, lmp_col, reserve_col)):
-            if col not in reader.fieldnames:
-                raise PriceDataError(f"missing column {col!r} (found {reader.fieldnames})")
+        for col in names:
+            if col not in header:
+                raise PriceDataError(f"missing column {col!r} (found {header})")
+        rows = [row for row in reader if row]  # blank lines are skipped
+    # A column's cells: its last header match's, as in csv.DictReader, or "".
+    last = {col: len(header) - 1 - header[::-1].index(col) for col in names}
+    cells = [[row[last[col]] if last[col] < len(row) else "" for row in rows] for col in names]
+    hour_cells, lmp_cells, reserve_cells = cells if reserve_col else (*cells, ["0"] * len(rows))
 
-        hours: list[int] = []
-        lmp: list[float] = []
-        reserve: list[float] = []
-        for i, record in enumerate(reader, start=1):
-            raw_hour = _parse_number(record[hour_col], "hour", i)
-            if raw_hour != int(raw_hour):
-                raise PriceDataError(f"non-integer hour {record[hour_col]!r}", row=i)
-            hours.append(int(raw_hour))
-            lmp.append(_parse_number(record[lmp_col], "lmp", i))
-            if reserve_col is not None:
-                r = _parse_number(record[reserve_col], "reserve price", i)
-                if r < 0:
-                    raise PriceDataError(f"negative reserve price {r}", row=i)
-                reserve.append(r)
-            else:
-                reserve.append(0.0)
+    # In bulk when every cell and row passes, else cell by cell to name the bad one.
+    n = len(rows)
+    values = _floats((hour_cells, lmp_cells, reserve_cells))
+    if values is not None and n and n % 24 == 0 and np.isfinite(values).all() \
+            and np.array_equal(values[0], np.arange(n)) and (values[2] >= 0).all():
+        return HourlyPriceSeries(lmp=values[1], reserve_price=values[2])
 
-    n = len(hours)
+    hours, lmp, reserve = [], [], []
+    for i, (hour, price, reserve_price) in enumerate(
+            zip(hour_cells, lmp_cells, reserve_cells), start=1):
+        raw_hour = _parse_number(hour, "hour", i)
+        if raw_hour != int(raw_hour):
+            raise PriceDataError(f"non-integer hour {hour!r}", row=i)
+        hours.append(int(raw_hour))
+        lmp.append(_parse_number(price, "lmp", i))
+        r = _parse_number(reserve_price, "reserve price", i)
+        if r < 0:
+            raise PriceDataError(f"negative reserve price {r}", row=i)
+        reserve.append(r)
+
     if n == 0 or n % 24 != 0:
         raise PriceDataError(f"row count {n} not a multiple of 24")
     for i, h in enumerate(hours, start=1):

@@ -69,8 +69,9 @@ class CurvePriceResult:
 
 
 def _worker_count(n_tasks: int) -> int:
-    """SWAPVAL_THREADS (default: the CPU count) clamped to n_tasks grid points."""
-    env = os.environ.get("SWAPVAL_THREADS", "").strip() or str(os.cpu_count() or 1)
+    """SWAPVAL_THREADS (default: the CPUs this process may run on) clamped to n_tasks."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    env = os.environ.get("SWAPVAL_THREADS", "").strip() or str(cpus or 1)
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"SWAPVAL_THREADS must be an integer >= 1, got {env!r}")
     return min(int(env), n_tasks)

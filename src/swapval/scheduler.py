@@ -15,8 +15,9 @@ of the least-degrading one (e.g. no simultaneous charge+discharge unless
 negative prices genuinely pay for it); the penalty is removed from all
 reported profit figures.
 
-A day is solved in a ``DailyModel``, the day's LP held in HiGHS: a
-lifecycle keeps one and re-solves each next day from the previous basis.
+A day is solved by ``solve_day`` in a ``DailyModel``, the lifecycle's day
+kernel: it holds the day's LP in HiGHS and re-solves each next day from the
+previous basis.  ``solve_one_day`` solves a lone day in a one-day kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapval.lp import HighsModel, LinearProgram, solve_lp
+from swapval.lp import DimensionError, HighsModel, LinearProgram, solve_lp
+from swapval.market_data import HourlyPriceSeries
 
 TIE_BREAK_EPS = 1e-7
 
@@ -125,11 +127,6 @@ class DayInput:
             raise ValueError(f"amdc must be >= 0, got {self.amdc}")
         if self.calendar_throughput_today < 0:
             raise ValueError("calendar_throughput_today must be >= 0")
-        if self.capacity_now <= 0:
-            raise ValueError(f"capacity_now must be positive, got {self.capacity_now}")
-        if not 0 <= self.soc_start <= self.capacity_now + 1e-9:
-            raise ValueError(
-                f"soc_start {self.soc_start} outside [0, capacity {self.capacity_now}]")
 
 
 @dataclass
@@ -152,21 +149,25 @@ class DailySchedule:
     lp_objective: float = 0.0  # raw LP optimum (tie-break included, no calendar)
 
 
-def _objective(day: DayInput, hours: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The day's column costs: charge, discharge, swap, SOC (0) and reserve.
-
-    Written into ``out`` when given, whose SOC block must already hold zeros.
-    """
-    H, mu = hours, day.amdc
-    cost = np.zeros((5 if day.reserve_enabled else 4) * H) if out is None else out
-    np.negative(day.lmp[:H], out=cost[:H])
-    cost[H:2 * H] = day.lmp[:H]
-    cost[:2 * H] -= mu
-    cost[:2 * H] -= TIE_BREAK_EPS
-    cost[2 * H:3 * H] = day.swap.swap_price - day.swap.labor_cost - mu - TIE_BREAK_EPS
-    if day.reserve_enabled:
-        cost[4 * H:] = day.reserve_price[:H]
+def _costs(lmp: np.ndarray, reserve_price: np.ndarray, amdc: float, swap: SwapTerms,
+           reserve_enabled: bool) -> np.ndarray:
+    """Daily LP column costs (charge, discharge, swap, SOC, reserve) per day."""
+    days, H = lmp.shape
+    cost = np.zeros((days, (5 if reserve_enabled else 4) * H))
+    np.negative(lmp, out=cost[:, :H])
+    cost[:, H:2 * H] = lmp
+    cost[:, :2 * H] -= amdc
+    cost[:, :2 * H] -= TIE_BREAK_EPS
+    cost[:, 2 * H:3 * H] = swap.swap_price - swap.labor_cost - amdc - TIE_BREAK_EPS
+    if reserve_enabled:
+        cost[:, 4 * H:] = reserve_price
     return cost
+
+
+def _objective(day: DayInput, hours: int) -> np.ndarray:
+    """The day's column costs over its first ``hours`` hours."""
+    return _costs(day.lmp[None, :hours], day.reserve_price[None, :hours], day.amdc, day.swap,
+                  day.reserve_enabled)[0]
 
 
 def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
@@ -218,56 +219,68 @@ def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
 
 
 class DailyModel:
-    """One lifecycle's daily LP, held in HiGHS and re-solved day by day.
+    """A lifecycle's day kernel, built from what stays fixed through the life.
 
-    The first day builds the program with ``build_daily_lp``.  Later days
-    change only what varies within a lifecycle: the column costs (LMP,
-    adjusted MDC, reserve price), the derated capacity bounding the swap
-    and SOC columns, and the carried SOC in SOC row 0.  ``solve_day`` then
-    offers the day to the held model's basis certificate; HiGHS sees the
-    changes, and starts from the previous basis, only on the days the
-    certificate declines.  The battery, swap terms and reserve switch must
-    stay those of the first day.
+    ``price`` costs each pattern day at a year's adjusted MDC, one row of
+    ``costs`` each.  ``solve_day`` holds the daily LP in HiGHS (``held``).
     """
 
-    def __init__(self) -> None:
-        self.model: HighsModel | None = None
-        self._fixed: tuple | None = None
+    def __init__(self, battery: BatterySpec, prices: HourlyPriceSeries, swap: SwapTerms,
+                 reserve_enabled: bool, calendar_throughput: float):
+        self.battery, self.swap, self.reserve_enabled = battery, swap, reserve_enabled
+        self.calendar_throughput = calendar_throughput
+        self.lmp = prices.lmp.reshape(-1, _H)
+        self.reserve_price = prices.reserve_price.reshape(-1, _H)
+        self.keep = 1.0 - battery.self_discharge
+        self.fixed_bound = max(1.0, battery.power_limit, swap.daily_swap_cap)
+        self.amdc = self.costs = self.held = None  # set by price and solve_day
 
-    def load(self, day: DayInput) -> HighsModel:
-        """Make the held program equal ``build_daily_lp(day)``."""
-        fixed = (day.battery, day.swap, day.reserve_enabled)
-        if self.model is None:
-            self.model = HighsModel(build_daily_lp(day))
-            self._fixed = fixed
-            self._cost = self.model.lp.objective.copy()
-        elif fixed != self._fixed:
-            raise ValueError("a DailyModel serves one battery, swap policy and reserve setting")
-        else:
-            self.model.set_objective(_objective(day, _H, out=self._cost))
-            self.model.set_upper(_SWAP_AND_SOC, day.capacity_now)
-            soc0 = (1.0 - day.battery.self_discharge) * day.soc_start
-            self.model.set_row_bounds(0, soc0, soc0)
-        return self.model
+    @classmethod
+    def for_day(cls, day: DayInput) -> DailyModel:
+        """The kernel of a lone day, as its day 0, priced at its ``amdc``."""
+        model = cls(day.battery, HourlyPriceSeries(day.lmp, day.reserve_price), day.swap,
+                    day.reserve_enabled, day.calendar_throughput_today)
+        model.price(day.amdc)
+        return model
+
+    def price(self, amdc: float) -> None:
+        """Cost every pattern day at adjusted MDC ``amdc``."""
+        costs = _costs(self.lmp, self.reserve_price, amdc, self.swap, self.reserve_enabled)
+        if not np.isfinite(costs).all():
+            raise DimensionError("non-finite coefficient in program")
+        self.amdc, self.costs = amdc, costs
 
 
-def solve_day(day: DayInput, *, model: DailyModel | None = None) -> DailySchedule:
-    """Solve one day and return the schedule with its profit decomposition.
+def solve_day(model: DailyModel, day: int, soc_start: float,
+              capacity_now: float) -> DailySchedule:
+    """Solve ``day`` of the model's life from ``soc_start`` MWh at usable
+    capacity ``capacity_now``: the schedule with its profit decomposition.
 
-    With ``model`` the day is solved in that persistent program, warm from
-    its previous solve; without, in a fresh ``DailyModel``.  When the basis
-    of the held program's last HiGHS run still proves the day optimal
-    (``HighsModel.certify``), the day takes that optimum and HiGHS does not
-    run; every other day is solved by ``solve_lp``.  Either way the point
-    passes the same feasibility re-check.  Raises ScheduleError if the LP is
-    anything but optimal: the all-zero schedule is always feasible, so a
-    non-optimal verdict means an internal bug.
+    The first day builds the program; a later one writes its pattern day's
+    costs, ``capacity_now`` (the swap and SOC columns' bound) and the carried
+    SOC (SOC row 0) into it.  HiGHS runs (``solve_lp``, from the last basis)
+    only when ``HighsModel.certify`` declines the day.  The point is
+    re-checked at the program's largest bound, ``max(1.0, power_limit,
+    daily_swap_cap, capacity_now, keep * soc_start)``.  Raises ScheduleError
+    if the LP is anything but optimal: a bug, as zero is always feasible.
     """
-    daily = DailyModel() if model is None else model
-    held = daily.load(day)
-    sol = held.certify()
-    if sol is None:
-        sol = solve_lp(held.lp, model=held)
+    if not capacity_now > 0:
+        raise ValueError(f"capacity_now must be positive, got {capacity_now}")
+    if not 0 <= soc_start <= capacity_now + 1e-9:
+        raise ValueError(f"soc_start {soc_start} outside [0, capacity {capacity_now}]")
+    pattern = day % len(model.lmp)
+    lmp, reserve_price = model.lmp[pattern], model.reserve_price[pattern]
+    swap, amdc = model.swap, model.amdc
+    soc0 = model.keep * soc_start
+    held = model.held
+    if held is None:
+        held = model.held = HighsModel(build_daily_lp(DayInput(
+            model.battery, lmp, reserve_price, amdc, swap, soc_start, capacity_now,
+            model.calendar_throughput, model.reserve_enabled)))
+    else:
+        held.set_day(model.costs[pattern], _SWAP_AND_SOC, capacity_now, 0, soc0)
+    held.scale = max(model.fixed_bound, capacity_now, soc0)
+    sol = held.certify() or solve_lp(held.lp, model=held)
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "
@@ -277,16 +290,16 @@ def solve_day(day: DayInput, *, model: DailyModel | None = None) -> DailySchedul
     discharge = x[_H : 2 * _H]
     swap_out = x[2 * _H : 3 * _H]
     soc = x[3 * _H : 4 * _H]
-    reserve = x[4 * _H : 5 * _H] if day.reserve_enabled else np.zeros(_H)
+    reserve = x[4 * _H : 5 * _H] if model.reserve_enabled else np.zeros(_H)
 
     swapped = swap_out.sum()
-    energy_rev = float(day.lmp @ (discharge - charge))
-    swap_rev = float(day.swap.swap_price * swapped)
-    reserve_rev = float(day.reserve_price @ reserve)
-    labor = float(day.swap.labor_cost * swapped)
+    energy_rev = float(lmp @ (discharge - charge))
+    swap_rev = float(swap.swap_price * swapped)
+    reserve_rev = float(reserve_price @ reserve)
+    labor = float(swap.labor_cost * swapped)
     moved = float(charge.sum() + discharge.sum() + swapped)
-    throughput = moved + day.calendar_throughput_today
-    degradation = day.amdc * throughput
+    throughput = moved + model.calendar_throughput
+    degradation = amdc * throughput
     revenue = energy_rev + swap_rev + reserve_rev
 
     return DailySchedule(
@@ -300,3 +313,8 @@ def solve_day(day: DayInput, *, model: DailyModel | None = None) -> DailySchedul
         energy_revenue=energy_rev, swap_revenue=swap_rev, reserve_revenue=reserve_rev,
         lp_objective=float(sol.objective_value),
     )
+
+
+def solve_one_day(day: DayInput) -> DailySchedule:
+    """Solve a lone day, as day 0 of its one-day kernel (``DailyModel.for_day``)."""
+    return solve_day(DailyModel.for_day(day), 0, day.soc_start, day.capacity_now)

@@ -32,7 +32,7 @@ from swapval.scheduler import (
     DayInput,
     SwapTerms,
     build_daily_lp,
-    solve_day,
+    solve_one_day,
 )
 
 from _generators import DAY_FAMILIES, ORACLE_BUDGET, random_day, reference_battery
@@ -91,7 +91,7 @@ def test_criterion_2_closed_form_arbitrage_margin(battery):
     day = DayInput(battery=battery, lmp=series.lmp, reserve_price=series.reserve_price,
                    amdc=35.0, swap=NO_SWAP, soc_start=0.0, capacity_now=2.7,
                    calendar_throughput_today=0.0, reserve_enabled=False)
-    schedule = solve_day(day)
+    schedule = solve_one_day(day)
     margin = schedule.sb_star / schedule.charge.sum()
     expected = 90.0 * 0.9025 - 10.0 - 35.0 * 1.9025
     ok = abs(margin - expected) <= 1e-6

@@ -297,11 +297,11 @@ def test_solver_failure_names_its_day(tmp_path, monkeypatch):
     real_solve = swapval.lifecycle.solve_day
     calls = []
 
-    def fail_on_day_3(day, **kw):
+    def fail_on_day_3(model, day, *args):
         calls.append(day)
         if len(calls) == 4:  # every day of this sine is solved, none skipped
             raise LPError("injected solver failure")
-        return real_solve(day, **kw)
+        return real_solve(model, day, *args)
 
     monkeypatch.setattr(swapval.lifecycle, "solve_day", fail_on_day_3)
     out = tmp_path / "out"

@@ -26,6 +26,7 @@ from swapval.scheduler import (
     DayInput,
     SwapTerms,
     solve_day,
+    solve_one_day,
 )
 
 from _reference import max_daily_throughput, solve_lp_linprog
@@ -325,7 +326,7 @@ class TestIdleProof:
                     declined += 1
                     continue
                 proven += 1
-                schedule = solve_day(DayInput(
+                schedule = solve_one_day(DayInput(
                     battery=spec, lmp=lmp[24 * d:24 * d + 24],
                     reserve_price=reserve_price[24 * d:24 * d + 24], amdc=mu, swap=swap,
                     soc_start=0.0, capacity_now=2.7, reserve_enabled=reserve))
@@ -565,9 +566,9 @@ class TestBasisCertificate:
             counts["certified"] += sol is not None
             return sol
 
-        def solve(day, **kw):
+        def solve(*args):
             counts["solved"] += 1
-            return solve_day(day, **kw)
+            return solve_day(*args)
 
         def idle_days(*args):
             n, cumulative = _idle_days(*args)
@@ -650,3 +651,22 @@ class TestBasisCertificate:
                                     35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
         assert len(certified) == result.days_lived  # every day is solved
         assert 0 < len(runs) == len(certified) - sum(certified) < len(certified) / 2
+
+    def test_busy_lifecycle_bits_and_calls(self, monkeypatch, tmp_path):
+        """The lifecycle-busy inputs give the same bits as the day loop that
+        built a ``DayInput`` and its costs each day, with one ``solve_day``
+        call per solved day and one ``solve_lp`` call per HiGHS run."""
+        import swapval.lifecycle as lifecycle
+        import swapval.scheduler as scheduler
+
+        days, runs = [], []
+        real_solve_day, real_solve_lp = lifecycle.solve_day, scheduler.solve_lp
+        monkeypatch.setattr(lifecycle, "solve_day",
+                            lambda *args: days.append(1) or real_solve_day(*args))
+        monkeypatch.setattr(scheduler, "solve_lp",
+                            lambda *args, **kw: runs.append(1) or real_solve_lp(*args, **kw))
+        result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
+                                    35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
+        assert result.lb_star.hex() == "0x1.9747f4ffaab1bp+18"
+        assert result.days_lived == len(days) == 1507
+        assert len(runs) == 256

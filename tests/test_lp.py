@@ -119,11 +119,11 @@ def test_feasibility_residuals_within_tol(rng):
     for _ in range(50):
         lp = random_lp(rng, max_vars=7, max_rows=8)
         sol = solve_lp(lp)
-        viol = residuals(lp, sol.x)
+        bounds, constraints = residuals(lp, sol.x)
         rows = np.concatenate((lp.row_lower, lp.row_upper))
         scale = max(1.0, float(np.abs(rows[np.isfinite(rows)]).max(initial=0.0)))
-        assert viol["bounds"] <= _TOL * scale * 10
-        assert viol["constraints"] <= _TOL * scale * 10
+        assert bounds <= _TOL * scale * 10
+        assert constraints <= _TOL * scale * 10
         assert sol.objective_value == pytest.approx(float(lp.objective @ sol.x))
 
 
@@ -176,7 +176,7 @@ def _loop_residuals(lp, x):
         else:
             viol = lower - vals[i]
         con_viol = max(con_viol, viol)
-    return {"bounds": bound_viol, "constraints": float(con_viol)}
+    return bound_viol, float(con_viol)
 
 
 def test_residuals_equal_the_row_loop(rng):

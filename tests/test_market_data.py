@@ -93,6 +93,64 @@ def test_underscore_number_rejected(tmp_path):
         load_price_series(write_csv(tmp_path / "u.csv", rows))
 
 
+# One bad cell or row of each kind, at data row 4 unless the kind is about the
+# whole file, and the message of the cell-by-cell parse, which runs whenever the
+# bulk parse does not accept every cell and row.
+BAD_ROWS = {
+    "empty": ("3,,0", "row 4: non-numeric lmp ''"),
+    "blank": ("3, ,0", "row 4: non-numeric lmp ' '"),
+    "underscore": ("3,1_000,0", "row 4: non-numeric lmp '1_000'"),
+    "comma": ('3,"1,5",0', "row 4: non-numeric lmp '1,5'"),
+    "word": ("x,50,0", "row 4: non-numeric hour 'x'"),
+    "nan": ("3,nan,0", "row 4: non-finite lmp 'nan'"),
+    "infinite-reserve": ("3,50,inf", "row 4: non-finite reserve price 'inf'"),
+    "fractional-hour": ("3.5,50,0", "row 4: non-integer hour '3.5'"),
+    "negative-reserve": ("3,50,-1", "row 4: negative reserve price -1.0"),
+    "duplicate-hour": ("2,50,0", "row 4: duplicate hour 2"),
+    "skipped-hour": ("30,50,0", "row 4: hour 30 out of order (expected 3)"),
+    "short-row": ("3,50", "row 4: non-numeric reserve price ''"),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_ROWS))
+def test_each_bad_cell_kind_is_named(tmp_path, kind):
+    row, message = BAD_ROWS[kind]
+    rows = [f"{h},50,0" for h in range(24)]
+    rows[3] = row
+    with pytest.raises(PriceDataError) as exc:
+        load_price_series(write_csv(tmp_path / "bad.csv", rows))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([f"{h + 1},50,0" for h in range(24)], "row 1: hour 1 out of order (expected 0)"),
+    ([f"{h},50,0" for h in range(25)], "row count 25 not a multiple of 24"),
+    ([], "row count 0 not a multiple of 24"),
+], ids=["hours-from-1", "25-rows", "no-rows"])
+def test_bad_hours_or_row_count_is_named(tmp_path, rows, message):
+    with pytest.raises(PriceDataError) as exc:
+        load_price_series(write_csv(tmp_path / "bad.csv", rows))
+    assert str(exc.value) == message
+
+
+def test_well_formed_file_is_read_in_bulk(tmp_path, monkeypatch):
+    """Padded cells, blank lines and other columns take the bulk parse, which
+    reads each cell as the cell-by-cell parse does."""
+    import swapval.market_data as market_data
+
+    rows = [f" {h} ,{-12.5 + h / 3!r},spare, {h % 5 * 0.1!r}" for h in range(48)]
+    rows.insert(10, "")
+    path = write_csv(tmp_path / "ok.csv", rows,
+                     header="hour,lmp_usd_per_mwh,note,reserve_usd_per_mw")
+    want = load_price_series(path)
+    assert want.lmp.tolist() == [-12.5 + h / 3 for h in range(48)]
+    assert want.reserve_price.tolist() == [h % 5 * 0.1 for h in range(48)]
+    monkeypatch.setattr(market_data, "_parse_number", None)  # the cell path would fail
+    got = load_price_series(path)
+    assert got.lmp.tobytes() == want.lmp.tobytes()
+    assert got.reserve_price.tobytes() == want.reserve_price.tobytes()
+
+
 def test_flat_pattern():
     series = synth_price_series("flat", days=1, level=50.0)
     assert series.n_hours == 24
@@ -118,13 +176,6 @@ def test_daily_sine_deterministic():
 def test_non_positive_days_rejected():
     with pytest.raises(PriceDataError):
         synth_price_series("flat", days=0, level=1.0)
-
-
-def test_day_slice_tiles():
-    series = synth_price_series("two-level", days=2, low=1.0, high=2.0)
-    lmp_day0, _ = series.day(0)
-    lmp_day2, _ = series.day(2)  # wraps back to day 0
-    assert np.array_equal(lmp_day0, lmp_day2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -198,7 +198,12 @@ class TestSweepEngine:
     def test_worker_count_default_and_clamp(self, monkeypatch):
         monkeypatch.delenv("SWAPVAL_THREADS", raising=False)
         assert optimizers._worker_count(1) == 1
-        assert optimizers._worker_count(1000) == max(1, os.cpu_count() or 1)
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        assert optimizers._worker_count(1000) == usable
+        # A process pinned to one CPU runs one worker, however many the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert optimizers._worker_count(1000) == 1
         monkeypatch.setenv("SWAPVAL_THREADS", "64")
         assert optimizers._worker_count(3) == 3
         monkeypatch.setenv("SWAPVAL_THREADS", " 2 ")

@@ -5,18 +5,21 @@ import numpy as np
 import pytest
 
 import swapval.scheduler as scheduler
-from swapval.lp import LPError, _verdict, solve_lp
-from swapval.market_data import synth_price_series
+from swapval.lp import LPError, _scale, _verdict, solve_lp
+from swapval.market_data import HourlyPriceSeries, synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
+    TIE_BREAK_EPS,
     BatterySpec,
     DailyModel,
     DailySchedule,
     DayInput,
     ScheduleError,
     SwapTerms,
+    _objective,
     build_daily_lp,
     solve_day,
+    solve_one_day,
 )
 
 from _generators import random_day, random_oracle_day
@@ -44,7 +47,7 @@ class TestBuildDailyLP:
         """With flat prices and eta < 1, any cycle loses money, so the
         optimum is the all-zero schedule and sb is just the calendar term."""
         day = flat_day(battery)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         assert schedule.charge.max() == pytest.approx(0.0, abs=1e-9)
         assert schedule.discharge.max() == pytest.approx(0.0, abs=1e-9)
         assert schedule.sb_star == pytest.approx(-17.5, abs=1e-9)
@@ -55,7 +58,7 @@ class TestBuildDailyLP:
 
     def test_zero_prices_zero_mu_optimum_zero(self, battery):
         day = flat_day(battery, level=0.0, mu=0.0, q=0.0)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         assert schedule.lp_objective == pytest.approx(0.0, abs=1e-9)
         assert schedule.sb_star == pytest.approx(0.0, abs=1e-9)
 
@@ -65,7 +68,7 @@ class TestBuildDailyLP:
                        reserve_price=two_level_series.reserve_price, amdc=35.0,
                        swap=NO_SWAP, soc_start=0.0, capacity_now=2.7,
                        calendar_throughput_today=0.0, reserve_enabled=False)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         charged = schedule.charge.sum()
         assert charged > 0
         margin = schedule.sb_star / charged
@@ -117,7 +120,7 @@ class TestSolveDay:
         """Swap price far above labor+degradation fills the daily cap."""
         day = flat_day(battery, level=50.0, mu=35.0, q=0.0,
                        swap=SwapTerms(160.0, 2.7, 10.0))
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         assert schedule.swap_out.sum() == pytest.approx(2.7, abs=1e-7)
         # Exact optimum on a 4-hour reduction with a 0.5 MWh cap.
         short = flat_day(battery, level=50.0, mu=35.0, q=0.0,
@@ -132,7 +135,7 @@ class TestSolveDay:
         battery = BatterySpec(2.7, 2.7, 0.9)
         day = flat_day(battery, level=0.0, mu=20.0, q=0.0,
                        swap=SwapTerms(40.0, 2.7, 10.0), soc=2.7)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         assert schedule.charge.sum() == pytest.approx(0.0, abs=1e-9)
         assert schedule.swap_out.sum() == pytest.approx(0.9 * 2.7, abs=1e-7)
         # Oracle confirmation on a 3-hour reduction of the same terms.
@@ -146,7 +149,7 @@ class TestSolveDay:
     def test_schedule_invariants_hold(self, battery, rng):
         for _ in range(10):
             day = random_day(rng, hours=24, with_swap=True, with_reserve=True)
-            schedule = solve_day(day)
+            schedule = solve_one_day(day)
             check_schedule(schedule, day)
 
     def test_oracle_equivalence_families(self, rng):
@@ -165,7 +168,7 @@ class TestSolveDay:
         """Reserve pays on stored energy without consuming budget."""
         day = flat_day(battery, level=50.0, mu=1000.0, q=0.0, reserve=True,
                        soc=2.7, reserve_level=5.0)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         assert schedule.reserve_offer.sum() > 0
         assert schedule.throughput_today == pytest.approx(0.0, abs=1e-7)
         assert schedule.reserve_revenue > 0
@@ -174,7 +177,7 @@ class TestSolveDay:
 class TestDecomposeProfit:
     def test_all_zero_schedule(self, battery):
         day = flat_day(battery)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         parts = check_schedule(schedule, day)
         assert parts == pytest.approx(
             {"revenue": 0.0, "labor": 0.0, "degradation": 17.5, "sb_star": -17.5})
@@ -202,7 +205,7 @@ class TestDecomposeProfit:
 
     def test_corrupted_schedule_detected(self, battery):
         day = flat_day(battery)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         schedule.market_revenue += 5.0
         with pytest.raises(ScheduleError, match="profit identity"):
             check_schedule(schedule, day)
@@ -228,13 +231,15 @@ class TestDecomposeProfit:
                        reserve_price=np.full(24, 5.0), amdc=10.0,
                        swap=SwapTerms(160.0, 2.0, 10.0), soc_start=1.0, capacity_now=2.7,
                        calendar_throughput_today=0.5, reserve_enabled=True)
-        schedule = solve_day(day)
+        model = DailyModel.for_day(day)
+        schedule = solve_day(model, 0, day.soc_start, day.capacity_now)
 
         def recheck():
-            """The feasibility re-check every solved day passes in production."""
+            """The feasibility re-check every solved day passes in production,
+            at the kernel's scale."""
             x = np.concatenate([schedule.charge, schedule.discharge, schedule.swap_out,
                                 schedule.soc, schedule.reserve_offer])
-            return _verdict(build_daily_lp(day), 0, x, "")
+            return _verdict(model.held.lp, 0, x, "", model.held.scale)
 
         check_schedule(schedule, day)
         recheck()
@@ -259,7 +264,7 @@ class TestScheduleProperties:
             threshold = -mu * (1 + eta**2) / (1 - eta**2) if eta < 1 else -np.inf
             if day.lmp.min() < threshold:
                 continue
-            schedule = solve_day(day)
+            schedule = solve_one_day(day)
             co = np.minimum(schedule.charge, schedule.discharge)
             assert co.max() <= 1e-7, f"co-activity {co.max()} at mu={mu}"
 
@@ -270,7 +275,7 @@ class TestScheduleProperties:
                            reserve_price=two_level_series.reserve_price,
                            amdc=float(mu), swap=SwapTerms(120.0, 2.0, 10.0),
                            soc_start=1.0, capacity_now=2.7, reserve_enabled=False)
-            moved = solve_day(day).throughput_today
+            moved = solve_one_day(day).throughput_today
             assert moved <= previous + 1e-7
             previous = moved
 
@@ -281,14 +286,14 @@ class TestScheduleProperties:
                            reserve_price=two_level_series.reserve_price,
                            amdc=float(mu), swap=SwapTerms(120.0, 2.0, 10.0),
                            soc_start=1.0, capacity_now=2.7, reserve_enabled=False)
-            sb = solve_day(day).sb_star
+            sb = solve_one_day(day).sb_star
             assert sb <= previous + 1e-9
             previous = sb
 
     def test_swap_cap_binds_when_profitable(self, battery):
         day = flat_day(battery, level=0.0, mu=0.0, q=0.0,
                        swap=SwapTerms(500.0, 3.0, 5.0), soc=2.7)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         assert schedule.swap_out.sum() == pytest.approx(3.0, abs=1e-7)
 
     def test_negative_lmp_allows_paid_co_consumption(self, battery):
@@ -298,7 +303,7 @@ class TestScheduleProperties:
         day = DayInput(battery=battery, lmp=lmp, reserve_price=np.zeros(24),
                        amdc=1.0, swap=NO_SWAP, soc_start=0.0, capacity_now=2.7,
                        reserve_enabled=False)
-        schedule = solve_day(day)
+        schedule = solve_one_day(day)
         # Charging while discharging burns energy at negative price: profit.
         assert schedule.sb_star > 0
         check_schedule(schedule, day)
@@ -316,44 +321,58 @@ class TestScheduleProperties:
 
 
 class TestDailyModel:
-    """The persistent daily model holds exactly the day's program."""
+    """The day kernel holds exactly each day's program."""
 
     @staticmethod
-    def _next_day(rng, day):
-        """Same battery, swap terms and reserve switch; every daily input new."""
-        capacity = day.capacity_now * float(rng.uniform(0.8, 1.0))
-        return dataclasses.replace(
-            day, lmp=rng.uniform(-20.0, 100.0, size=24),
-            reserve_price=rng.uniform(0.0, 15.0, size=24) if day.reserve_enabled
-            else np.zeros(24),
-            amdc=float(rng.uniform(0.0, 100.0)), capacity_now=capacity,
-            soc_start=float(rng.uniform(0.0, capacity)))
+    def _prices(rng, days, reserve):
+        return HourlyPriceSeries(rng.uniform(-20.0, 100.0, size=24 * days),
+                                 rng.uniform(0.0, 15.0, size=24 * days) if reserve
+                                 else np.zeros(24 * days))
+
+    @staticmethod
+    def _days(rng, first, prices, n):
+        """``n`` days of ``first``'s battery, swap terms and reserve switch:
+        (day index, DayInput) with new prices, MDC, capacity and SOC each day.
+        Day indices run past the series, so its pattern days wrap."""
+        capacity = first.capacity_now
+        for day in range(n):
+            capacity *= float(rng.uniform(0.8, 1.0))
+            hours = slice(24 * (day % prices.n_days), 24 * (day % prices.n_days) + 24)
+            lmp, reserve_price = prices.lmp[hours], prices.reserve_price[hours]
+            yield day, dataclasses.replace(
+                first, lmp=lmp, reserve_price=reserve_price,
+                amdc=float(rng.uniform(0.0, 100.0)), capacity_now=capacity,
+                soc_start=float(rng.uniform(0.0, capacity)))
 
     @pytest.mark.parametrize("reserve", [False, True])
     def test_update_equals_a_fresh_build(self, rng, reserve):
         for _ in range(10):
-            day = random_day(rng, 24, with_swap=True, with_reserve=reserve)
-            model = DailyModel()
-            solve_day(day, model=model)
-            for _ in range(3):
-                day = self._next_day(rng, day)
-                held = model.load(day).lp
-                fresh = build_daily_lp(day)
+            first = random_day(rng, 24, with_swap=True, with_reserve=reserve)
+            prices = self._prices(rng, 3, reserve)
+            model = DailyModel(first.battery, prices, first.swap, reserve,
+                               first.calendar_throughput_today)
+            for index, day in self._days(rng, first, prices, 5):
+                model.price(day.amdc)
+                solve_day(model, index, day.soc_start, day.capacity_now)
+                held, fresh = model.held.lp, build_daily_lp(day)
                 for name in ("objective", "lower", "upper", "A", "row_lower", "row_upper"):
                     assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
+                assert model.held.scale == _scale(fresh)
 
     def test_warm_day_matches_cold_day(self, monkeypatch, rng):
-        day = random_day(rng, 24, with_swap=True, with_reserve=True)
-        model = DailyModel()
-        for _ in range(20):
-            warm = solve_day(day, model=model)
+        first = random_day(rng, 24, with_swap=True, with_reserve=True)
+        prices = self._prices(rng, 20, True)
+        model = DailyModel(first.battery, prices, first.swap, True,
+                           first.calendar_throughput_today)
+        for index, day in self._days(rng, first, prices, 20):
+            model.price(day.amdc)
+            warm = solve_day(model, index, day.soc_start, day.capacity_now)
             with monkeypatch.context() as patch:
                 patch.setattr(scheduler, "solve_lp", solve_lp_linprog)
-                cold = solve_day(day)
+                cold = solve_one_day(day)
             assert warm.lp_objective == pytest.approx(cold.lp_objective, rel=1e-9, abs=1e-9)
             assert warm.sb_star == pytest.approx(cold.sb_star, rel=1e-6, abs=1e-6)
             check_schedule(warm, day)
-            day = self._next_day(rng, day)
 
     def test_first_day_runs_highs_and_a_repeat_is_certified(self, monkeypatch, rng):
         runs = []
@@ -361,23 +380,87 @@ class TestDailyModel:
         monkeypatch.setattr(scheduler, "solve_lp",
                             lambda *args, **kw: runs.append(1) or real(*args, **kw))
         day = random_day(rng, 24, with_swap=True, with_reserve=True)
-        model = DailyModel()
-        first = solve_day(day, model=model)
+        model = DailyModel.for_day(day)
+        first = solve_day(model, 0, day.soc_start, day.capacity_now)
         assert len(runs) == 1
-        again = solve_day(day, model=model)
+        again = solve_day(model, 0, day.soc_start, day.capacity_now)
         assert len(runs) == 1  # the same program: the last basis proves it
         np.testing.assert_allclose(again.soc, first.soc, rtol=1e-12, atol=1e-12)
         assert again.lp_objective == pytest.approx(first.lp_objective, rel=1e-12)
         check_schedule(again, day)
-        assert solve_day(day).lp_objective == pytest.approx(first.lp_objective, rel=1e-12)
+        assert solve_one_day(day).lp_objective == pytest.approx(first.lp_objective, rel=1e-12)
         assert len(runs) == 2  # a fresh model has no basis yet
 
-    def test_rejects_another_battery_swap_or_horizon(self, battery):
-        model = DailyModel()
-        solve_day(flat_day(battery), model=model)
-        with pytest.raises(ValueError):
-            solve_day(flat_day(battery, reserve=True), model=model)
-        with pytest.raises(ValueError):
-            solve_day(flat_day(battery, swap=SwapTerms(100.0, 1.0)), model=model)
-        with pytest.raises(TypeError):  # the model always holds the full day
-            solve_day(flat_day(battery), hours=4, model=model)
+    def test_rejects_bad_capacity_or_soc(self, battery):
+        model = DailyModel.for_day(flat_day(battery))
+        for soc, capacity in [(0.0, 0.0), (0.0, -1.0), (0.0, np.nan), (-1e-3, 2.7),
+                              (2.7 + 1e-6, 2.7), (np.nan, 2.7)]:
+            with pytest.raises(ValueError):
+                solve_day(model, 0, soc, capacity)
+
+
+class TestDayKernel:
+    """The kernel's year cost table and re-check scale, against the per-day
+    arithmetic they replace."""
+
+    @pytest.mark.parametrize("mu", [0.0, 35.0, 1e6])
+    @pytest.mark.parametrize("swap", [NO_SWAP, SwapTerms(160.0, 2.7, 10.0)],
+                             ids=["no-swap", "swap"])
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_cost_rows_equal_the_day_objective(self, battery, mu, swap, reserve):
+        """Row p of the table is pattern day p's ``_objective``, and both are
+        the plain float arithmetic of each column's cost, bit for bit."""
+        prices = synth_price_series("daily-sine", days=5, seed=2, reserve_level=5.0,
+                                    mean=20.0, amplitude=60.0)  # some LMPs < 0
+        model = DailyModel(battery, prices, swap, reserve, 0.5)
+        model.price(mu)
+        assert model.costs.shape == (5, (5 if reserve else 4) * 24)
+        for p in range(5):
+            hours = slice(24 * p, 24 * p + 24)
+            lmp, reserve_price = prices.lmp[hours], prices.reserve_price[hours]
+            day = DayInput(battery=battery, lmp=lmp, reserve_price=reserve_price, amdc=mu,
+                           swap=swap, soc_start=0.0, capacity_now=2.7,
+                           calendar_throughput_today=0.5, reserve_enabled=reserve)
+            margin = swap.swap_price - swap.labor_cost - mu - TIE_BREAK_EPS
+            by_hand = ([-price - mu - TIE_BREAK_EPS for price in lmp.tolist()]
+                       + [price - mu - TIE_BREAK_EPS for price in lmp.tolist()]
+                       + [margin] * 24 + [0.0] * 24
+                       + (reserve_price.tolist() if reserve else []))
+            assert model.costs[p].tobytes() == _objective(day, 24).tobytes()
+            assert model.costs[p].tobytes() == np.array(by_hand).tobytes()
+
+    def test_days_tile_the_series(self, battery):
+        """Day d solves pattern day d % n_days, the series repeating day-wise."""
+        prices = synth_price_series("two-level", days=2, low=1.0, high=90.0)
+        prices.lmp[24:] = 50.0  # pattern day 1 is flat, so it idles
+
+        def schedule(day):
+            model = DailyModel(battery, prices, NO_SWAP, False, 0.5)
+            model.price(5.0)
+            return solve_day(model, day, 0.0, 2.7)
+
+        first, tiled, flat = schedule(0), schedule(4), schedule(3)
+        assert first.charge.sum() > 0 and flat.charge.sum() == 0
+        for name in ("charge", "discharge", "soc"):
+            assert np.array_equal(getattr(first, name), getattr(tiled, name))
+        assert first.sb_star == tiled.sb_star
+
+    def test_capacity_scale_is_the_programs_scale(self):
+        """``max(1.0, power_limit, daily_swap_cap, capacity_now, keep *
+        soc_start)``, the scale ``solve_day`` re-checks at, is ``_scale`` of
+        the day's program over reserve, swap cap, SOC, self-discharge, power,
+        size and capacity, some with every bound below 1."""
+        sizes = [(2.7, 2.7), (2.7, 2.16), (2.7, 0.3), (0.5, 0.5), (0.5, 0.4), (10.0, 10.0),
+                 (10.0, 8.0)]
+        shapes = 0
+        for reserve, cap, full, rho, power, (size, capacity) in itertools.product(
+                [False, True], [0.0, 2.7, 5.0], [0.0, 1.0], [0.0, 0.01], [0.5, 2.7], sizes):
+            battery = BatterySpec(energy_capacity_0=size, power_limit=power, efficiency=ETA,
+                                  self_discharge=rho)
+            day = flat_day(battery, swap=SwapTerms(120.0, cap), reserve=reserve,
+                           soc=full * capacity, capacity=capacity, reserve_level=2.0)
+            model = DailyModel.for_day(day)
+            solve_day(model, 0, day.soc_start, day.capacity_now)
+            assert model.held.scale == _scale(build_daily_lp(day)) == _scale(model.held.lp)
+            shapes += 1
+        assert shapes == 336
