@@ -25,12 +25,11 @@ from swapval.lp import (
 from swapval.scheduler import (
     BatterySpec,
     SwapTerms,
-    DayInput,
+    DailyModel,
     DailySchedule,
     ScheduleError,
     build_daily_lp,
     solve_day,
-    solve_one_day,
 )
 from swapval.lifecycle import (
     DegradationLedger,

@@ -2,11 +2,12 @@
 
 ``solve_lp`` maximizes a program with finite column boxes and rows bounded
 as ``row_lower <= A x <= row_upper`` (HiGHS's own form) through scipy's
-bundled HiGHS binding.  A ``HighsModel`` keeps one program loaded in HiGHS,
-so that each re-solve of a modified program starts from the previous basis;
-without one, ``solve_lp`` loads the program into a fresh model.
-``HighsModel.certify`` proves a modified program optimal without HiGHS when
-the basis of the last run still does.
+bundled HiGHS binding.  A ``HighsModel`` keeps one program loaded in HiGHS:
+the day kernel (``scheduler.solve_day``) loads a life's first day into it
+and rewrites each later day with ``HighsModel.set_day``, so that each
+re-solve starts from the previous basis.  ``HighsModel.certify`` proves a
+rewritten program optimal without HiGHS when the basis of the last run
+still does.
 """
 
 from __future__ import annotations
@@ -88,15 +89,11 @@ def _validate(lp: LinearProgram) -> None:
     if np.any(lp.lower > lp.upper):
         bad = int(np.flatnonzero(lp.lower > lp.upper)[0])
         raise DimensionError(f"lower > upper for variable {bad}")
-    if not _row_bounds_ok(lp.row_lower, lp.row_upper).all():
+    if not ((lp.row_lower <= lp.row_upper) & (lp.row_lower < np.inf)
+            & (lp.row_upper > -np.inf)).all():
         raise DimensionError("row bounds must be ordered, not NaN, nor both +inf or both -inf")
     if not np.all(np.isfinite(lp.A)) or not np.all(np.isfinite(lp.objective)):
         raise DimensionError("non-finite coefficient in program")
-
-
-def _row_bounds_ok(lower, upper):
-    """Where row bounds are ordered, not NaN, nor both +inf or both -inf."""
-    return (lower <= upper) & (lower < np.inf) & (upper > -np.inf)
 
 
 def residuals(lp: LinearProgram, x: np.ndarray) -> tuple[float, float]:
@@ -104,12 +101,6 @@ def residuals(lp: LinearProgram, x: np.ndarray) -> tuple[float, float]:
     r = lp.A @ x
     return (float(np.maximum(lp.lower - x, x - lp.upper).max(initial=0.0)),
             float(np.maximum(lp.row_lower - r, r - lp.row_upper).max(initial=0.0)))
-
-
-def _scale(lp: LinearProgram) -> float:
-    """The feasibility re-check's tolerance scale: the largest finite bound, at least 1."""
-    bounds = np.abs(np.concatenate((lp.lower, lp.upper, lp.row_lower, lp.row_upper)))
-    return max(1.0, float(bounds[bounds < np.inf].max()))
 
 
 # HiGHS model status -> the status code ``_verdict`` reads (0 optimal,
@@ -126,7 +117,8 @@ _STATUS = {
 _OK = _highs.HighsStatus.kOk
 
 # Feasibility tolerance of every solve: the re-check accepts bound and row
-# violations up to ``10 * _TOL * _scale(lp)``.  HiGHS runs at _HIGHS_TOL,
+# violations up to ``10 * _TOL * scale``, ``scale`` being the program's
+# largest finite bound or more.  HiGHS runs at _HIGHS_TOL,
 # its primal and dual feasibility tolerances.
 _TOL = 1e-9
 _HIGHS_TOL = 1e-10
@@ -143,11 +135,12 @@ _CLEAR = 1e-9
 class HighsModel:
     """One LinearProgram kept loaded in a HiGHS instance across solves.
 
-    Change the program only through ``set_objective``, ``set_upper``,
-    ``set_row_bounds`` and ``set_day``: each updates ``lp`` at once and HiGHS
-    before its next run.  HiGHS keeps its basis through such changes, so
-    ``solve_lp(model.lp, model=model)`` restarts the simplex from the previous
+    Change the program only through ``set_day``: it updates ``lp`` at once
+    and HiGHS before its next run.  HiGHS keeps its basis through such
+    changes, so ``solve_lp(model)`` restarts the simplex from the previous
     optimum, and ``certify`` can often prove the changed program optimal.
+    Both re-check their point at ``scale``, which the caller vouches is at
+    least the program's largest finite bound and 1.
 
     The program is held in bounded form: columns x and row activities r = Ax
     are the n + m variables of ``[A, -I] (x, r) = 0``, each in its box
@@ -155,7 +148,7 @@ class HighsModel:
     are views of the bounded form's, so both always agree.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, scale: float):
         n, m = lp.n_vars, lp.n_constraints
         self._cost = np.concatenate((lp.objective, np.zeros(m)))
         self._lo = np.concatenate((lp.lower, lp.row_lower))
@@ -168,12 +161,10 @@ class HighsModel:
         self._bounded_t = np.vstack((lp.A.T, -np.eye(m)))
         self._bounded_index = np.concatenate((np.arange(n + m - 1, n - 1, -1), np.arange(n)))
         self._cols = np.arange(n, dtype=np.int32)
-        # Changes HiGHS has not seen yet: costs, column bounds, row bounds.
-        self._stale_cost = False
-        self._stale_cols = np.zeros(n, dtype=bool)
-        self._stale_rows: set[int] = set()
-        # The re-check's scale; None (as a bound setter leaves it) is _scale(lp).
-        self.scale: float | None = None
+        # What set_day wrote that HiGHS has not seen: every cost, and the
+        # bounds of a slice of columns and of some rows; None if nothing.
+        self._stale: tuple[slice, tuple[int, ...]] | None = None
+        self.scale = scale
         # The optimal point of the last run, until certify reads its basis.
         self._solved: np.ndarray | None = None
         self._basis: tuple | None = None
@@ -201,53 +192,30 @@ class HighsModel:
         if self._highs.passModel(program) == _highs.HighsStatus.kError:
             raise LPError("HiGHS rejected the program")
 
-    def set_objective(self, objective: np.ndarray) -> None:
-        if not np.isfinite(objective).all():
-            raise DimensionError("non-finite coefficient in program")
-        self.lp.objective[:] = objective
-        self._stale_cost = True
-
-    def set_upper(self, cols: slice, value) -> None:
-        """Set the upper bounds of ``cols``: one value for all, or one per column."""
-        value = np.asarray(value, dtype=float)
-        if not (np.isfinite(value).all() and (self.lp.lower[cols] <= value).all()):
-            raise DimensionError("upper bounds must be finite and >= lower")
-        self.lp.upper[cols] = value
-        self._stale_cols[cols] = True
-        self.scale = None
-
-    def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
-        if not _row_bounds_ok(lower, upper):
-            raise DimensionError(f"row bounds ({lower}, {upper}) admit no activity")
-        self.lp.row_lower[row] = lower
-        self.lp.row_upper[row] = upper
-        self._stale_rows.add(row)
-        self.scale = None
-
     def set_day(self, cost: np.ndarray, cols: slice, upper: float, row: int,
-                value: float) -> None:
-        """Set all costs, ``cols``' upper bound and ``row``'s bounds, unchecked;
-        the caller vouches for them and sets ``scale``."""
+                value: float, scale: float) -> None:
+        """Set all costs, ``cols``' upper bound, ``row``'s bounds and the
+        re-check's ``scale``, unchecked; the caller vouches for them.  Until
+        the next run, every day set must write the same ``cols`` and ``row``:
+        HiGHS is passed only the last day's."""
         self.lp.objective[:] = cost
         self.lp.upper[cols] = upper
         self.lp.row_lower[row] = self.lp.row_upper[row] = value
-        self._stale_cost = True
-        self._stale_cols[cols] = True
-        self._stale_rows.add(row)
+        self.scale = scale
+        self._stale = cols, (row,)
 
     def _sync(self) -> None:
-        """Pass HiGHS the changes made since its last run."""
-        highs, n = self._highs, self.lp.n_vars
-        if self._stale_cost:
-            highs.changeColsCost(n, self._cols, self.lp.objective)
-            self._stale_cost = False
-        if self._stale_cols.any():
-            idx = self._cols[self._stale_cols]
-            highs.changeColsBounds(len(idx), idx, self.lp.lower[idx], self.lp.upper[idx])
-            self._stale_cols[:] = False
-        for row in self._stale_rows:
-            highs.changeRowBounds(row, self.lp.row_lower[row], self.lp.row_upper[row])
-        self._stale_rows.clear()
+        """Pass HiGHS the day set since its last run."""
+        if self._stale is None:
+            return
+        lp, highs = self.lp, self._highs
+        cols, rows = self._stale
+        idx = self._cols[cols]
+        highs.changeColsCost(lp.n_vars, self._cols, lp.objective)
+        highs.changeColsBounds(len(idx), idx, lp.lower[idx], lp.upper[idx])
+        for row in rows:
+            highs.changeRowBounds(row, lp.row_lower[row], lp.row_upper[row])
+        self._stale = None
 
     def run(self) -> tuple[int, np.ndarray | None, str]:
         """Re-solve from the current basis: (status code, x, message)."""
@@ -334,30 +302,23 @@ class HighsModel:
         return _verdict(self.lp, 0, point[:self.lp.n_vars], "", self.scale)
 
 
-def solve_lp(lp: LinearProgram, model: HighsModel | None = None) -> LPSolution:
-    """Maximize the program, verifying primal feasibility against ``_TOL``.
+def solve_lp(model: HighsModel) -> LPSolution:
+    """Maximize the model's program from the basis of its previous solve,
+    verifying primal feasibility against ``_TOL`` at the model's ``scale``.
 
-    Without ``model`` the program is loaded into a fresh ``HighsModel`` and
-    solved from scratch; with one (whose ``lp`` is this program) HiGHS
-    re-solves it from the basis of the model's previous solve.
-    Deterministic for identical input (and, with a model, an identical
-    history of solves).  Raises IterationLimitError when the solver hits
-    its iteration limit without a verdict (distinct from infeasible), and
-    LPError if the solver reports success but the solution fails the
-    feasibility re-check.
+    Deterministic for an identical history of solves.  Raises
+    IterationLimitError when the solver hits its iteration limit without a
+    verdict (distinct from infeasible), and LPError if the solver reports
+    success but the solution fails the feasibility re-check.
     """
-    if model is None:
-        model = HighsModel(lp)
-    elif model.lp is not lp:
-        raise ValueError("model holds a different program")
-    return _verdict(lp, *model.run(), model.scale)
+    return _verdict(model.lp, *model.run(), model.scale)
 
 
 def _verdict(lp: LinearProgram, status: int, x: np.ndarray | None, message: str,
-             scale: float | None = None) -> LPSolution:
+             scale: float) -> LPSolution:
     """The LPSolution for a solver's status code and point, after the
     feasibility re-check: every bound and row holds within ``10 * _TOL *
-    scale``, where ``scale`` is ``_scale(lp)`` unless given."""
+    scale``."""
     if status == 2:
         return LPSolution("infeasible", None, None)
     if status == 3:
@@ -368,7 +329,7 @@ def _verdict(lp: LinearProgram, status: int, x: np.ndarray | None, message: str,
         raise LPError(f"solver failure: {message}")
 
     x = np.asarray(x, dtype=float)
-    atol = _TOL * (_scale(lp) if scale is None else scale) * 10.0
+    atol = _TOL * scale * 10.0
     bounds, rows = residuals(lp, x)
     if not (bounds <= atol and rows <= atol):
         raise LPError(f"solution failed feasibility re-check: bounds {bounds:.3g}, "

@@ -16,8 +16,9 @@ negative prices genuinely pay for it); the penalty is removed from all
 reported profit figures.
 
 A day is solved by ``solve_day`` in a ``DailyModel``, the lifecycle's day
-kernel: it holds the day's LP in HiGHS and re-solves each next day from the
-previous basis.  ``solve_one_day`` solves a lone day in a one-day kernel.
+kernel: its first day builds the 24-hour LP (``build_daily_lp``) and holds
+it in HiGHS, and each next day is written into it and re-solved from the
+previous basis.
 """
 
 from __future__ import annotations
@@ -103,33 +104,6 @@ NO_SWAP = SwapTerms(swap_price=0.0, daily_swap_cap=0.0, labor_cost=0.0)
 
 
 @dataclass
-class DayInput:
-    """Everything the daily LP needs for one day."""
-
-    battery: BatterySpec
-    lmp: np.ndarray  # 24 hourly energy prices, $/MWh (may be negative)
-    reserve_price: np.ndarray  # 24 hourly reserve prices, $/MW-h, >= 0
-    amdc: float  # adjusted marginal degradation cost, $/MWh-throughput
-    swap: SwapTerms
-    soc_start: float  # MWh stored at hour 0
-    capacity_now: float  # SOH-derated usable capacity, MWh
-    calendar_throughput_today: float = 0.0  # MWh-throughput charged daily
-    reserve_enabled: bool = True
-
-    def __post_init__(self):
-        self.lmp = np.asarray(self.lmp, dtype=float)
-        self.reserve_price = np.asarray(self.reserve_price, dtype=float)
-        if self.lmp.shape != (24,) or self.reserve_price.shape != (24,):
-            raise ValueError("lmp and reserve_price must each hold 24 hourly values")
-        if (self.reserve_price < 0).any():
-            raise ValueError("reserve prices must be >= 0")
-        if self.amdc < 0:
-            raise ValueError(f"amdc must be >= 0, got {self.amdc}")
-        if self.calendar_throughput_today < 0:
-            raise ValueError("calendar_throughput_today must be >= 0")
-
-
-@dataclass
 class DailySchedule:
     """Solved day: hourly quantities, SOC path, and profit decomposition."""
 
@@ -164,33 +138,28 @@ def _costs(lmp: np.ndarray, reserve_price: np.ndarray, amdc: float, swap: SwapTe
     return cost
 
 
-def _objective(day: DayInput, hours: int) -> np.ndarray:
-    """The day's column costs over its first ``hours`` hours."""
-    return _costs(day.lmp[None, :hours], day.reserve_price[None, :hours], day.amdc, day.swap,
-                  day.reserve_enabled)[0]
-
-
-def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
-    """Assemble the scheduling LP for the first ``hours`` hours of a day.
+def build_daily_lp(model: DailyModel, pattern: int, soc_start: float,
+                   capacity_now: float) -> LinearProgram:
+    """Assemble the model's scheduling LP for pattern day ``pattern``, from
+    ``soc_start`` MWh at usable capacity ``capacity_now``.
 
     Variable order: charge[0..H), discharge[0..H), swap[0..H), soc[0..H),
-    and reserve[0..H) when reserve is enabled.  Row order: the SOC recursion
-    as H equality rows, the swap demand as one cap row, then, with reserve,
-    H headroom and H stored-energy coupling rows.  The daily calendar charge
-    is a constant and is excluded here (see module docstring).
+    and reserve[0..H) when reserve is enabled, over the day's H = 24 hours.
+    Row order: the SOC recursion as H equality rows, the swap demand as one
+    cap row, then, with reserve, H headroom and H stored-energy coupling
+    rows.  The costs are the pattern day's row of ``model.costs``; the daily
+    calendar charge is a constant and is excluded here (see module
+    docstring).
     """
-    if not 1 <= hours <= 24:
-        raise ValueError(f"hours must be in [1, 24], got {hours}")
-    b = day.battery
-    eta, keep = b.efficiency, 1.0 - b.self_discharge
-    H = hours
-    res = day.reserve_enabled
+    b = model.battery
+    eta, keep, H = b.efficiency, model.keep, _H
+    res = model.reserve_enabled
     n, m = (5 if res else 4) * H, (3 if res else 1) * H + 1
     i_cha, i_dis, i_swp, i_soc, i_res = 0, H, 2 * H, 3 * H, 4 * H
 
     upper = np.empty(n)
     upper[i_cha:i_swp] = b.power_limit
-    upper[i_swp:i_res] = day.capacity_now
+    upper[i_swp:i_res] = capacity_now
     upper[i_res:] = b.power_limit
 
     h = np.arange(H)
@@ -204,9 +173,9 @@ def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
     A[h, i_cha + h] = -eta
     A[h, i_dis + h] = A[h, i_swp + h] = 1.0 / eta
     row_lower[:H] = 0.0
-    row_lower[0] = row_upper[0] = keep * day.soc_start
+    row_lower[0] = row_upper[0] = keep * soc_start
     A[H, i_swp:i_soc] = 1.0
-    row_upper[H] = day.swap.daily_swap_cap
+    row_upper[H] = model.swap.daily_swap_cap
     if res:
         headroom, coupling = H + 1 + h, 2 * H + 1 + h
         A[headroom, i_res + h] = A[headroom, i_dis + h] = 1.0
@@ -214,7 +183,7 @@ def build_daily_lp(day: DayInput, hours: int = 24) -> LinearProgram:
         A[coupling, i_res + h] = 1.0
         A[coupling, i_soc + h] = -eta
 
-    return LinearProgram(objective=_objective(day, H), lower=np.zeros(n), upper=upper,
+    return LinearProgram(objective=model.costs[pattern], lower=np.zeros(n), upper=upper,
                          A=A, row_lower=row_lower, row_upper=row_upper)
 
 
@@ -234,14 +203,6 @@ class DailyModel:
         self.keep = 1.0 - battery.self_discharge
         self.fixed_bound = max(1.0, battery.power_limit, swap.daily_swap_cap)
         self.amdc = self.costs = self.held = None  # set by price and solve_day
-
-    @classmethod
-    def for_day(cls, day: DayInput) -> DailyModel:
-        """The kernel of a lone day, as its day 0, priced at its ``amdc``."""
-        model = cls(day.battery, HourlyPriceSeries(day.lmp, day.reserve_price), day.swap,
-                    day.reserve_enabled, day.calendar_throughput_today)
-        model.price(day.amdc)
-        return model
 
     def price(self, amdc: float) -> None:
         """Cost every pattern day at adjusted MDC ``amdc``."""
@@ -272,15 +233,14 @@ def solve_day(model: DailyModel, day: int, soc_start: float,
     lmp, reserve_price = model.lmp[pattern], model.reserve_price[pattern]
     swap, amdc = model.swap, model.amdc
     soc0 = model.keep * soc_start
+    scale = max(model.fixed_bound, capacity_now, soc0)
     held = model.held
     if held is None:
-        held = model.held = HighsModel(build_daily_lp(DayInput(
-            model.battery, lmp, reserve_price, amdc, swap, soc_start, capacity_now,
-            model.calendar_throughput, model.reserve_enabled)))
+        held = model.held = HighsModel(
+            build_daily_lp(model, pattern, soc_start, capacity_now), scale)
     else:
-        held.set_day(model.costs[pattern], _SWAP_AND_SOC, capacity_now, 0, soc0)
-    held.scale = max(model.fixed_bound, capacity_now, soc0)
-    sol = held.certify() or solve_lp(held.lp, model=held)
+        held.set_day(model.costs[pattern], _SWAP_AND_SOC, capacity_now, 0, soc0, scale)
+    sol = held.certify() or solve_lp(held)
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "
@@ -313,8 +273,3 @@ def solve_day(model: DailyModel, day: int, soc_start: float,
         energy_revenue=energy_rev, swap_revenue=swap_rev, reserve_revenue=reserve_rev,
         lp_objective=float(sol.objective_value),
     )
-
-
-def solve_one_day(day: DayInput) -> DailySchedule:
-    """Solve a lone day, as day 0 of its one-day kernel (``DailyModel.for_day``)."""
-    return solve_day(DailyModel.for_day(day), 0, day.soc_start, day.capacity_now)

@@ -12,9 +12,9 @@ import numpy as np
 
 from swapval.lp import LinearProgram
 from swapval.market_data import synth_price_series
-from swapval.scheduler import NO_SWAP, BatterySpec, DayInput, SwapTerms
+from swapval.scheduler import NO_SWAP, BatterySpec, SwapTerms
 
-from _reference import build_compact_lp, oracle_cost
+from _reference import DayInput, build_compact_lp, oracle_cost
 
 ORACLE_BUDGET = 8_000_000
 

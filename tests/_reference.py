@@ -1,13 +1,19 @@
 """Reference solvers and checkers the tests compare production against.
 
 Nothing here runs in production:
+- ``DayInput`` is one day on its own; ``solve_one_day`` solves it as day 0
+  of its one-day kernel (``kernel_for_day``) through the production
+  ``solve_day``;
+- ``solve_fresh`` solves a program in a fresh ``HighsModel``, and
+  ``rewrite`` changes a held program as ``HighsModel.set_day`` does, but
+  anywhere; both re-check at ``_scale``, the program's largest bound;
 - ``solve_lp_linprog`` solves a program cold through scipy's ``linprog``,
   a second HiGHS front end that shares no model state with ``swapval.lp``;
 - ``enumerate_oracle`` finds the optimum of a small program by exhaustive
   basic-feasible-point enumeration, sharing no solve logic with HiGHS, and
   ``build_compact_lp`` states a short day in few enough variables for it;
-- ``build_daily_lp_rows`` builds the day's program row by row, the
-  reference for the block-layout ``build_daily_lp``;
+- ``build_daily_lp_rows`` builds the first hours of a day's program row by
+  row, the reference for the kernel's block-layout ``build_daily_lp``;
 - ``max_daily_throughput`` bounds one day's budget draw;
 - ``check_schedule`` recomputes a solved day's invariants and profit.
 """
@@ -15,6 +21,7 @@ Nothing here runs in production:
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -23,19 +30,22 @@ from scipy.optimize import linprog
 from swapval.lifecycle import calendar_throughput_per_day
 from swapval.lp import (
     DimensionError,
+    HighsModel,
     LinearProgram,
     LPSolution,
     _HIGHS_TOL,
-    _scale,
     _verdict,
+    solve_lp,
 )
+from swapval.market_data import HourlyPriceSeries
 from swapval.scheduler import (
     BatterySpec,
+    DailyModel,
     DailySchedule,
-    DayInput,
     ScheduleError,
     SwapTerms,
-    _objective,
+    _costs,
+    solve_day,
 )
 
 _ORACLE_MAX_VARS = 12
@@ -43,13 +53,70 @@ _ORACLE_MAX_VARS = 12
 _ORACLE_CHUNK_ELEMS = 4_000_000
 
 
-def solve_lp_linprog(lp: LinearProgram, max_iter: int | None = None,
-                     model=None) -> LPSolution:
+@dataclass
+class DayInput:
+    """Everything the daily LP needs for one day."""
+
+    battery: BatterySpec
+    lmp: np.ndarray  # 24 hourly energy prices, $/MWh (may be negative)
+    reserve_price: np.ndarray  # 24 hourly reserve prices, $/MW-h, >= 0
+    amdc: float  # adjusted marginal degradation cost, $/MWh-throughput
+    swap: SwapTerms
+    soc_start: float  # MWh stored at hour 0
+    capacity_now: float  # SOH-derated usable capacity, MWh
+    calendar_throughput_today: float = 0.0  # MWh-throughput charged daily
+    reserve_enabled: bool = True
+
+
+def kernel_for_day(day: DayInput) -> DailyModel:
+    """The day kernel of a lone day, as its day 0, priced at its ``amdc``."""
+    model = DailyModel(day.battery, HourlyPriceSeries(day.lmp, day.reserve_price), day.swap,
+                       day.reserve_enabled, day.calendar_throughput_today)
+    model.price(day.amdc)
+    return model
+
+
+def solve_one_day(day: DayInput) -> DailySchedule:
+    """Solve a lone day as day 0 of its one-day kernel."""
+    return solve_day(kernel_for_day(day), 0, day.soc_start, day.capacity_now)
+
+
+def _objective(day: DayInput, hours: int) -> np.ndarray:
+    """The day's column costs over its first ``hours`` hours."""
+    return _costs(day.lmp[None, :hours], day.reserve_price[None, :hours], day.amdc, day.swap,
+                  day.reserve_enabled)[0]
+
+
+def _scale(lp: LinearProgram) -> float:
+    """The feasibility re-check's tolerance scale: the largest finite bound, at least 1."""
+    bounds = np.abs(np.concatenate((lp.lower, lp.upper, lp.row_lower, lp.row_upper)))
+    return max(1.0, float(bounds[bounds < np.inf].max()))
+
+
+def solve_fresh(lp: LinearProgram) -> LPSolution:
+    """``solve_lp`` of the program loaded into a fresh model, with no basis yet."""
+    return solve_lp(HighsModel(lp, _scale(lp)))
+
+
+def rewrite(model: HighsModel, objective, cols: slice = slice(0, 0), upper=0.0,
+            rows: dict[int, tuple[float, float]] | None = None) -> None:
+    """Write every cost of a held program, the upper bounds of ``cols`` and
+    the (lower, upper) bounds of ``rows``, which HiGHS sees at its next run,
+    as it sees a day that ``HighsModel.set_day`` writes."""
+    lp, rows = model.lp, rows or {}
+    lp.objective[:] = objective
+    lp.upper[cols] = upper
+    for row, bounds in rows.items():
+        lp.row_lower[row], lp.row_upper[row] = bounds
+    model.scale = _scale(lp)
+    model._stale = cols, tuple(rows)
+
+
+def solve_lp_linprog(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
     """``solve_lp`` through a cold ``linprog`` solve, with the same verdict.
 
-    A held ``model`` is ignored, so this can stand in for ``solve_lp``
-    wherever production passes one.  ``max_iter`` caps the simplex
-    iterations, with presolve off so that it cannot mask the cap.
+    ``max_iter`` caps the simplex iterations, with presolve off so that it
+    cannot mask the cap.
     """
     eq_rows = lp.row_lower == lp.row_upper
     le_rows = np.isfinite(lp.row_upper) & ~eq_rows
@@ -78,7 +145,7 @@ def solve_lp_linprog(lp: LinearProgram, max_iter: int | None = None,
         method="highs",
         options=options,
     )
-    return _verdict(lp, result.status, result.x, result.message)
+    return _verdict(lp, result.status, result.x, result.message, _scale(lp))
 
 
 def oracle_cost(lp: LinearProgram) -> int:
@@ -260,7 +327,7 @@ def build_compact_lp(day: DayInput, hours: int) -> LinearProgram:
     bounds into general rows over the flow variables; rows that the box
     bounds already make unviolable are dropped.  When the swap cap is zero
     the swap variables are dropped too.  The optimum (including the
-    tie-break term) matches build_daily_lp exactly, reaching far fewer
+    tie-break term) matches build_daily_lp_rows exactly, reaching far fewer
     variables so small instances fit the oracle's enumeration limit.
     """
     if not 1 <= hours <= 24:
@@ -339,7 +406,8 @@ def build_compact_lp(day: DayInput, hours: int) -> LinearProgram:
 
 
 def build_daily_lp_rows(day: DayInput, hours: int = 24) -> LinearProgram:
-    """``build_daily_lp`` written one row at a time: the same program."""
+    """The program of the day's first ``hours`` hours, written one row at a
+    time; at 24 hours, the kernel's ``build_daily_lp`` of the day."""
     b = day.battery
     eta, keep = b.efficiency, 1.0 - b.self_discharge
     H = hours

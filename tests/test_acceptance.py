@@ -23,20 +23,13 @@ from swapval.lifecycle import (
     simulate_lifecycle,
     total_budget,
 )
-from swapval.lp import solve_lp
 from swapval.market_data import load_price_series, synth_price_series
 from swapval.optimizers import DemandPriceCurve, demand_at_price, optimize_mdc, sweep_swap_price
-from swapval.scheduler import (
-    NO_SWAP,
-    BatterySpec,
-    DayInput,
-    SwapTerms,
-    build_daily_lp,
-    solve_one_day,
-)
+from swapval.scheduler import NO_SWAP, BatterySpec, SwapTerms
 
 from _generators import DAY_FAMILIES, ORACLE_BUDGET, random_day, reference_battery
-from _reference import build_compact_lp, enumerate_oracle, oracle_cost
+from _reference import (DayInput, build_compact_lp, build_daily_lp_rows, enumerate_oracle,
+                        oracle_cost, solve_fresh, solve_one_day)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -73,7 +66,7 @@ def test_criterion_1_lp_oracle_equivalence():
                 day = candidate
                 break
         assert day is not None, f"instance {i}: could not fit the oracle budget"
-        sol = solve_lp(build_daily_lp(day, hours))
+        sol = solve_fresh(build_daily_lp_rows(day, hours))
         oracle = enumerate_oracle(build_compact_lp(day, hours))
         scale = max(1.0, abs(oracle.objective_value))
         err = abs(sol.objective_value - oracle.objective_value) / scale

@@ -23,13 +23,11 @@ from swapval.scheduler import (
     NO_SWAP,
     TIE_BREAK_EPS,
     BatterySpec,
-    DayInput,
     SwapTerms,
     solve_day,
-    solve_one_day,
 )
 
-from _reference import max_daily_throughput, solve_lp_linprog
+from _reference import DayInput, max_daily_throughput, solve_lp_linprog, solve_one_day
 
 _CERTIFY = HighsModel.certify  # the real one, which tests wrap
 
@@ -271,9 +269,9 @@ class TestWarmLifecycle:
                                       reserve_enabled=reserve, keep_daily_log=False)
 
         warm = run()
-        # Each day the held program equals build_daily_lp(day), so every
-        # solve is the cold linprog solve of that day.
-        monkeypatch.setattr(scheduler, "solve_lp", solve_lp_linprog)
+        # Each day the held program is that day's, so every solve is the
+        # cold linprog solve of that day.
+        monkeypatch.setattr(scheduler, "solve_lp", lambda held: solve_lp_linprog(held.lp))
         cold = run()
         assert warm.days_lived == cold.days_lived
         assert warm.lb_star == pytest.approx(cold.lb_star, rel=1e-9)

@@ -12,14 +12,15 @@ from swapval.lp import (
 )
 
 from _generators import random_lp
-from _reference import enumerate_oracle, oracle_cost, solve_lp_linprog
+from _reference import (_scale, enumerate_oracle, oracle_cost, rewrite, solve_fresh,
+                        solve_lp_linprog)
 
 INF = np.inf
 
 
 def test_single_bound_active_variable():
     lp = LinearProgram([3.0], [0.0], [5.0], np.zeros((0, 1)), [], [])
-    sol = solve_lp(lp)
+    sol = solve_fresh(lp)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(5.0)
     assert sol.objective_value == pytest.approx(15.0)
@@ -27,14 +28,14 @@ def test_single_bound_active_variable():
 
 def test_infeasible():
     lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [2.0], [INF])
-    assert solve_lp(lp).status == "infeasible"
+    assert solve_fresh(lp).status == "infeasible"
     assert enumerate_oracle(lp).status == "infeasible"
 
 
 def test_two_variable_vertex():
     # max 2x+y s.t. x+y <= 4, 0 <= x <= 3, 0 <= y <= 3
     lp = LinearProgram([2.0, 1.0], [0.0, 0.0], [3.0, 3.0], [[1.0, 1.0]], [-INF], [4.0])
-    sol = solve_lp(lp)
+    sol = solve_fresh(lp)
     assert sol.objective_value == pytest.approx(7.0)
     assert sol.x == pytest.approx([3.0, 1.0])
     oracle = enumerate_oracle(lp)
@@ -76,18 +77,13 @@ def test_dimension_mismatch_rejected():
 def test_bad_row_bounds_rejected(row_lower, row_upper):
     with pytest.raises(DimensionError):
         LinearProgram([1.0], [0.0], [1.0], [[1.0]], row_lower, row_upper)
-    # A held model refuses the same bounds row by row.
-    if len(row_lower) == len(row_upper) == 1:
-        model = HighsModel(LinearProgram([1.0], [0.0], [1.0], [[1.0]], [-INF], [1.0]))
-        with pytest.raises(DimensionError):
-            model.set_row_bounds(0, row_lower[0], row_upper[0])
 
 
 def test_oracle_agreement_on_200_random_lps(rng):
     """solve_lp and the enumeration oracle agree within 1e-6 relative."""
     for trial in range(200):
         lp = random_lp(rng, max_vars=8, max_rows=10)
-        sol = solve_lp(lp)
+        sol = solve_fresh(lp)
         oracle = enumerate_oracle(lp)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
         assert oracle.status == "optimal", f"trial {trial}: {oracle.status}"
@@ -102,11 +98,11 @@ def test_objective_scaling_property(rng):
     returned point optimal for the unscaled program."""
     for _ in range(25):
         lp = random_lp(rng, max_vars=6, max_rows=6)
-        base = solve_lp(lp)
+        base = solve_fresh(lp)
         factor = float(rng.uniform(0.1, 50.0))
         scaled = LinearProgram(lp.objective * factor, lp.lower, lp.upper,
                                lp.A, lp.row_lower, lp.row_upper)
-        scaled_sol = solve_lp(scaled)
+        scaled_sol = solve_fresh(scaled)
         scale = max(1.0, abs(base.objective_value) * factor)
         assert abs(scaled_sol.objective_value - factor * base.objective_value) \
             <= 1e-6 * scale
@@ -118,7 +114,7 @@ def test_objective_scaling_property(rng):
 def test_feasibility_residuals_within_tol(rng):
     for _ in range(50):
         lp = random_lp(rng, max_vars=7, max_rows=8)
-        sol = solve_lp(lp)
+        sol = solve_fresh(lp)
         bounds, constraints = residuals(lp, sol.x)
         rows = np.concatenate((lp.row_lower, lp.row_upper))
         scale = max(1.0, float(np.abs(rows[np.isfinite(rows)]).max(initial=0.0)))
@@ -151,15 +147,15 @@ def test_iteration_limit_reported_distinctly():
     lp = LinearProgram([-1.0, -2.0, 1.0], [0, 0, 0], [10, 10, 10],
                        [[1, 1, 1], [1, -1, 0], [0, 1, 1]],
                        [-INF, -INF, -INF], [4.0, 1.0, 3.0])
-    model = HighsModel(lp)
+    model = HighsModel(lp, _scale(lp))
     model._highs.setOptionValue("presolve", "off")
     model._highs.setOptionValue("simplex_iteration_limit", 1)
     with pytest.raises(IterationLimitError):
-        solve_lp(lp, model=model)
+        solve_lp(model)
     with pytest.raises(IterationLimitError):
         solve_lp_linprog(lp, max_iter=1)
     # The same instance is perfectly feasible without the cap.
-    assert solve_lp(lp).status == "optimal"
+    assert solve_fresh(lp).status == "optimal"
 
 
 def _loop_residuals(lp, x):
@@ -190,20 +186,21 @@ def test_highs_model_matches_linprog_through_updates(rng):
     """A held model re-solved after each change agrees with a cold linprog."""
     for _ in range(30):
         lp = random_lp(rng, max_vars=7, max_rows=8)
-        model = HighsModel(lp)
+        model = HighsModel(lp, _scale(lp))
         for step in range(4):
             if step:
-                model.set_objective(rng.normal(size=lp.n_vars) * 10.0)
+                objective = rng.normal(size=lp.n_vars) * 10.0
                 cols = slice(0, lp.n_vars // 2 + 1)
-                model.set_upper(cols, lp.upper[cols] + rng.uniform(0.0, 1.0))
+                upper = lp.upper[cols] + rng.uniform(0.0, 1.0)
+                rows = {}
                 if lp.n_constraints:
                     row = int(rng.integers(lp.n_constraints))
                     # Loosen the row so the program stays feasible; an
                     # equality row keeps its bounds.
                     loosen = rng.uniform(0.0, 1.0) * (lp.row_lower[row] < lp.row_upper[row])
-                    model.set_row_bounds(row, lp.row_lower[row] - loosen,
-                                         lp.row_upper[row] + loosen)
-            warm = solve_lp(lp, model=model)
+                    rows[row] = lp.row_lower[row] - loosen, lp.row_upper[row] + loosen
+                rewrite(model, objective, cols, upper, rows)
+            warm = solve_lp(model)
             cold = solve_lp_linprog(lp)
             assert warm.status == cold.status == "optimal"
             assert warm.objective_value == pytest.approx(cold.objective_value,
@@ -211,18 +208,13 @@ def test_highs_model_matches_linprog_through_updates(rng):
 
 
 def test_highs_model_verdicts_and_misuse():
+    """A held model reports an optimum, then the infeasible program a
+    rewritten row makes of it."""
     lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [0.5], [INF])
-    model = HighsModel(lp)
-    assert solve_lp(lp, model=model).x[0] == pytest.approx(1.0)
-    model.set_row_bounds(0, 2.0, INF)
-    assert solve_lp(lp, model=model).status == "infeasible"
-    other = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [0.5], [INF])
-    with pytest.raises(ValueError):
-        solve_lp(other, model=model)
-    with pytest.raises(DimensionError):
-        model.set_upper(slice(0, 1), -1.0)
-    with pytest.raises(DimensionError):
-        model.set_objective([np.nan])
+    model = HighsModel(lp, _scale(lp))
+    assert solve_lp(model).x[0] == pytest.approx(1.0)
+    rewrite(model, [1.0], rows={0: (2.0, INF)})
+    assert solve_lp(model).status == "infeasible"
 
 
 class TestCertify:
@@ -236,9 +228,9 @@ class TestCertify:
     @staticmethod
     def _solved_model():
         lp = LinearProgram([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [-INF], [1.5])
-        model = HighsModel(lp)
+        model = HighsModel(lp, _scale(lp))
         assert model.certify() is None  # nothing to certify from before a run
-        assert solve_lp(lp, model=model).x.tolist() == [1.0, 0.0]
+        assert solve_lp(model).x.tolist() == [1.0, 0.0]
         return model
 
     def test_unchanged_program_certifies(self):
@@ -248,27 +240,26 @@ class TestCertify:
     @pytest.mark.parametrize("c2", [-5e-8, -1e-13, 0.0, 1e-13])
     def test_clear_or_tied_reduced_cost_keeps_the_bound(self, c2):
         model = self._solved_model()
-        model.set_objective([1.0, c2])
+        rewrite(model, [1.0, c2])
         assert model.certify().x.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("c2", [-5e-10, -2e-12, 2e-12, 5e-10])
     def test_reduced_cost_too_close_to_call_declines(self, c2):
         model = self._solved_model()
-        model.set_objective([1.0, c2])
+        rewrite(model, [1.0, c2])
         assert model.certify() is None
 
     def test_bound_flip_certifies_when_the_basis_stays_feasible(self):
         model = self._solved_model()
-        model.set_objective([1.0, 0.3])
-        model.set_row_bounds(0, -INF, 2.5)
+        rewrite(model, [1.0, 0.3], rows={0: (-INF, 2.5)})
         assert model.certify().x.tolist() == [1.0, 1.0]
-        assert solve_lp(model.lp, model=model).x.tolist() == [1.0, 1.0]
+        assert solve_lp(model).x.tolist() == [1.0, 1.0]
 
     def test_bound_flip_that_breaks_the_basis_declines_and_refactors(self):
         model = self._solved_model()
-        model.set_objective([1.0, 0.3])
+        rewrite(model, [1.0, 0.3])
         assert model.certify() is None  # x2 at 1 would push the row to 2 > 1.5
-        x = solve_lp(model.lp, model=model).x
+        x = solve_lp(model).x
         assert x.tolist() == [1.0, 0.5]
         # The new basis (x2 basic, the row at its bound) certifies the same
         # program; the old one would still decline.
@@ -276,10 +267,10 @@ class TestCertify:
 
     def test_a_slack_favoured_at_minus_infinity_declines(self):
         model = self._solved_model()
-        model.set_objective([1.0, 0.3])
-        solve_lp(model.lp, model=model)  # x2 basic, the row at its bound 1.5
+        rewrite(model, [1.0, 0.3])
+        solve_lp(model)  # x2 basic, the row at its bound 1.5
         # The row's reduced cost is now c2 < 0: it favours the row's lower
         # bound, -inf, and only a pivot (x2 out, the row in) reaches (1, 0).
-        model.set_objective([1.0, -0.3])
+        rewrite(model, [1.0, -0.3])
         assert model.certify() is None
-        assert solve_lp(model.lp, model=model).x.tolist() == [1.0, 0.0]
+        assert solve_lp(model).x.tolist() == [1.0, 0.0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import swapval.scheduler as scheduler
-from swapval.lp import LPError, _scale, _verdict, solve_lp
+from swapval.lp import LPError, _verdict
 from swapval.market_data import HourlyPriceSeries, synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
@@ -13,23 +13,16 @@ from swapval.scheduler import (
     BatterySpec,
     DailyModel,
     DailySchedule,
-    DayInput,
     ScheduleError,
     SwapTerms,
-    _objective,
     build_daily_lp,
     solve_day,
-    solve_one_day,
 )
 
 from _generators import random_day, random_oracle_day
-from _reference import (
-    build_compact_lp,
-    build_daily_lp_rows,
-    check_schedule,
-    enumerate_oracle,
-    solve_lp_linprog,
-)
+from _reference import (DayInput, _objective, _scale, build_compact_lp, build_daily_lp_rows,
+                        check_schedule, enumerate_oracle, kernel_for_day, solve_fresh,
+                        solve_lp_linprog, solve_one_day)
 
 ETA = 0.95
 
@@ -79,23 +72,28 @@ class TestBuildDailyLP:
                          lmp=np.concatenate([[10.0, 10.0, 90.0, 90.0], np.zeros(20)]),
                          reserve_price=np.zeros(24), amdc=35.0, swap=NO_SWAP,
                          soc_start=0.0, capacity_now=2.7, reserve_enabled=False)
-        full = solve_lp(build_daily_lp(short, hours=4))
+        full = solve_fresh(build_daily_lp_rows(short, 4))
         oracle = enumerate_oracle(build_compact_lp(short, hours=4))
         assert full.objective_value == pytest.approx(oracle.objective_value,
                                                      rel=1e-9, abs=1e-9)
 
+    @staticmethod
+    def _day_0(day):
+        """The program the day's one-day kernel builds for its day 0."""
+        return build_daily_lp(kernel_for_day(day), 0, day.soc_start, day.capacity_now)
+
     def test_variable_order_and_shapes(self, battery):
-        day = flat_day(battery, reserve=True)
-        lp = build_daily_lp(day)
-        assert lp.n_vars == 5 * 24
-        day_no_res = flat_day(battery, reserve=False)
-        assert build_daily_lp(day_no_res).n_vars == 4 * 24
+        assert self._day_0(flat_day(battery, reserve=True)).n_vars == 5 * 24
+        assert self._day_0(flat_day(battery, reserve=False)).n_vars == 4 * 24
 
     @pytest.mark.parametrize("hours", [1, 2, 3, 4, 24])
     @pytest.mark.parametrize("reserve", [False, True])
     def test_block_layout_equals_the_row_loops(self, hours, reserve):
-        """The block-layout build is the row-by-row program, bit for bit, over
-        swap cap, starting SOC and self-discharge, each zero and not."""
+        """The kernel's day-0 program is the row-by-row program, bit for bit,
+        over swap cap, starting SOC and self-discharge, each zero and not.
+        Its columns and rows of the first ``hours`` hours (and the cap row)
+        are the row-by-row program of those hours, which the short-day tests
+        solve."""
         for cap, soc, rho in itertools.product([0.0, 2.7], [0.0, 1.3], [0.0, 0.01]):
             battery = BatterySpec(energy_capacity_0=2.7, power_limit=2.7, efficiency=ETA,
                                   self_discharge=rho)
@@ -103,16 +101,17 @@ class TestBuildDailyLP:
                            reserve_price=np.linspace(0.0, 15.0, 24), amdc=35.0,
                            swap=SwapTerms(120.0, cap), soc_start=soc, capacity_now=2.7,
                            reserve_enabled=reserve)
-            block, rows = build_daily_lp(day, hours), build_daily_lp_rows(day, hours)
-            for name in ("objective", "lower", "upper", "A", "row_lower", "row_upper"):
-                assert np.array_equal(getattr(block, name), getattr(rows, name)), \
-                    (name, cap, soc, rho)
-
-    def test_bad_hours_rejected(self, battery):
-        with pytest.raises(ValueError):
-            build_daily_lp(flat_day(battery), hours=0)
-        with pytest.raises(ValueError):
-            build_daily_lp(flat_day(battery), hours=25)
+            block, rows = self._day_0(day), build_daily_lp_rows(day, hours)
+            # Each column's and row's hour; the cap row counts as hour 0.
+            col_hour = np.arange(block.n_vars) % 24
+            row_hour = np.concatenate((np.arange(24), [0], np.arange(48) % 24))
+            cols, kept = col_hour < hours, row_hour[:block.n_constraints] < hours
+            for name, part in (("objective", block.objective[cols]),
+                               ("lower", block.lower[cols]), ("upper", block.upper[cols]),
+                               ("A", block.A[np.ix_(kept, cols)]),
+                               ("row_lower", block.row_lower[kept]),
+                               ("row_upper", block.row_upper[kept])):
+                assert np.array_equal(part, getattr(rows, name)), (name, cap, soc, rho)
 
 
 class TestSolveDay:
@@ -125,7 +124,7 @@ class TestSolveDay:
         # Exact optimum on a 4-hour reduction with a 0.5 MWh cap.
         short = flat_day(battery, level=50.0, mu=35.0, q=0.0,
                          swap=SwapTerms(160.0, 0.5, 10.0))
-        full = solve_lp(build_daily_lp(short, hours=4))
+        full = solve_fresh(build_daily_lp_rows(short, 4))
         oracle = enumerate_oracle(build_compact_lp(short, hours=4))
         assert full.objective_value == pytest.approx(
             oracle.objective_value, rel=1e-9, abs=1e-9)
@@ -141,7 +140,7 @@ class TestSolveDay:
         # Oracle confirmation on a 3-hour reduction of the same terms.
         short = flat_day(battery, level=0.0, mu=20.0, q=0.0,
                          swap=SwapTerms(40.0, 2.7, 10.0), soc=2.7)
-        full = solve_lp(build_daily_lp(short, hours=3))
+        full = solve_fresh(build_daily_lp_rows(short, 3))
         oracle = enumerate_oracle(build_compact_lp(short, hours=3))
         assert full.objective_value == pytest.approx(
             oracle.objective_value, rel=1e-9, abs=1e-9)
@@ -157,7 +156,7 @@ class TestSolveDay:
         across channel mixes, including reserve and self-discharge."""
         for i in range(40):
             day, hours = random_oracle_day(rng, i)
-            sol = solve_lp(build_daily_lp(day, hours))
+            sol = solve_fresh(build_daily_lp_rows(day, hours))
             oracle = enumerate_oracle(build_compact_lp(day, hours))
             scale = max(1.0, abs(oracle.objective_value))
             assert abs(sol.objective_value - oracle.objective_value) <= 1e-6 * scale, (
@@ -231,7 +230,7 @@ class TestDecomposeProfit:
                        reserve_price=np.full(24, 5.0), amdc=10.0,
                        swap=SwapTerms(160.0, 2.0, 10.0), soc_start=1.0, capacity_now=2.7,
                        calendar_throughput_today=0.5, reserve_enabled=True)
-        model = DailyModel.for_day(day)
+        model = kernel_for_day(day)
         schedule = solve_day(model, 0, day.soc_start, day.capacity_now)
 
         def recheck():
@@ -314,8 +313,8 @@ class TestScheduleProperties:
         for _ in range(15):
             day = random_day(rng, hours=24, with_swap=True, with_reserve=True)
             hours = int(rng.choice([6, 12, 24]))
-            full = solve_lp(build_daily_lp(day, hours=hours))
-            compact = solve_lp(build_compact_lp(day, hours=hours))
+            full = solve_fresh(build_daily_lp_rows(day, hours))
+            compact = solve_fresh(build_compact_lp(day, hours=hours))
             scale = max(1.0, abs(full.objective_value))
             assert abs(full.objective_value - compact.objective_value) <= 1e-7 * scale
 
@@ -354,7 +353,7 @@ class TestDailyModel:
             for index, day in self._days(rng, first, prices, 5):
                 model.price(day.amdc)
                 solve_day(model, index, day.soc_start, day.capacity_now)
-                held, fresh = model.held.lp, build_daily_lp(day)
+                held, fresh = model.held.lp, build_daily_lp_rows(day)
                 for name in ("objective", "lower", "upper", "A", "row_lower", "row_upper"):
                     assert np.array_equal(getattr(held, name), getattr(fresh, name)), name
                 assert model.held.scale == _scale(fresh)
@@ -368,7 +367,7 @@ class TestDailyModel:
             model.price(day.amdc)
             warm = solve_day(model, index, day.soc_start, day.capacity_now)
             with monkeypatch.context() as patch:
-                patch.setattr(scheduler, "solve_lp", solve_lp_linprog)
+                patch.setattr(scheduler, "solve_lp", lambda held: solve_lp_linprog(held.lp))
                 cold = solve_one_day(day)
             assert warm.lp_objective == pytest.approx(cold.lp_objective, rel=1e-9, abs=1e-9)
             assert warm.sb_star == pytest.approx(cold.sb_star, rel=1e-6, abs=1e-6)
@@ -380,7 +379,7 @@ class TestDailyModel:
         monkeypatch.setattr(scheduler, "solve_lp",
                             lambda *args, **kw: runs.append(1) or real(*args, **kw))
         day = random_day(rng, 24, with_swap=True, with_reserve=True)
-        model = DailyModel.for_day(day)
+        model = kernel_for_day(day)
         first = solve_day(model, 0, day.soc_start, day.capacity_now)
         assert len(runs) == 1
         again = solve_day(model, 0, day.soc_start, day.capacity_now)
@@ -392,7 +391,7 @@ class TestDailyModel:
         assert len(runs) == 2  # a fresh model has no basis yet
 
     def test_rejects_bad_capacity_or_soc(self, battery):
-        model = DailyModel.for_day(flat_day(battery))
+        model = kernel_for_day(flat_day(battery))
         for soc, capacity in [(0.0, 0.0), (0.0, -1.0), (0.0, np.nan), (-1e-3, 2.7),
                               (2.7 + 1e-6, 2.7), (np.nan, 2.7)]:
             with pytest.raises(ValueError):
@@ -459,8 +458,8 @@ class TestDayKernel:
                                   self_discharge=rho)
             day = flat_day(battery, swap=SwapTerms(120.0, cap), reserve=reserve,
                            soc=full * capacity, capacity=capacity, reserve_level=2.0)
-            model = DailyModel.for_day(day)
+            model = kernel_for_day(day)
             solve_day(model, 0, day.soc_start, day.capacity_now)
-            assert model.held.scale == _scale(build_daily_lp(day)) == _scale(model.held.lp)
+            assert model.held.scale == _scale(build_daily_lp_rows(day)) == _scale(model.held.lp)
             shapes += 1
         assert shapes == 336
