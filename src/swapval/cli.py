@@ -17,7 +17,6 @@ import os
 import sys
 
 from swapval.config import (
-    _SYNTH_PARAMS,
     ConfigError,
     PriceSource,
     ScenarioConfig,
@@ -27,7 +26,7 @@ from swapval.config import (
 )
 from swapval.lifecycle import check_mdc, eol_analysis, simulate_lifecycle
 from swapval.lp import LPError
-from swapval.market_data import PriceDataError
+from swapval.market_data import DEFAULT_SCHEMA, SYNTH_PARAMS, PriceDataError
 from swapval.optimizers import (
     MAX_GRID_POINTS,
     DemandPriceCurve,
@@ -42,11 +41,12 @@ from swapval.optimizers import (
     sweep_swap_price,
 )
 from swapval.report import (
-    emit_eol_sensitivity,
     emit_curve_optima,
+    emit_eol_sensitivity,
     emit_lifecycle,
     emit_mdc_sweep,
     emit_price_sweep,
+    write_json,
 )
 from swapval.scheduler import ScheduleError, SwapTerms
 
@@ -100,9 +100,9 @@ def _parse_synth(text: str) -> tuple[str, dict]:
     the required ones first; ``sine`` is ``daily-sine``."""
     name, *values = text.split(":")
     pattern = "daily-sine" if name == "sine" else name
-    if pattern not in _SYNTH_PARAMS:
+    if pattern not in SYNTH_PARAMS:
         raise ConfigError(f"unknown synth pattern {name!r}")
-    required, optional = _SYNTH_PARAMS[pattern]
+    required, optional = SYNTH_PARAMS[pattern]
     names = (*required, *optional)
     if not len(required) <= len(values) <= len(names):
         usage = ":".join((pattern, *required)) + "".join(f"[:{o}]" for o in optional)
@@ -167,28 +167,18 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     if args.mu is not None and not 0 <= args.mu < float("inf"):
         raise ConfigError(f"--mu must be finite and >= 0, got {args.mu}")
     prices = config.prices
-    if args.synth:
-        pattern, params = _parse_synth(args.synth)
+    if args.price_file:
+        prices = PriceSource(kind="file", path=args.price_file, schema=prices.schema or None)
+    elif args.synth or prices.kind == "synthetic":
+        pattern, params = (_parse_synth(args.synth) if args.synth
+                           else (prices.pattern, prices.params))
         prices = PriceSource(kind="synthetic", pattern=pattern, params=params,
-                             days=args.days if args.days is not None else prices.days,
-                             seed=args.seed if args.seed is not None else prices.seed)
-    elif args.price_file:
-        schema = dict(prices.schema or {})
-        prices = PriceSource(kind="file", path=args.price_file, schema=schema or None)
-    elif prices.kind == "synthetic" and (args.seed is not None or args.days is not None):
-        prices = dataclasses.replace(
-            prices,
-            seed=args.seed if args.seed is not None else prices.seed,
-            days=args.days if args.days is not None else prices.days)
-    if prices.kind == "file" and any([args.schema_hour, args.schema_lmp, args.schema_reserve]):
-        schema = dict(prices.schema or {"hour": "hour", "lmp": "lmp_usd_per_mwh",
-                                        "reserve": "reserve_usd_per_mw"})
-        if args.schema_hour:
-            schema["hour"] = args.schema_hour
-        if args.schema_lmp:
-            schema["lmp"] = args.schema_lmp
-        if args.schema_reserve:
-            schema["reserve"] = args.schema_reserve
+                             days=prices.days if args.days is None else args.days,
+                             seed=prices.seed if args.seed is None else args.seed)
+    columns = {key: name for key, name in (("hour", args.schema_hour), ("lmp", args.schema_lmp),
+                                          ("reserve", args.schema_reserve)) if name}
+    if prices.kind == "file" and columns:
+        schema = {**(prices.schema or DEFAULT_SCHEMA), **columns}
         prices = dataclasses.replace(prices, schema=schema)
 
     economics = config.economics
@@ -200,14 +190,11 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
         flags = dataclasses.replace(flags, reserve_enabled=False)
 
     swap = config.swap
-    if args.swap_price is not None or args.swap_cap is not None or args.labor is not None:
-        base = swap if swap is not None else SwapTerms(0.0, 0.0, 10.0)
-        swap = _checked(
-            SwapTerms,
-            args.swap_price if args.swap_price is not None else base.swap_price,
-            args.swap_cap if args.swap_cap is not None else base.daily_swap_cap,
-            args.labor if args.labor is not None else base.labor_cost,
-        )
+    terms = {name: value for name, value in (("swap_price", args.swap_price),
+                                             ("daily_swap_cap", args.swap_cap),
+                                             ("labor_cost", args.labor)) if value is not None}
+    if terms:
+        swap = _checked(dataclasses.replace, swap or SwapTerms(0.0, 0.0), **terms)
 
     mdc_grid = config.mdc_grid if args.mdc_grid is None else _parse_grid(args.mdc_grid)
     price_grid = config.price_grid if args.price_grid is None else _parse_grid(args.price_grid)
@@ -218,9 +205,8 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     for mu in mdc_grid + ([] if args.mu is None else [args.mu]):
         _checked(check_mdc, mu, config.battery, economics)
 
-    return ScenarioConfig(battery=config.battery, economics=economics, prices=prices,
-                          swap=swap, demand_curve=config.demand_curve, flags=flags,
-                          mdc_grid=mdc_grid, price_grid=price_grid)
+    return dataclasses.replace(config, economics=economics, prices=prices, swap=swap,
+                               flags=flags, mdc_grid=mdc_grid, price_grid=price_grid)
 
 
 def _cmd_simulate(config: ScenarioConfig, prices, args) -> None:
@@ -264,7 +250,7 @@ def _cmd_optimize_curve_price(config: ScenarioConfig, prices, args) -> None:
     if not curves:
         raise ConfigError("optimize-curve-price needs --curve k,b or a demand_curve "
                           "block in the config")
-    labor = config.swap.labor_cost if config.swap else 10.0
+    labor = (config.swap or SwapTerms(0.0, 0.0)).labor_cost
     optima = optimize_price_for_curves(
         config.battery, config.economics, prices, curves,
         config.price_grid, config.mdc_grid, labor_cost=labor,
@@ -314,10 +300,8 @@ def _fail(args, exc: Exception, code: int) -> int:
     if out:
         try:
             os.makedirs(out, exist_ok=True)
-            with open(os.path.join(out, "error.json"), "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=2)
-                fh.write("\n")
-        except OSError:
+            write_json(os.path.join(out, "error.json"), record)
+        except OSError:  # an --out that cannot be created: stderr only
             pass
     return code
 
@@ -330,12 +314,15 @@ def run_cli(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         prices = resolve_prices(config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
         emit_config(config, os.path.join(args.out, "config.json"))
         _COMMANDS[args.command](config, prices, args)
     except ConfigError as exc:
         return _fail(args, exc, EXIT_CONFIG)
-    except (PriceDataError, FileNotFoundError) as exc:
+    except PriceDataError as exc:
         return _fail(args, exc, EXIT_DATA)
     except (LPError, ScheduleError, SweepError) as exc:
         return _fail(args, exc, EXIT_SOLVER)

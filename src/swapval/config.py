@@ -11,63 +11,23 @@ data-conditional results.
 from __future__ import annotations
 
 import json
-import math
-import os
 from dataclasses import asdict, dataclass, field
 
 from swapval.lifecycle import DAYS_PER_YEAR, MAX_HORIZON_YEARS, EconomicParams
 from swapval.market_data import (
-    DEFAULT_SCHEMA,
     HourlyPriceSeries,
+    PriceDataError,
+    check_synth_source,
     load_price_series,
     synth_price_series,
 )
 from swapval.optimizers import DemandPriceCurve
+from swapval.report import write_json
 from swapval.scheduler import BatterySpec, SwapTerms
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
-
-
-# Each synthetic pattern's required and optional parameters (see
-# ``synth_price_series``); every pattern also takes ``reserve_level``.
-_SYNTH_PARAMS = {
-    "flat": (("level",), ()),
-    "two-level": (("low", "high"), ("split_hour",)),
-    "daily-sine": (("mean", "amplitude"), ()),
-}
-
-
-def _check_synth_params(pattern: str, params) -> None:
-    """Reject a synthetic price source ``synth_price_series`` cannot build."""
-    if pattern not in _SYNTH_PARAMS:
-        raise ConfigError(f"unknown synthetic pattern {pattern!r} "
-                          f"(expected one of {', '.join(_SYNTH_PARAMS)})")
-    if not isinstance(params, dict):
-        raise ConfigError(f"synthetic params must be an object, got {params!r}")
-    required, optional = _SYNTH_PARAMS[pattern]
-    for name in required:
-        if name not in params:
-            raise ConfigError(f"synthetic pattern {pattern!r} needs parameter {name!r}")
-    known = (*required, *optional, "reserve_level")
-    for name in params:
-        if name not in known:  # a misspelt optional parameter would be ignored
-            raise ConfigError(f"synthetic pattern {pattern!r} takes no parameter {name!r} "
-                              f"(expected {', '.join(known)})")
-    for name in known:
-        value = params.get(name, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not math.isfinite(value):
-            raise ConfigError(f"synthetic parameter {name!r} must be a finite number, "
-                              f"got {value!r}")
-    for name in ("amplitude", "reserve_level"):
-        if params.get(name, 0.0) < 0:
-            raise ConfigError(f"synthetic parameter {name!r} must be >= 0, got {params[name]!r}")
-    split = params.get("split_hour", 12)
-    if split != int(split) or not 0 <= split <= 24:
-        raise ConfigError(
-            f"synthetic parameter 'split_hour' must be an integer in [0, 24], got {split!r}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +58,10 @@ class PriceSource:
         if self.seed < 0:
             raise ConfigError(f"price source seed must be >= 0, got {self.seed}")
         if self.kind == "synthetic":
-            _check_synth_params(self.pattern, self.params)
+            try:
+                check_synth_source(self.pattern, self.params)
+            except PriceDataError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -140,16 +103,7 @@ def paper_defaults() -> ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "battery": asdict(config.battery),
-        "economics": asdict(config.economics),
-        "prices": asdict(config.prices),
-        "swap": asdict(config.swap) if config.swap is not None else None,
-        "demand_curve": asdict(config.demand_curve) if config.demand_curve is not None else None,
-        "flags": asdict(config.flags),
-        "mdc_grid": list(config.mdc_grid),
-        "price_grid": list(config.price_grid),
-    }
+    return asdict(config)
 
 
 def parse_config(data: dict) -> ScenarioConfig:
@@ -160,45 +114,45 @@ def parse_config(data: dict) -> ScenarioConfig:
         swap = SwapTerms(**data["swap"]) if data.get("swap") else None
         curve = DemandPriceCurve(**data["demand_curve"]) if data.get("demand_curve") else None
         flags = Flags(**data.get("flags", {}))
-        mdc_grid = [float(v) for v in data.get("mdc_grid", range(0, 101, 5))]
-        price_grid = [float(v) for v in data.get("price_grid", range(0, 201, 10))]
-        for name in ("mdc_grid", "price_grid"):
-            if any(isinstance(v, bool) for v in data.get(name, ())):
+        grids = {name: [float(v) for v in data[name]]
+                 for name in ("mdc_grid", "price_grid") if name in data}
+        for name in grids:
+            if any(isinstance(v, bool) for v in data[name]):
                 raise ConfigError(f"{name} must hold numbers, got {data[name]!r}")
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
     return ScenarioConfig(battery=battery, economics=economics, prices=prices,
-                          swap=swap, demand_curve=curve, flags=flags,
-                          mdc_grid=mdc_grid, price_grid=price_grid)
+                          swap=swap, demand_curve=curve, flags=flags, **grids)
 
 
 def load_config(source: str) -> ScenarioConfig:
     """Load a config from a JSON file path, or the 'paper-defaults' preset."""
     if source == "paper-defaults":
         return paper_defaults()
-    if not os.path.exists(source):
-        raise ConfigError(f"config file not found: {source}")
-    with open(source, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(source, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {source}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {source}: {exc}") from exc
     return parse_config(data)
 
 
 def emit_config(config: ScenarioConfig, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
-    return path
+    try:
+        return write_json(path, config_to_dict(config))
+    except ValueError as exc:  # a NaN or infinity in a field no check reads
+        raise ConfigError(f"config cannot be written as JSON: {exc}") from exc
 
 
 def resolve_prices(config: ScenarioConfig) -> HourlyPriceSeries:
     """Materialize the configured price series (file read or synthesis)."""
     src = config.prices
     if src.kind == "file":
-        schema = src.schema if src.schema else dict(DEFAULT_SCHEMA)
-        return load_price_series(src.path, schema=schema)
+        return load_price_series(src.path, schema=src.schema or None)
     return synth_price_series(src.pattern, days=src.days, seed=src.seed, **src.params)

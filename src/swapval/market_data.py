@@ -120,10 +120,10 @@ def load_price_series(path: str | os.PathLike, schema: dict | None = None) -> Ho
         A validated HourlyPriceSeries.
 
     Raises:
-        PriceDataError: missing file, missing columns, duplicate/missing
-            hours, non-numeric cells, negative reserve prices, or a row
-            count that is not a multiple of 24.  Row numbers are 1-based
-            data rows (header excluded).
+        PriceDataError: a missing or unreadable file, missing columns,
+            duplicate/missing hours, non-numeric cells, negative reserve
+            prices, or a row count that is not a multiple of 24.  Row
+            numbers are 1-based data rows (header excluded).
     """
     schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     hour_col, lmp_col = schema.get("hour"), schema.get("lmp")
@@ -131,18 +131,21 @@ def load_price_series(path: str | os.PathLike, schema: dict | None = None) -> Ho
     if not hour_col or not lmp_col:
         raise PriceDataError("schema must map 'hour' and 'lmp' columns")
 
-    if not os.path.exists(path):
-        raise PriceDataError(f"price file not found: {path}")
     names = [hour_col, lmp_col] + ([reserve_col] if reserve_col else [])
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise PriceDataError("empty file (no header row)")
-        for col in names:
-            if col not in header:
-                raise PriceDataError(f"missing column {col!r} (found {header})")
-        rows = [row for row in reader if row]  # blank lines are skipped
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise PriceDataError("empty file (no header row)")
+            for col in names:
+                if col not in header:
+                    raise PriceDataError(f"missing column {col!r} (found {header})")
+            rows = [row for row in reader if row]  # blank lines are skipped
+    except FileNotFoundError:
+        raise PriceDataError(f"price file not found: {path}") from None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise PriceDataError(f"cannot read price file {path}: {exc}") from exc
     # A column's cells: its last header match's, as in csv.DictReader, or "".
     last = {col: len(header) - 1 - header[::-1].index(col) for col in names}
     cells = [[row[last[col]] if last[col] < len(row) else "" for row in rows] for col in names]
@@ -190,11 +193,51 @@ def write_series(series: HourlyPriceSeries, path: str | os.PathLike,
             writer.writerow([h, repr(float(series.lmp[h])), repr(float(series.reserve_price[h]))])
 
 
+# Each synthetic pattern's required and optional parameters; every pattern
+# also takes ``reserve_level``.
+SYNTH_PARAMS = {
+    "flat": (("level",), ()),
+    "two-level": (("low", "high"), ("split_hour",)),
+    "daily-sine": (("mean", "amplitude"), ()),
+}
+
+
+def check_synth_source(pattern: str, params) -> None:
+    """Reject a synthetic price source ``synth_price_series`` cannot build."""
+    if pattern not in SYNTH_PARAMS:
+        raise PriceDataError(f"unknown synthetic pattern {pattern!r} "
+                             f"(expected one of {', '.join(SYNTH_PARAMS)})")
+    if not isinstance(params, dict):
+        raise PriceDataError(f"synthetic params must be an object, got {params!r}")
+    required, optional = SYNTH_PARAMS[pattern]
+    for name in required:
+        if name not in params:
+            raise PriceDataError(f"synthetic pattern {pattern!r} needs parameter {name!r}")
+    known = (*required, *optional, "reserve_level")
+    for name in params:
+        if name not in known:  # a misspelt optional parameter would be ignored
+            raise PriceDataError(f"synthetic pattern {pattern!r} takes no parameter {name!r} "
+                                 f"(expected {', '.join(known)})")
+    for name in known:
+        value = params.get(name, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not math.isfinite(value):
+            raise PriceDataError(f"synthetic parameter {name!r} must be a finite number, "
+                                 f"got {value!r}")
+    for name in ("amplitude", "reserve_level"):
+        if params.get(name, 0.0) < 0:
+            raise PriceDataError(f"synthetic parameter {name!r} must be >= 0, got {params[name]!r}")
+    split = params.get("split_hour", 12)
+    if split != int(split) or not 0 <= split <= 24:
+        raise PriceDataError(
+            f"synthetic parameter 'split_hour' must be an integer in [0, 24], got {split!r}")
+
+
 def synth_price_series(pattern: str, days: int, seed: int = 0,
                        reserve_level: float = 0.0, **params) -> HourlyPriceSeries:
     """Generate a deterministic synthetic price series.
 
-    Patterns:
+    Patterns (``SYNTH_PARAMS``; ``check_synth_source`` states the rules):
         'flat':       level
         'two-level':  low, high, split_hour (hours < split take low)
         'daily-sine': mean, amplitude; peak at hour 18, trough at hour 6,
@@ -205,30 +248,21 @@ def synth_price_series(pattern: str, days: int, seed: int = 0,
     """
     if days < 1:
         raise PriceDataError(f"days must be >= 1, got {days}")
-    if reserve_level < 0:
-        raise PriceDataError(f"reserve_level must be >= 0, got {reserve_level}")
+    check_synth_source(pattern, {**params, "reserve_level": reserve_level})
     n = 24 * days
 
     if pattern == "flat":
-        level = float(params["level"])
-        lmp = np.full(n, level)
+        lmp = np.full(n, float(params["level"]))
     elif pattern == "two-level":
         low, high = float(params["low"]), float(params["high"])
-        split = int(params.get("split_hour", 12))
-        if not 0 <= split <= 24:
-            raise PriceDataError(f"split_hour must be in [0, 24], got {split}")
-        day = np.where(np.arange(24) < split, low, high)
+        day = np.where(np.arange(24) < int(params.get("split_hour", 12)), low, high)
         lmp = np.tile(day, days)
-    elif pattern == "daily-sine":
+    else:
         mean, amplitude = float(params["mean"]), float(params["amplitude"])
-        if amplitude < 0:
-            raise PriceDataError(f"amplitude must be >= 0, got {amplitude}")
         rng = np.random.default_rng(seed)
         jitter = rng.uniform(0.9, 1.1, size=days)
         hours = np.arange(24)
         shape = np.sin(2.0 * np.pi * (hours - 12.0) / 24.0)
         lmp = (mean + amplitude * np.outer(jitter, shape)).ravel()
-    else:
-        raise PriceDataError(f"unknown pattern {pattern!r}")
 
     return HourlyPriceSeries(lmp=lmp, reserve_price=np.full(n, float(reserve_level)))

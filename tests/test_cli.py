@@ -20,7 +20,7 @@ from swapval.config import (
     parse_config,
 )
 from swapval.lifecycle import simulate_lifecycle
-from swapval.market_data import synth_price_series
+from swapval.market_data import PriceDataError, synth_price_series
 from swapval.report import emit_lifecycle
 
 FAST = ["--synth", "two-level:10:90", "--days", "2", "--no-reserve"]
@@ -599,6 +599,8 @@ def test_bad_synthetic_params_in_config_exit_2(params, tmp_path, monkeypatch):
     path.write_text(json.dumps(data))
     TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)],
                                         tmp_path / "out")
+    with pytest.raises(PriceDataError):  # the library entry point keeps the same rules
+        synth_price_series("daily-sine", days=2, **params)
 
 
 @pytest.mark.parametrize("pattern,params", [
@@ -613,3 +615,40 @@ def test_bad_synthetic_source_in_config_exits_2(pattern, params, tmp_path, monke
     path.write_text(json.dumps(data))
     TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)],
                                         tmp_path / "out")
+    with pytest.raises(PriceDataError):  # the library entry point keeps the same rules
+        synth_price_series(pattern, days=2, **params)
+
+
+@pytest.mark.parametrize("case,code", [
+    ("out-is-a-file", 2), ("out-under-a-file", 2), ("price-file-is-a-directory", 3),
+    ("price-file-not-utf8", 3), ("price-cell-over-csv-limit", 3),
+    ("config-is-a-directory", 2), ("config-not-utf8", 2),
+])
+def test_unreadable_input_exits_with_a_record(case, code, tmp_path, capsys):
+    """An input file that cannot be read, or an --out that cannot be made, ends
+    in its exit code and a JSON record (also in error.json where --out can be
+    made), never in a traceback."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("hour,lmp_usd_per_mwh\n0,caf\xe9\n".encode("latin-1"))
+    huge = tmp_path / "huge.csv"
+    huge.write_text("hour,lmp_usd_per_mwh,reserve_usd_per_mw\n0," + "1" * 200_000 + ",0\n")
+    out = tmp_path / "out"
+    synth = ["--synth", "flat:10", "--days", "1"]
+    argv = ["simulate", "--mu", "1"] + {
+        "out-is-a-file": synth + ["--out", str(afile)],
+        "out-under-a-file": synth + ["--out", str(afile / "sub")],
+        "price-file-is-a-directory": ["--price-file", str(tmp_path), "--out", str(out)],
+        "price-file-not-utf8": ["--price-file", str(latin1), "--out", str(out)],
+        "price-cell-over-csv-limit": ["--price-file", str(huge), "--out", str(out)],
+        "config-is-a-directory": ["--config", str(tmp_path), "--out", str(out)],
+        "config-not-utf8": ["--config", str(latin1), "--out", str(out)],
+    }[case]
+    assert run_cli(argv) == code
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["exit_code"] == code
+    if case.startswith("out-"):
+        assert afile.read_text() == ""  # no error.json can be written there
+    else:
+        assert json.loads((out / "error.json").read_text()) == record
