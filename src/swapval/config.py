@@ -17,6 +17,7 @@ from swapval.lifecycle import DAYS_PER_YEAR, MAX_HORIZON_YEARS, EconomicParams
 from swapval.market_data import (
     HourlyPriceSeries,
     PriceDataError,
+    check_price_schema,
     check_synth_source,
     load_price_series,
     synth_price_series,
@@ -45,6 +46,8 @@ class PriceSource:
             raise ConfigError(f"price source kind must be 'file' or 'synthetic', got {self.kind!r}")
         if self.kind == "file" and not self.path:
             raise ConfigError("file price source requires a path")
+        if self.kind == "file" and not isinstance(self.path, str):
+            raise ConfigError(f"price source path must be a string, got {self.path!r}")
         if self.kind == "synthetic" and not self.pattern:
             raise ConfigError("synthetic price source requires a pattern")
         for name in ("days", "seed"):
@@ -57,11 +60,13 @@ class PriceSource:
                               f"[1, {DAYS_PER_YEAR * MAX_HORIZON_YEARS}], got {self.days}")
         if self.seed < 0:
             raise ConfigError(f"price source seed must be >= 0, got {self.seed}")
-        if self.kind == "synthetic":
-            try:
+        try:
+            if self.kind == "synthetic":
                 check_synth_source(self.pattern, self.params)
-            except PriceDataError as exc:
-                raise ConfigError(str(exc)) from exc
+            elif self.schema not in (None, {}):  # {} reads as the default schema
+                check_price_schema(self.schema)
+        except PriceDataError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def load_config(source: str) -> ScenarioConfig:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {source}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {source}: {exc}") from exc

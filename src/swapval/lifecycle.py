@@ -111,7 +111,7 @@ class DailyLog:
     degradation_cost: np.ndarray
 
 
-@dataclass
+@dataclass(kw_only=True)
 class LifecycleResult:
     """Outcome of one full simulation at a fixed marginal degradation cost."""
 
@@ -125,12 +125,11 @@ class LifecycleResult:
     cumulative_throughput: float
     total_budget: float
     final_soh: float
-    discounted_reserve_revenue: float
     discounted_energy_revenue: float
     discounted_swap_revenue: float
+    discounted_reserve_revenue: float
     yearly: list[dict]
-    soh_series: np.ndarray  # SOH at the start of each simulated day
-    daily_log: DailyLog | None = None
+    daily_log: DailyLog | None = None  # lifecycle.json holds every field above, in order
 
 
 def total_budget(spec: BatterySpec) -> float:
@@ -302,7 +301,8 @@ def simulate_lifecycle(
     its rows in ``DailyLog`` order.  One close-out per year folds the table
     into the discounted objective, the three discounted revenues and the
     year's row of ``yearly``, rounding exactly as adding day by day does.
-    ``DailyLog`` and ``soh_series`` are rows of the years' tables.
+    ``DailyLog`` is the rows of the years' tables, kept only with
+    ``keep_daily_log``.
 
     The days are solved in one ``DailyModel``, each warm from the previous
     solved day, and priced once a year, on its first solved day.  The model
@@ -390,7 +390,8 @@ def simulate_lifecycle(
             _running_sums(values)[:, -1].tolist()
         yearly.append({"year": year + 1, "days": n + n_idle,
                        "operating_cash": cash, "mdc_cost": mdc_cost})
-        tables.append(table)
+        if keep_daily_log:
+            tables.append(table)
         days += n + n_idle
         if ledger.exhausted:
             break
@@ -408,11 +409,10 @@ def simulate_lifecycle(
         cumulative_throughput=ledger.cumulative_throughput,
         total_budget=budget,
         final_soh=ledger.soh,
-        discounted_reserve_revenue=disc_reserve,
         discounted_energy_revenue=disc_energy,
         discounted_swap_revenue=disc_swap,
+        discounted_reserve_revenue=disc_reserve,
         yearly=yearly,
-        soh_series=np.concatenate([table[0] for table in tables]),
         daily_log=log,
     )
     eol = eol_analysis(result, spec, econ)

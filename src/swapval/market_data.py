@@ -107,6 +107,20 @@ def _floats(columns) -> np.ndarray | None:
         return None
 
 
+def check_price_schema(schema) -> None:
+    """Reject a column map ``load_price_series`` cannot read a CSV with: it maps
+    'hour' and 'lmp' to column names, and may map 'reserve' to one or to None."""
+    if not isinstance(schema, dict):
+        raise PriceDataError(f"price schema must be an object, got {schema!r}")
+    for key, name in schema.items():
+        if key not in DEFAULT_SCHEMA:  # a misspelt 'reserve' would zero every reserve price
+            raise PriceDataError(f"price schema takes no key {key!r} (expected hour, lmp, reserve)")
+        if not isinstance(name, str) and not (key == "reserve" and name is None):
+            raise PriceDataError(f"price schema {key!r} must be a column name, got {name!r}")
+    if not schema.get("hour") or not schema.get("lmp"):
+        raise PriceDataError("schema must map 'hour' and 'lmp' columns")
+
+
 def load_price_series(path: str | os.PathLike, schema: dict | None = None) -> HourlyPriceSeries:
     """Read and validate an hourly price CSV.
 
@@ -120,16 +134,15 @@ def load_price_series(path: str | os.PathLike, schema: dict | None = None) -> Ho
         A validated HourlyPriceSeries.
 
     Raises:
-        PriceDataError: a missing or unreadable file, missing columns,
+        PriceDataError: a malformed schema, a missing or unreadable file, missing columns,
             duplicate/missing hours, non-numeric cells, negative reserve
             prices, or a row count that is not a multiple of 24.  Row
             numbers are 1-based data rows (header excluded).
     """
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
-    hour_col, lmp_col = schema.get("hour"), schema.get("lmp")
+    schema = DEFAULT_SCHEMA if schema is None else schema
+    check_price_schema(schema)
+    hour_col, lmp_col = schema["hour"], schema["lmp"]
     reserve_col = schema.get("reserve") or None
-    if not hour_col or not lmp_col:
-        raise PriceDataError("schema must map 'hour' and 'lmp' columns")
 
     names = [hour_col, lmp_col] + ([reserve_col] if reserve_col else [])
     try:

@@ -9,6 +9,7 @@ carries).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 from typing import Any
@@ -16,14 +17,9 @@ from typing import Any
 from swapval.lifecycle import LifecycleResult
 from swapval.optimizers import CurvePriceResult, MdcSweepResult
 
-MDC_SWEEP_COLUMNS = ["mu", "lb_star", "abu", "days_lived",
-                     "arbitrage_revenue", "reserve_revenue"]
-PRICE_SWEEP_COLUMNS = ["swap_price", "mu_star", "lb_star", "abu", "days_lived"]
-CURVE_COLUMNS = ["slope", "intercept", "swap_price", "demand", "mu_star", "lb_star"]
-DAILY_LOG_COLUMNS = ["day", "soh", "throughput", "sb_star", "soc_end"]
+# cashflow.csv's columns: every yearly key but mdc_cost, which only lifecycle.json holds.
 CASHFLOW_COLUMNS = ["year", "days", "operating_cash", "om_cost",
                     "net_profit", "discounted_net"]
-EOL_COLUMNS = ["om_per_kw_year", "mode", "mu", "economic_eol_year", "physical_eol_year"]
 
 
 def _cell(value: Any) -> str:
@@ -34,12 +30,14 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def write_table(path: str, columns: list[str], rows: list[dict]) -> str:
+def write_table(path: str, rows: list[dict]) -> str:
+    """``rows`` as CSV under the first row's keys, in order; KeyError if a row lacks one."""
+    columns = list(rows[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+            writer.writerow([_cell(row[c]) for c in columns])
     return path
 
 
@@ -52,49 +50,28 @@ def write_json(path: str, payload: dict) -> str:
     return path
 
 
-def lifecycle_payload(result: LifecycleResult) -> dict:
-    return {
-        "mu": result.mu,
-        "lb_star": result.lb_star,
-        "abu": result.abu,
-        "days_lived": result.days_lived,
-        "physical_eol_year": result.physical_eol_year,
-        "economic_eol_year": result.economic_eol_year,
-        "horizon_capped": result.horizon_capped,
-        "cumulative_throughput": result.cumulative_throughput,
-        "total_budget": result.total_budget,
-        "final_soh": result.final_soh,
-        "discounted_energy_revenue": result.discounted_energy_revenue,
-        "discounted_swap_revenue": result.discounted_swap_revenue,
-        "discounted_reserve_revenue": result.discounted_reserve_revenue,
-        "yearly": result.yearly,
-    }
-
-
 def emit_lifecycle(result: LifecycleResult, out_dir: str) -> list[str]:
-    paths = [write_json(os.path.join(out_dir, "lifecycle.json"), lifecycle_payload(result))]
-    soh_rows = [{"day": int(d), "soh": float(s)}
-                for d, s in enumerate(result.soh_series)]
-    paths.append(write_table(os.path.join(out_dir, "soh.csv"), ["day", "soh"], soh_rows))
-    paths.append(write_table(os.path.join(out_dir, "cashflow.csv"),
-                             CASHFLOW_COLUMNS, result.yearly))
-    if result.daily_log is not None:
-        log = result.daily_log
-        rows = [
-            {"day": int(log.day[i]), "soh": float(log.soh[i]),
-             "throughput": float(log.throughput[i]), "sb_star": float(log.sb_star[i]),
-             "soc_end": float(log.soc_end[i])}
-            for i in range(len(log.day))
-        ]
-        paths.append(write_table(os.path.join(out_dir, "daily_log.csv"),
-                                 DAILY_LOG_COLUMNS, rows))
-    return paths
+    """Write lifecycle.json (every field but the daily log) and the daily log's CSVs."""
+    payload = {field.name: getattr(result, field.name)
+               for field in dataclasses.fields(result) if field.name != "daily_log"}
+    log = result.daily_log
+    columns = ("day", "soh", "throughput", "sb_star", "soc_end")
+    days = [dict(zip(columns, values))
+            for values in zip(*(getattr(log, name).tolist() for name in columns))]
+    return [
+        write_json(os.path.join(out_dir, "lifecycle.json"), payload),
+        write_table(os.path.join(out_dir, "soh.csv"),
+                    [{"day": row["day"], "soh": row["soh"]} for row in days]),
+        write_table(os.path.join(out_dir, "cashflow.csv"),
+                    [{c: row[c] for c in CASHFLOW_COLUMNS} for row in result.yearly]),
+        write_table(os.path.join(out_dir, "daily_log.csv"), days),
+    ]
 
 
 def emit_mdc_sweep(result: MdcSweepResult, out_dir: str,
                    stem: str = "mdc_sweep") -> list[str]:
     return [
-        write_table(os.path.join(out_dir, f"{stem}.csv"), MDC_SWEEP_COLUMNS, result.grid),
+        write_table(os.path.join(out_dir, f"{stem}.csv"), result.grid),
         write_json(os.path.join(out_dir, f"{stem}.json"),
                    {"mu_star": result.mu_star, "lb_at_star": result.lb_at_star,
                     "grid": result.grid}),
@@ -103,7 +80,7 @@ def emit_mdc_sweep(result: MdcSweepResult, out_dir: str,
 
 def emit_price_sweep(rows: list[dict], out_dir: str) -> list[str]:
     return [
-        write_table(os.path.join(out_dir, "price_sweep.csv"), PRICE_SWEEP_COLUMNS, rows),
+        write_table(os.path.join(out_dir, "price_sweep.csv"), rows),
         write_json(os.path.join(out_dir, "price_sweep.json"), {"rows": rows}),
     ]
 
@@ -122,11 +99,11 @@ def emit_curve_optima(results: list[tuple[float, float, CurvePriceResult]],
             "mu_star": res.mu_star, "lb_star": res.lb_star,
         })
     return [
-        write_table(os.path.join(out_dir, "curve_optima.csv"), CURVE_COLUMNS, rows),
+        write_table(os.path.join(out_dir, "curve_optima.csv"), rows),
         write_json(os.path.join(out_dir, "curve_optima.json"), {"optima": optima}),
     ]
 
 
 def emit_eol_sensitivity(rows: list[dict], out_dir: str) -> list[str]:
-    return [write_table(os.path.join(out_dir, "eol_sensitivity.csv"), EOL_COLUMNS, rows)]
+    return [write_table(os.path.join(out_dir, "eol_sensitivity.csv"), rows)]
 

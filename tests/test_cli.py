@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from swapval.config import (
     parse_config,
 )
 from swapval.lifecycle import simulate_lifecycle
-from swapval.market_data import PriceDataError, synth_price_series
+from swapval.market_data import PriceDataError, synth_price_series, write_series
 from swapval.report import emit_lifecycle
 
 FAST = ["--synth", "two-level:10:90", "--days", "2", "--no-reserve"]
@@ -652,3 +653,61 @@ def test_unreadable_input_exits_with_a_record(case, code, tmp_path, capsys):
         assert afile.read_text() == ""  # no error.json can be written there
     else:
         assert json.loads((out / "error.json").read_text()) == record
+
+
+MISSPELT_SCHEMA = {"hour": "hour", "lmp": "lmp_usd_per_mwh", "reserv": "reserve_usd_per_mw"}
+
+
+@pytest.mark.parametrize("case", ["path-7", "path-list", "schema-string",
+                                  "schema-misspelt-key", "nested-config"])
+def test_malformed_price_source_or_config_exits_2(case, tmp_path, monkeypatch):
+    """A file price source's path must be a string and its schema a column map
+    (a misspelt 'reserve' would zero every reserve price), and a config nested
+    deeper than the JSON decoder can recurse is not valid JSON: each exits 2."""
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    prices = tmp_path / "prices.csv"
+    write_series(synth_price_series("flat", days=1, level=10.0, reserve_level=5.0), prices)
+    data = config_to_dict(paper_defaults())
+    data["prices"].update(kind="file", path=str(prices))
+    data["prices"].update({
+        "path-7": {"path": 7},
+        "path-list": {"path": [str(prices)]},
+        "schema-string": {"schema": "abc"},
+        "schema-misspelt-key": {"schema": MISSPELT_SCHEMA},
+        "nested-config": {},
+    }[case])
+    path = tmp_path / "scenario.json"
+    path.write_text("[" * 100_000 if case == "nested-config" else json.dumps(data))
+    TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)],
+                                        tmp_path / "out")
+
+
+def _readme_columns() -> dict[str, list[str]]:
+    """Each CSV's columns as README's "Output schemas" table lists them."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("## Output schemas", 1)[1].split("\n## ", 1)[0]
+    return {name: columns.split(", ")
+            for name, columns in re.findall(r"^\| `(\w+\.csv)` \| `([^`]+)` \|", table, re.M)}
+
+
+def test_csv_headers_are_readmes_schemas(tmp_path, fast_config):
+    """Each table's header comes from its rows' keys; README states them."""
+    columns = _readme_columns()
+    studies = [
+        ["simulate", "--mu", "35"],
+        ["optimize-mdc"],
+        ["sweep-price", "--price-grid", "0:100:50"],
+        ["optimize-curve-price", "--curve=-10,180", "--price-grid", "50:150:50"],
+        ["eol", "--om-grid", "0:16:8"],
+    ]
+    written = set()
+    for study in studies:
+        out = tmp_path / study[0]
+        assert run_cli(study + ["--config", fast_config, "--out", str(out)]
+                       + FAST + TINY_GRID) == 0
+        for table in out.glob("*.csv"):
+            header = table.read_text(encoding="utf-8").splitlines()[0]
+            assert header.split(",") == columns.get(table.name), table.name
+            written.add(table.name)
+    assert written == set(columns)

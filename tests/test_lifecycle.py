@@ -150,7 +150,7 @@ class TestSimulate:
     def test_soh_series_endpoints(self, tiny_battery, econ, two_level_series):
         result = simulate_lifecycle(tiny_battery, econ, two_level_series, 0.0,
                                     swap_policy=None, reserve_enabled=False)
-        soh = result.soh_series
+        soh = result.daily_log.soh
         assert soh[0] == 1.0
         assert np.all(np.diff(soh) <= 1e-12)
         one_day_fade = (1 - 0.8) * max_daily_throughput(tiny_battery) / total_budget(tiny_battery)
@@ -282,15 +282,14 @@ class TestWarmLifecycle:
         swap = SwapTerms(160.0, 1.0, 10.0)
 
         def run(mu, swap_policy):
-            return simulate_lifecycle(self.SPEC, econ, prices, mu, swap_policy=swap_policy,
-                                      keep_daily_log=False)
+            return simulate_lifecycle(self.SPEC, econ, prices, mu, swap_policy=swap_policy)
 
         first = run(20.0, swap)
         run(5.0, None)
         again = run(20.0, swap)
         assert again.lb_star == first.lb_star
         assert again.days_lived == first.days_lived
-        assert np.array_equal(again.soh_series, first.soh_series)
+        assert np.array_equal(again.daily_log.soh, first.daily_log.soh)
 
 
 class TestIdleProof:
@@ -512,7 +511,6 @@ class TestYearCloseOut:
                 result.discounted_reserve_revenue) == (energy, swap, reserve)
         assert [(row["operating_cash"], row["mdc_cost"]) for row in result.yearly] \
             == [(cash[year], mdc_cost[year]) for year in sorted(cash)]
-        assert result.soh_series.tolist() == log["soh"]
 
     def test_budget_runs_out_on_the_caps_last_day(self):
         """The paper battery at mu 100 on the paper-defaults year never cycles
@@ -534,9 +532,8 @@ class TestYearCloseOut:
         capped = run(19)
         assert capped.horizon_capped and capped.days_lived == 6935
         assert capped.physical_eol_year is None
-        # Without the daily log, the SOH series owns its data, not a view
-        # that keeps the lifecycle's whole daily table alive.
-        assert at_cap.soh_series.base is None and len(at_cap.soh_series) == 7300
+        # Without the daily log, the result keeps no per-day array.
+        assert at_cap.daily_log is None
 
 
 class TestBasisCertificate:

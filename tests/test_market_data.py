@@ -86,6 +86,14 @@ def test_schema_override_without_reserve(tmp_path):
     assert np.all(series.reserve_price == 0.0)
 
 
+def test_misspelt_schema_key_rejected(tmp_path):
+    """A misspelt 'reserve' key would read every reserve price as 0."""
+    rows = [f"{h},50,5" for h in range(24)]
+    schema = {"hour": "hour", "lmp": "lmp_usd_per_mwh", "reserv": "reserve_usd_per_mw"}
+    with pytest.raises(PriceDataError, match="'reserv'"):
+        load_price_series(write_csv(tmp_path / "r.csv", rows), schema=schema)
+
+
 def test_underscore_number_rejected(tmp_path):
     rows = [f"{h},50,0" for h in range(24)]
     rows[0] = "0,1_000,0"
