@@ -32,7 +32,6 @@ from swapval.scheduler import (
     solve_day,
 )
 from swapval.lifecycle import (
-    DegradationLedger,
     EconomicParams,
     LifecycleResult,
     total_budget,

@@ -48,6 +48,8 @@ class PriceSource:
             raise ConfigError("file price source requires a path")
         if self.kind == "file" and not isinstance(self.path, str):
             raise ConfigError(f"price source path must be a string, got {self.path!r}")
+        if self.kind == "file" and self.params:  # nothing reads them
+            raise ConfigError("file price source takes no params")
         if self.kind == "synthetic" and not self.pattern:
             raise ConfigError("synthetic price source requires a pattern")
         for name in ("days", "seed"):

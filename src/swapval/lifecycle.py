@@ -42,36 +42,6 @@ _IDLE_PROOF_MARGIN = 1e-9
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass
-class DegradationLedger:
-    """Cumulative throughput against the total budget, with derived SOH."""
-
-    total_budget: float  # MWh-throughput available over the whole life
-    eol_capacity_fraction: float
-    cumulative_throughput: float = 0.0
-
-    @property
-    def soh(self) -> float:
-        """Remaining capacity fraction, linear in consumed budget."""
-        frac = 1.0 - (1.0 - self.eol_capacity_fraction) * (
-            self.cumulative_throughput / self.total_budget)
-        return min(1.0, max(self.eol_capacity_fraction, frac))
-
-    def soh_at(self, cumulative: np.ndarray) -> np.ndarray:
-        """``soh`` at each of several cumulative throughputs (same formula)."""
-        frac = 1.0 - (1.0 - self.eol_capacity_fraction) * (cumulative / self.total_budget)
-        return np.minimum(1.0, np.maximum(self.eol_capacity_fraction, frac))
-
-    def add(self, throughput: float) -> None:
-        if throughput < 0:
-            raise ValueError(f"negative throughput {throughput}")
-        self.cumulative_throughput += throughput
-
-    @property
-    def exhausted(self) -> bool:
-        return self.cumulative_throughput >= self.total_budget
-
-
 @dataclass(frozen=True)
 class EconomicParams:
     discount_rate: float = 0.07  # per year
@@ -154,6 +124,14 @@ def calendar_throughput_per_day(spec: BatterySpec) -> float:
     return d * loss_fraction_per_year / DAYS_PER_YEAR
 
 
+def state_of_health(used: float | np.ndarray, budget: float, eol_fraction: float):
+    """Remaining capacity fraction after ``used`` MWh of a ``budget``: linear in
+    the budget consumed, clamped to ``[eol_fraction, 1]``.  ``used`` is a float
+    or an array; a float gives a numpy scalar."""
+    return np.minimum(1.0, np.maximum(eol_fraction,
+                                      1.0 - (1.0 - eol_fraction) * (used / budget)))
+
+
 def adjusted_mdc(mu: float, day_index: int, econ: EconomicParams) -> float:
     """Inflate the life-cycle MDC into day-t terms: mu * (1+r)**year(t)."""
     if mu < 0:
@@ -205,27 +183,27 @@ def _running_sums(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(values, axis=-1)
 
 
-def _idle_days(ledger: DegradationLedger, q_day: float, n: int) -> tuple[int, np.ndarray]:
+def _idle_days(used: float, budget: float, q_day: float, n: int) -> tuple[int, np.ndarray]:
     """The next ``n`` days of the idle tail, fewer if the budget runs out.
 
     Each idle day draws ``q_day`` from the budget and leaves the battery
-    empty.  Returns the day count and the ledger's cumulative throughput at
-    the start of each day and after the last.  The days end with the first
-    one that exhausts the budget.
+    empty.  Returns the day count and the cumulative throughput, ``used``
+    before the first day, at the start of each day and after the last.  The
+    days end with the first one that exhausts the budget.
     """
     cumulative = np.full(n + 1, q_day)
-    cumulative[0] = ledger.cumulative_throughput
+    cumulative[0] = used
     cumulative = _running_sums(cumulative)
-    spent = np.flatnonzero(cumulative[1:] >= ledger.total_budget)
+    spent = np.flatnonzero(cumulative[1:] >= budget)
     if spent.size:
         n = int(spent[0]) + 1
     return n, cumulative[:n + 1]
 
 
-def _idle_proof(spec: BatterySpec, prices: HourlyPriceSeries, amdc: float,
-                swap: SwapTerms, reserve_enabled: bool) -> np.ndarray:
-    """Per pattern day: is the all-zero schedule provably the unique optimum
-    of the day's LP from an empty battery at adjusted MDC ``amdc``?
+def _idle_proof(model: DailyModel, amdc: float) -> np.ndarray:
+    """Per pattern day of ``model``: is the all-zero schedule provably the
+    unique optimum of the day's LP from an empty battery at adjusted MDC
+    ``amdc``?
 
     LP duality decides it without a solver.  With ``A = amdc +
     TIE_BREAK_EPS``, ``keep = 1 - self_discharge``, reserve price ``rho``
@@ -252,17 +230,16 @@ def _idle_proof(spec: BatterySpec, prices: HourlyPriceSeries, amdc: float,
     the life is idle.  Works a pattern hour at a time, on arrays of one
     value per pattern day.
     """
-    eta, keep = spec.efficiency, 1.0 - spec.self_discharge
+    eta, keep, swap = model.battery.efficiency, model.keep, model.swap
     A = amdc + TIE_BREAK_EPS
-    lmp = prices.lmp.reshape(-1, 24)
-    reserve = prices.reserve_price.reshape(-1, 24)
+    lmp, reserve = model.lmp, model.reserve_price
     swap_floor = eta * (swap.swap_price - swap.labor_cost - A) \
         if swap.daily_swap_cap > 0 else -math.inf
     lam = np.zeros(len(lmp))
     proven = np.ones(len(lmp), dtype=bool)
     for h in range(23, -1, -1):
         price = lmp[:, h]
-        rho = reserve[:, h] if reserve_enabled else 0.0
+        rho = reserve[:, h] if model.reserve_enabled else 0.0
         lam = np.maximum(np.maximum(keep * lam + eta * rho, eta * (price - A)), swap_floor)
         bound = (price + A) / eta
         proven &= lam < bound - _IDLE_PROOF_MARGIN * (1.0 + np.abs(bound))
@@ -316,8 +293,8 @@ def simulate_lifecycle(
 
     budget = total_budget(spec)
     q_day = calendar_throughput_per_day(spec)
-    ledger = DegradationLedger(total_budget=budget,
-                               eol_capacity_fraction=spec.eol_capacity_fraction)
+    eol_fraction = spec.eol_capacity_fraction
+    used = 0.0  # MWh of throughput drawn from the budget
 
     soc = 0.0
     idle = False  # from the day _idle_proof holds to the end of the life
@@ -332,15 +309,15 @@ def simulate_lifecycle(
         mu_t = adjusted_mdc(mu, year * DAYS_PER_YEAR, econ)
         solved: list[tuple] = []
         tried = idle  # the proof is not tried again once it holds
-        while len(solved) < DAYS_PER_YEAR and not ledger.exhausted:
+        while len(solved) < DAYS_PER_YEAR and used < budget:
             if not tried and soc == 0.0:
                 # The MDC is constant within a year, so one try per year does.
                 tried = True
-                idle = bool(_idle_proof(spec, prices, mu_t, swap, reserve_enabled).all())
+                idle = bool(_idle_proof(model, mu_t).all())
             if idle:
                 break
             day = days + len(solved)
-            soh = ledger.soh
+            soh = float(state_of_health(used, budget, eol_fraction))
             capacity_now = soh * spec.energy_capacity_0
             # Capacity fade can strand stored energy, and solver round-off can
             # leave SOC a hair outside [0, capacity]; clamp the carried value.
@@ -350,6 +327,8 @@ def simulate_lifecycle(
                 if not solved:  # the year's first solved day prices the year
                     model.price(mu_t)
                 schedule = solve_day(model, day, soc, capacity_now)
+                if schedule.throughput_today < 0:
+                    raise ScheduleError(f"negative throughput {schedule.throughput_today!r}")
             except (ScheduleError, lp.LPError) as exc:
                 raise type(exc)(
                     f"{exc} [day {day}, pattern day {day % prices.n_days}, "
@@ -357,7 +336,7 @@ def simulate_lifecycle(
                     f"adjusted MDC {mu_t!r}]") from exc
             # + 0.0 turns a -0.0 from HiGHS into the 0.0 of an idle day.
             soc = float(schedule.soc[-1]) + 0.0
-            ledger.add(schedule.throughput_today)
+            used += schedule.throughput_today
             solved.append((soh, schedule.throughput_today, schedule.sb_star, soc,
                            schedule.energy_revenue, schedule.swap_revenue,
                            schedule.reserve_revenue, schedule.swap_labor_cost,
@@ -365,15 +344,15 @@ def simulate_lifecycle(
 
         # Idle days fill the rest of the year once the proof holds.
         n = len(solved)
-        n_idle, cumulative = _idle_days(ledger, q_day, DAYS_PER_YEAR - n if idle else 0)
-        ledger.cumulative_throughput = float(cumulative[-1])
+        n_idle, cumulative = _idle_days(used, budget, q_day, DAYS_PER_YEAR - n if idle else 0)
+        used = float(cumulative[-1])
         table = np.empty((9, n + n_idle))
         if solved:
             table[:, :n] = np.array(solved).T
         # Idle days earn nothing.  The profit is 0.0 - charge, as on a solved
         # idle day: 0.0, not -0.0, when the degradation charge is 0.
         charge = mu_t * q_day
-        table[0, n:] = ledger.soh_at(cumulative[:n_idle])
+        table[0, n:] = state_of_health(cumulative[:n_idle], budget, eol_fraction)
         table[1:, n:] = np.array([q_day, 0.0 - charge, 0.0, 0.0, 0.0, 0.0, 0.0, charge])[:, None]
 
         # The year's close-out folds the days onto the running values: the
@@ -393,10 +372,10 @@ def simulate_lifecycle(
         if keep_daily_log:
             tables.append(table)
         days += n + n_idle
-        if ledger.exhausted:
+        if used >= budget:
             break
 
-    horizon_capped = not ledger.exhausted
+    horizon_capped = used < budget
     log = DailyLog(np.arange(days), *np.concatenate(tables, axis=1)) if keep_daily_log else None
     result = LifecycleResult(
         mu=mu,
@@ -406,9 +385,9 @@ def simulate_lifecycle(
         physical_eol_year=None if horizon_capped else len(yearly),
         economic_eol_year=None,
         horizon_capped=horizon_capped,
-        cumulative_throughput=ledger.cumulative_throughput,
+        cumulative_throughput=used,
         total_budget=budget,
-        final_soh=ledger.soh,
+        final_soh=float(state_of_health(used, budget, eol_fraction)),
         discounted_energy_revenue=disc_energy,
         discounted_swap_revenue=disc_swap,
         discounted_reserve_revenue=disc_reserve,

@@ -165,9 +165,7 @@ class HighsModel:
         # bounds of a slice of columns and of some rows; None if nothing.
         self._stale: tuple[slice, tuple[int, ...]] | None = None
         self.scale = scale
-        # The optimal point of the last run, until certify reads its basis.
-        self._solved: np.ndarray | None = None
-        self._basis: tuple | None = None
+        self._basis: tuple | None = None  # of the last run, if it was optimal
         program = _highs.HighsLp()
         program.num_col_ = n
         program.num_row_ = m
@@ -221,13 +219,15 @@ class HighsModel:
         """Re-solve from the current basis: (status code, x, message)."""
         highs = self._highs
         self._sync()
-        self._solved = self._basis = None
+        self._basis = None
         if highs.run() == _highs.HighsStatus.kError:
             return 4, None, "HiGHS run failed"
         status = highs.getModelStatus()
         code = _STATUS.get(status, 4)
-        x = np.array(highs.getSolution().col_value) if code == 0 else None
-        self._solved = x
+        x = None
+        if code == 0:
+            x = np.array(highs.getSolution().col_value)
+            self._basis = self._read_basis(x)
         return code, x, highs.modelStatusToString(status)
 
     def _read_basis(self, x: np.ndarray) -> tuple | None:
@@ -260,20 +260,15 @@ class HighsModel:
         Moving a nonbasic variable to its other bound is the dual simplex's
         bound flip, which costs HiGHS no iteration either.  A reduced cost
         within ``_TIE`` of 0 keeps the variable's bound; one up to ``_CLEAR``
-        declines.  Declines too when no run has solved the program since it
-        was loaded, so the first solve always runs HiGHS.  The solves with
-        the basis matrix use the factor HiGHS holds from that run: nothing
-        passes HiGHS a change before the next run.
+        declines.  Declines too unless the last run solved the program, so
+        the first solve always runs HiGHS.  The solves with the basis matrix
+        use the factor HiGHS holds from that run: nothing passes HiGHS a
+        change before the next run.
 
         The point passes the feasibility re-check of ``solve_lp``.
         """
         if self._basis is None:
-            if self._solved is None:
-                return None
-            self._basis = self._read_basis(self._solved)
-            self._solved = None
-            if self._basis is None:
-                return None
+            return None
         basic, nonbasic, bounded_n, at_upper, sign = self._basis
         cost, lo, hi, highs = self._cost, self._lo, self._hi, self._highs
         status, y = highs.getBasisTransposeSolve(cost[basic])

@@ -134,11 +134,15 @@ def load_price_series(path: str | os.PathLike, schema: dict | None = None) -> Ho
         A validated HourlyPriceSeries.
 
     Raises:
-        PriceDataError: a malformed schema, a missing or unreadable file, missing columns,
+        PriceDataError: a path that is not a str or os.PathLike, a malformed
+            schema, a missing or unreadable file, missing columns,
             duplicate/missing hours, non-numeric cells, negative reserve
             prices, or a row count that is not a multiple of 24.  Row
             numbers are 1-based data rows (header excluded).
     """
+    if not isinstance(path, (str, os.PathLike)):  # an int would name a file descriptor
+        raise PriceDataError(f"price file path must be a str or os.PathLike, "
+                             f"got {type(path).__name__}")
     schema = DEFAULT_SCHEMA if schema is None else schema
     check_price_schema(schema)
     hour_col, lmp_col = schema["hour"], schema["lmp"]

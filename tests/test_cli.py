@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -313,6 +314,23 @@ def test_solver_failure_names_its_day(tmp_path, monkeypatch):
     assert "injected solver failure" in message
     assert "[day 3, pattern day 1, soc_start " in message
     assert "capacity_now " in message and "adjusted MDC 1.0]" in message
+
+
+def test_negative_day_throughput_exits_4(tmp_path, monkeypatch):
+    import swapval.lifecycle
+
+    real_solve = swapval.lifecycle.solve_day
+
+    def negative_on_day_3(model, day, *args):
+        schedule = real_solve(model, day, *args)
+        return dataclasses.replace(schedule, throughput_today=-0.5) if day == 3 else schedule
+
+    monkeypatch.setattr(swapval.lifecycle, "solve_day", negative_on_day_3)
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--mu", "1", "--out", str(out)] + SINE) == 4
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "ScheduleError"
+    assert record["message"].startswith("negative throughput -0.5 [day 3, pattern day 1, ")
 
 
 def test_eol_reuses_the_sweep_argmax(tmp_path, fast_config, monkeypatch):
@@ -659,12 +677,17 @@ MISSPELT_SCHEMA = {"hour": "hour", "lmp": "lmp_usd_per_mwh", "reserv": "reserve_
 
 
 @pytest.mark.parametrize("case", ["path-7", "path-list", "schema-string",
-                                  "schema-misspelt-key", "nested-config"])
+                                  "schema-misspelt-key", "nested-config", "file-params"])
 def test_malformed_price_source_or_config_exits_2(case, tmp_path, monkeypatch):
-    """A file price source's path must be a string and its schema a column map
-    (a misspelt 'reserve' would zero every reserve price), and a config nested
-    deeper than the JSON decoder can recurse is not valid JSON: each exits 2."""
+    """A file price source's path must be a string, its schema a column map
+    (a misspelt 'reserve' would zero every reserve price) and its params empty
+    (900 nested lists there overflowed the recursion limit when echoed), and
+    a config nested deeper than the JSON decoder can recurse is not valid
+    JSON: each exits 2."""
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    nested = []
+    for _ in range(900):
+        nested = [nested]
     prices = tmp_path / "prices.csv"
     write_series(synth_price_series("flat", days=1, level=10.0, reserve_level=5.0), prices)
     data = config_to_dict(paper_defaults())
@@ -675,11 +698,14 @@ def test_malformed_price_source_or_config_exits_2(case, tmp_path, monkeypatch):
         "schema-string": {"schema": "abc"},
         "schema-misspelt-key": {"schema": MISSPELT_SCHEMA},
         "nested-config": {},
+        "file-params": {"params": {"x": nested}},
     }[case])
     path = tmp_path / "scenario.json"
     path.write_text("[" * 100_000 if case == "nested-config" else json.dumps(data))
     TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)],
                                         tmp_path / "out")
+    if case == "file-params":
+        assert "params" in json.loads((tmp_path / "out" / "error.json").read_text())["message"]
 
 
 def _readme_columns() -> dict[str, list[str]]:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapval.lifecycle import (
-    DegradationLedger,
     EconomicParams,
     _idle_days,
     _idle_proof,
@@ -15,6 +14,7 @@ from swapval.lifecycle import (
     calendar_throughput_per_day,
     eol_analysis,
     simulate_lifecycle,
+    state_of_health,
     total_budget,
 )
 from swapval.lp import HighsModel
@@ -23,6 +23,8 @@ from swapval.scheduler import (
     NO_SWAP,
     TIE_BREAK_EPS,
     BatterySpec,
+    DailyModel,
+    ScheduleError,
     SwapTerms,
     solve_day,
 )
@@ -98,18 +100,26 @@ class TestAbu:
 
 class TestLedger:
     def test_soh_linear_and_clamped(self):
-        ledger = DegradationLedger(total_budget=100.0, eol_capacity_fraction=0.8)
-        assert ledger.soh == 1.0
-        ledger.add(50.0)
-        assert ledger.soh == pytest.approx(0.9)
-        ledger.add(60.0)  # past the budget: clamp at EOL fraction
-        assert ledger.soh == 0.8
-        assert ledger.exhausted
+        assert state_of_health(0.0, 100.0, 0.8) == 1.0
+        assert state_of_health(50.0, 100.0, 0.8) == pytest.approx(0.9)
+        assert state_of_health(110.0, 100.0, 0.8) == 0.8  # past the budget: clamp at EOL fraction
+        used = np.array([0.0, 50.0, 110.0, 1.0 / 3.0, 99.9])
+        assert state_of_health(used, 100.0, 0.8).tolist() == \
+            [float(state_of_health(u, 100.0, 0.8)) for u in used.tolist()]
 
-    def test_rejects_negative_throughput(self):
-        ledger = DegradationLedger(total_budget=10.0, eol_capacity_fraction=0.8)
-        with pytest.raises(ValueError):
-            ledger.add(-1.0)
+    def test_rejects_negative_throughput(self, monkeypatch):
+        """A day that draws negative throughput is a scheduling failure that
+        names its day."""
+        import swapval.lifecycle as lifecycle
+
+        def solve(model, day, *args):
+            schedule = solve_day(model, day, *args)
+            return dataclasses.replace(schedule, throughput_today=-1.0) if day == 2 else schedule
+
+        monkeypatch.setattr(lifecycle, "solve_day", solve)
+        prices = synth_price_series("daily-sine", days=7, seed=3, mean=40.0, amplitude=30.0)
+        with pytest.raises(ScheduleError, match=r"negative throughput -1\.0 \[day 2, "):
+            simulate_lifecycle(BatterySpec(2.7, 2.7, 0.95), EconomicParams(), prices, 1.0)
 
 
 class TestSimulate:
@@ -317,7 +327,8 @@ class TestIdleProof:
                    + rng.uniform(0.0, 60.0) * rng.standard_normal(24 * days))
             reserve_price = rng.uniform(0.0, 12.0, 24 * days) if reserve else np.zeros(24 * days)
             mu = rng.uniform(0.0, 250.0)
-            idle = _idle_proof(spec, self._series(lmp, reserve_price), mu, swap, reserve)
+            model = DailyModel(spec, self._series(lmp, reserve_price), swap, reserve, 0.0)
+            idle = _idle_proof(model, mu)
             for d in range(days):
                 if not idle[d]:
                     declined += 1
@@ -340,7 +351,7 @@ class TestIdleProof:
         tie = (0.95 ** 2 * 90.0 - 10.0) / (1.0 + 0.95 ** 2) - TIE_BREAK_EPS
 
         def proven(amdc):
-            return bool(_idle_proof(spec, series, amdc, NO_SWAP, False)[0])
+            return bool(_idle_proof(DailyModel(spec, series, NO_SWAP, False, 0.0), amdc)[0])
 
         assert not proven(tie * (1.0 - 1e-9))  # just below: cycling pays
         assert not proven(tie)
@@ -389,8 +400,8 @@ class TestIdleProofExact:
 
         opened = []
 
-        def idle_proof(spec, prices, amdc, *args):
-            proven = _idle_proof(spec, prices, amdc, *args)
+        def idle_proof(model, amdc):
+            proven = _idle_proof(model, amdc)
             if not proof:
                 proven[:] = False
             if proven.all():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,17 @@ def test_misspelt_schema_key_rejected(tmp_path):
     schema = {"hour": "hour", "lmp": "lmp_usd_per_mwh", "reserv": "reserve_usd_per_mw"}
     with pytest.raises(PriceDataError, match="'reserv'"):
         load_price_series(write_csv(tmp_path / "r.csv", rows), schema=schema)
+
+
+def test_integer_path_rejected(tmp_path):
+    """An int names a file descriptor, which ``open`` would read and then close."""
+    fd = os.open(write_csv(tmp_path / "p.csv", [f"{h},50,0" for h in range(24)]), os.O_RDONLY)
+    try:
+        with pytest.raises(PriceDataError, match="str or os.PathLike, got int"):
+            load_price_series(fd)
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
 
 
 def test_underscore_number_rejected(tmp_path):
