@@ -50,8 +50,13 @@ class PriceSource:
             raise ConfigError(f"price source path must be a string, got {self.path!r}")
         if self.kind == "file" and self.params:  # nothing reads them
             raise ConfigError("file price source takes no params")
+        if self.kind == "file" and self.pattern is not None:  # nor this one
+            raise ConfigError("file price source takes no pattern")
         if self.kind == "synthetic" and not self.pattern:
             raise ConfigError("synthetic price source requires a pattern")
+        if self.kind == "synthetic" and not isinstance(self.pattern, str):
+            raise ConfigError(f"synthetic price source pattern must be a string, "
+                              f"got {self.pattern!r}")
         for name in ("days", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

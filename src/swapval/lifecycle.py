@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from swapval.scheduler import (
     DailyModel,
     ScheduleError,
     SwapTerms,
+    certify_days,
     check_numbers,
     solve_day,
 )
@@ -40,6 +41,12 @@ MAX_HORIZON_YEARS = 1000
 _IDLE_PROOF_MARGIN = 1e-9
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# Days a basis certifies one at a time before blocks take the rest of its
+# stretch (a block costs as much as several such days), and the largest
+# block, whose arrays stay in cache (README, "Blocks of days").
+_ONE_AT_A_TIME = 8
+_MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,9 @@ class LifecycleResult:
     discounted_reserve_revenue: float
     yearly: list[dict]
     daily_log: DailyLog | None = None  # lifecycle.json holds every field above, in order
+    # days_solved, days_certified (one at a time), days_in_blocks,
+    # highs_runs and idle_days; no report file holds them.
+    stats: dict = field(default_factory=dict)
 
 
 def total_budget(spec: BatterySpec) -> float:
@@ -127,9 +137,11 @@ def calendar_throughput_per_day(spec: BatterySpec) -> float:
 def state_of_health(used: float | np.ndarray, budget: float, eol_fraction: float):
     """Remaining capacity fraction after ``used`` MWh of a ``budget``: linear in
     the budget consumed, clamped to ``[eol_fraction, 1]``.  ``used`` is a float
-    or an array; a float gives a numpy scalar."""
-    return np.minimum(1.0, np.maximum(eol_fraction,
-                                      1.0 - (1.0 - eol_fraction) * (used / budget)))
+    or an array, and so is the result."""
+    soh = 1.0 - (1.0 - eol_fraction) * (used / budget)
+    if isinstance(soh, float):  # the day loops' case, without numpy's overhead
+        return min(1.0, max(eol_fraction, soh))
+    return np.minimum(1.0, np.maximum(eol_fraction, soh))
 
 
 def adjusted_mdc(mu: float, day_index: int, econ: EconomicParams) -> float:
@@ -246,6 +258,58 @@ def _idle_proof(model: DailyModel, amdc: float) -> np.ndarray:
     return proven
 
 
+def _day_failure(exc: Exception, model: DailyModel, day: int, soc: float,
+                 capacity: float, amdc: float) -> Exception:
+    """``exc`` with the failing day, pattern day, SOC, capacity and adjusted
+    MDC added to its message."""
+    return type(exc)(f"{exc} [day {day}, pattern day {day % len(model.lmp)}, "
+                     f"soc_start {soc!r}, capacity_now {capacity!r}, "
+                     f"adjusted MDC {amdc!r}]")
+
+
+def _certify_block(model: DailyModel, day: int, size: int, soc: float, used: float,
+                   budget: float, stop_when_empty: bool,
+                   out: np.ndarray) -> tuple[int, bool, float, float]:
+    """Certify up to ``size`` days from ``day`` at once (``certify_days``),
+    carrying SOC, throughput, SOH and capacity as solved days do, into
+    ``out``'s columns.  They stop before a day that starts exactly empty if
+    ``stop_when_empty``, after the day that exhausts the budget and before
+    one the certificate declines.  Returns the days, whether a declined day
+    stopped them, and the SOC and throughput used after them; a re-check
+    failure or negative throughput raises as on a solved day."""
+    block = certify_days(model, day, size)
+    if block is None:
+        return 0, True, soc, used
+    (e0, e_cap, e_soc), (m0, m_cap, m_soc) = block.soc_end, block.moved
+    spec, keep, q_day = model.battery, model.keep, model.calendar_throughput
+    columns = []
+    for i in range(len(e0)):
+        if i and stop_when_empty and soc == 0.0:
+            break
+        soh = state_of_health(used, budget, spec.eol_capacity_fraction)
+        capacity = soh * spec.energy_capacity_0
+        start = min(max(soc, 0.0), capacity)
+        soc0 = keep * start
+        throughput = m0[i] + capacity * m_cap[i] + soc0 * m_soc + q_day
+        end = e0[i] + capacity * e_cap[i] + soc0 * e_soc + 0.0
+        columns.append((soc, used, soh, capacity, start, soc0, throughput, end))
+        soc, used = end, used + throughput
+        if throughput < 0 or used >= budget:
+            break
+    days = len(columns)
+    carried, before, soh, capacity, start, soc0, throughput, end = np.array(columns).T
+    count, error, rows = block.close(capacity, soc0, throughput)
+    if error is None and count == days and throughput[-1] < 0:
+        count, error = days - 1, ScheduleError(f"negative throughput {columns[-1][6]!r}")
+    if error is not None:
+        raise _day_failure(error, model, day + count, float(start[count]),
+                           float(capacity[count]), model.amdc)
+    out[:, :count] = soh[:count], throughput[:count], rows[0], end[:count], *rows[1:]
+    if count < days:
+        soc, used = float(carried[count]), float(before[count])
+    return count, count < days or days == len(e0) < size, soc, used
+
+
 def simulate_lifecycle(
     spec: BatterySpec,
     econ: EconomicParams,
@@ -282,7 +346,10 @@ def simulate_lifecycle(
     ``keep_daily_log``.
 
     The days are solved in one ``DailyModel``, each warm from the previous
-    solved day, and priced once a year, on its first solved day.  The model
+    solved day, and priced once a year, on its first solved day.  Once the
+    held basis has certified ``_ONE_AT_A_TIME`` days one at a time,
+    ``_certify_block`` certifies the rest of its stretch in blocks, none
+    starting on a year's first day.  ``stats`` counts the days.  The model
     lives and dies with this call, so the result depends only on its
     arguments.  A solver failure is re-raised with the day, pattern day,
     SOC, capacity and adjusted MDC added to its message.
@@ -299,6 +366,11 @@ def simulate_lifecycle(
     soc = 0.0
     idle = False  # from the day _idle_proof holds to the end of the life
     model = DailyModel(spec, prices, swap, reserve_enabled, q_day)
+    # Days certified since the last HiGHS run or declined block, and the
+    # next block's size.
+    streak, size = 0, 2
+    stats = dict.fromkeys(("days_solved", "days_certified", "days_in_blocks", "highs_runs",
+                           "idle_days"), 0)
 
     tables: list[np.ndarray] = []
     yearly: list[dict] = []
@@ -307,48 +379,56 @@ def simulate_lifecycle(
 
     for year in range(econ.horizon_cap_years):
         mu_t = adjusted_mdc(mu, year * DAYS_PER_YEAR, econ)
-        solved: list[tuple] = []
+        table = np.empty((9, DAYS_PER_YEAR))
+        n = 0  # days solved this year
         tried = idle  # the proof is not tried again once it holds
-        while len(solved) < DAYS_PER_YEAR and used < budget:
+        while n < DAYS_PER_YEAR and used < budget:
             if not tried and soc == 0.0:
                 # The MDC is constant within a year, so one try per year does.
                 tried = True
                 idle = bool(_idle_proof(model, mu_t).all())
             if idle:
                 break
-            day = days + len(solved)
-            soh = float(state_of_health(used, budget, eol_fraction))
+            day = days + n
+            if n and streak >= _ONE_AT_A_TIME:  # the year's first day prices the year
+                k, declined, soc, used = _certify_block(
+                    model, day, min(size, _MAX_BLOCK, DAYS_PER_YEAR - n), soc, used, budget,
+                    not tried, table[:, n:])
+                n += k
+                stats["days_in_blocks"] += k
+                streak, size = (0, 2) if declined else (streak + k, 2 * size)
+                continue
+            soh = state_of_health(used, budget, eol_fraction)
             capacity_now = soh * spec.energy_capacity_0
             # Capacity fade can strand stored energy, and solver round-off can
             # leave SOC a hair outside [0, capacity]; clamp the carried value.
             soc = min(max(soc, 0.0), capacity_now)
 
             try:
-                if not solved:  # the year's first solved day prices the year
+                if not n:  # the year's first solved day prices the year
                     model.price(mu_t)
                 schedule = solve_day(model, day, soc, capacity_now)
                 if schedule.throughput_today < 0:
                     raise ScheduleError(f"negative throughput {schedule.throughput_today!r}")
             except (ScheduleError, lp.LPError) as exc:
-                raise type(exc)(
-                    f"{exc} [day {day}, pattern day {day % prices.n_days}, "
-                    f"soc_start {soc!r}, capacity_now {capacity_now!r}, "
-                    f"adjusted MDC {mu_t!r}]") from exc
+                raise _day_failure(exc, model, day, soc, capacity_now, mu_t) from exc
             # + 0.0 turns a -0.0 from HiGHS into the 0.0 of an idle day.
             soc = float(schedule.soc[-1]) + 0.0
             used += schedule.throughput_today
-            solved.append((soh, schedule.throughput_today, schedule.sb_star, soc,
+            table[:, n] = (soh, schedule.throughput_today, schedule.sb_star, soc,
                            schedule.energy_revenue, schedule.swap_revenue,
                            schedule.reserve_revenue, schedule.swap_labor_cost,
-                           schedule.degradation_cost))
+                           schedule.degradation_cost)
+            n += 1
+            stats["days_certified"] += schedule.certified
+            streak, size = (streak + 1, size) if schedule.certified else (0, 2)
 
         # Idle days fill the rest of the year once the proof holds.
-        n = len(solved)
         n_idle, cumulative = _idle_days(used, budget, q_day, DAYS_PER_YEAR - n if idle else 0)
         used = float(cumulative[-1])
-        table = np.empty((9, n + n_idle))
-        if solved:
-            table[:, :n] = np.array(solved).T
+        stats["days_solved"] += n
+        stats["idle_days"] += n_idle
+        table = table[:, :n + n_idle]
         # Idle days earn nothing.  The profit is 0.0 - charge, as on a solved
         # idle day: 0.0, not -0.0, when the degradation charge is 0.
         charge = mu_t * q_day
@@ -375,6 +455,7 @@ def simulate_lifecycle(
         if used >= budget:
             break
 
+    stats["highs_runs"] = model.held.runs if model.held is not None else 0
     horizon_capped = used < budget
     log = DailyLog(np.arange(days), *np.concatenate(tables, axis=1)) if keep_daily_log else None
     result = LifecycleResult(
@@ -387,12 +468,13 @@ def simulate_lifecycle(
         horizon_capped=horizon_capped,
         cumulative_throughput=used,
         total_budget=budget,
-        final_soh=float(state_of_health(used, budget, eol_fraction)),
+        final_soh=state_of_health(used, budget, eol_fraction),
         discounted_energy_revenue=disc_energy,
         discounted_swap_revenue=disc_swap,
         discounted_reserve_revenue=disc_reserve,
         yearly=yearly,
         daily_log=log,
+        stats=stats,
     )
     eol = eol_analysis(result, spec, econ)
     result.economic_eol_year = eol["economic_eol_year"]

@@ -7,7 +7,8 @@ the day kernel (``scheduler.solve_day``) loads a life's first day into it
 and rewrites each later day with ``HighsModel.set_day``, so that each
 re-solve starts from the previous basis.  ``HighsModel.certify`` proves a
 rewritten program optimal without HiGHS when the basis of the last run
-still does.
+still does; ``certify_stretch`` and ``check_stretch`` do so for a stretch
+of programs at once, from that basis's inverse held in numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetri
 from scipy.optimize._highspy import _core as _highs
 
 
@@ -166,6 +168,9 @@ class HighsModel:
         self._stale: tuple[slice, tuple[int, ...]] | None = None
         self.scale = scale
         self._basis: tuple | None = None  # of the last run, if it was optimal
+        self._factor: tuple | None = None  # of _basis, once a stretch asks for it
+        self._varied: tuple | None = None  # the bounds stretches vary, and masks
+        self.runs = 0  # HiGHS runs
         program = _highs.HighsLp()
         program.num_col_ = n
         program.num_row_ = m
@@ -219,7 +224,8 @@ class HighsModel:
         """Re-solve from the current basis: (status code, x, message)."""
         highs = self._highs
         self._sync()
-        self._basis = None
+        self._basis = self._factor = None
+        self.runs += 1
         if highs.run() == _highs.HighsStatus.kError:
             return 4, None, "HiGHS run failed"
         status = highs.getModelStatus()
@@ -296,6 +302,105 @@ class HighsModel:
         self._basis = basic, nonbasic, bounded_n, at_upper, sign
         return _verdict(self.lp, 0, point[:self.lp.n_vars], "", self.scale)
 
+    def certify_stretch(self, costs: np.ndarray, cols: slice, row: int) -> tuple | None:
+        """``certify``'s dual test, in one array pass, for programs that differ
+        from the current one in their costs (a row of ``costs`` each), the
+        upper bound u of ``cols`` and the value s of equality row ``row``.
+
+        None if the first fails; else, for the lead programs that pass,
+        ``(base, per_u, per_s, at_upper)``: program d's bounded-form point is
+        ``base[d] + u * per_u[d] + s * per_s`` and ``at_upper[d]`` its
+        nonbasic bounds (ties keep the previous program's).  The basis matrix
+        is factored (``dgetrf``) and inverted once per run; every stretch
+        names the same ``cols`` and ``row``.  ``check_stretch`` follows.
+        """
+        if self._basis is None:
+            return None
+        basic, nonbasic, _, at_upper, _ = self._basis
+        if self._factor is None:
+            self._factor = self._factorize(cols, row)
+        if not self._factor:  # singular, though HiGHS's factor was not: rare
+            return None
+        to_basic, reduce, per_s = self._factor
+        lo, hi, cap, _ = self._varied
+        reduced = costs @ reduce
+        size = np.abs(reduced)
+        tied = size <= _TIE
+        # A fixed variable (an equality row's) too close to call fails too.
+        dual = np.logical_and.reduce((size < _CLEAR) == tied, axis=1)
+        upper = reduced > 0.0
+        if tied.any():
+            # Program d keeps the bound of the last program up to d whose
+            # reduced cost is not tied (row 0 holds the bounds before).
+            days, width = len(costs), len(nonbasic)
+            last = np.where(tied, 0, np.arange(width, (days + 1) * width, width)[:, None])
+            np.maximum.accumulate(last, axis=0, out=last)
+            upper = np.vstack((at_upper, upper)).ravel()[last + np.arange(width)]
+        value = np.where(upper, hi[nonbasic], lo[nonbasic])
+        dual &= np.isfinite(value.sum(axis=1))  # no row favoured at an infinite bound
+        days = int(np.argmin(np.append(dual, False)))
+        if not days:
+            return None
+        values = np.concatenate((value[:days], upper[:days] * cap[nonbasic]))
+        points = np.empty((2 * days, len(self._cost)))
+        points[:, nonbasic] = values
+        points[:, basic] = values @ to_basic
+        return points[:days], points[days:], per_s, upper[:days]
+
+    def _factorize(self, cols: slice, row: int) -> tuple:
+        """With W = B^-1 N (basis matrix B, nonbasic columns N of ``[A,
+        -I]``): -W^T (nonbasic to basic values), the map from costs to
+        nonbasic reduced costs, and the point per unit of ``row``'s value;
+        () if B is singular."""
+        basic, nonbasic, bounded_n = self._basis[:3]
+        n, size = self.lp.n_vars, len(self._cost)
+        lu, piv, info = dgetrf(self._bounded_t[basic].T)
+        inverse, info = (None, info) if info else dgetri(lu, piv)
+        if info:
+            return ()
+        if self._varied is None:
+            cap, at_row = np.zeros(size), np.zeros(size)
+            cap[cols] = at_row[n + row] = 1.0
+            self._varied = (np.where(at_row > 0.0, 0.0, self._lo),
+                            np.where(cap + at_row > 0.0, 0.0, self._hi), cap, at_row)
+        to_basic = -(inverse @ bounded_n.T).T
+        reduce = np.zeros((n, len(nonbasic)))
+        reduce[basic[basic < n]] = to_basic.T[basic < n]
+        reduce[nonbasic[nonbasic < n], np.flatnonzero(nonbasic < n)] += 1.0
+        at_row = self._varied[3][nonbasic]
+        per_s = np.empty(size)
+        per_s[nonbasic], per_s[basic] = at_row, at_row @ to_basic
+        return to_basic, reduce, per_s
+
+    def check_stretch(self, stretch: tuple, upper: np.ndarray, value: np.ndarray,
+                      scale: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
+        """``certify``'s primal test and ``_verdict``'s re-check of the first
+        programs of ``stretch``, program d at u ``upper[d]``, s ``value[d]``
+        and re-check scale ``scale[d]``: how many lead programs pass both,
+        the re-check's error if the next one fails only that, and their
+        points (x).  The last passing program's bounds are kept for ties.
+        """
+        base, per_u, per_s, at_upper = stretch
+        n, days = self.lp.n_vars, len(upper)
+        lo, hi, cap, at_row = self._varied
+        u, s = upper[:, None], value[:, None]
+        point = base[:days] + u * per_u[:days] + s * per_s
+        lo, hi = lo + s * at_row, hi + u * cap + s * at_row
+        violation = np.maximum(lo - point, point - hi)
+        primal = violation[:, self._basis[0]].max(axis=1) <= _HIGHS_TOL
+        x = point[:, :n]
+        r = x @ self.lp.A.T
+        bounds = violation[:, :n].max(axis=1, initial=0.0)
+        rows = np.maximum(lo[:, n:] - r, r - hi[:, n:]).max(axis=1, initial=0.0)
+        atol = _TOL * scale * 10.0
+        count = int(np.argmin(np.append(primal & (bounds <= atol) & (rows <= atol), False)))
+        error = None
+        if count < days and primal[count]:
+            error = _recheck_error(bounds[count], rows[count], atol[count])
+        if count:
+            self._basis = self._basis[:3] + (at_upper[count - 1],) + self._basis[4:]
+        return count, error, x
+
 
 def solve_lp(model: HighsModel) -> LPSolution:
     """Maximize the model's program from the basis of its previous solve,
@@ -327,6 +432,10 @@ def _verdict(lp: LinearProgram, status: int, x: np.ndarray | None, message: str,
     atol = _TOL * scale * 10.0
     bounds, rows = residuals(lp, x)
     if not (bounds <= atol and rows <= atol):
-        raise LPError(f"solution failed feasibility re-check: bounds {bounds:.3g}, "
-                      f"rows {rows:.3g} > {atol:.3g}")
+        raise _recheck_error(bounds, rows, atol)
     return LPSolution("optimal", x, float(lp.objective @ x))
+
+
+def _recheck_error(bounds: float, rows: float, atol: float) -> LPError:
+    return LPError(f"solution failed feasibility re-check: bounds {bounds:.3g}, "
+                   f"rows {rows:.3g} > {atol:.3g}")

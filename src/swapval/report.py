@@ -51,9 +51,10 @@ def write_json(path: str, payload: dict) -> str:
 
 
 def emit_lifecycle(result: LifecycleResult, out_dir: str) -> list[str]:
-    """Write lifecycle.json (every field but the daily log) and the daily log's CSVs."""
+    """Write lifecycle.json (every field but the daily log and the day counts)
+    and the daily log's CSVs."""
     payload = {field.name: getattr(result, field.name)
-               for field in dataclasses.fields(result) if field.name != "daily_log"}
+               for field in dataclasses.fields(result) if field.name not in ("daily_log", "stats")}
     log = result.daily_log
     columns = ("day", "soh", "throughput", "sb_star", "soc_end")
     days = [dict(zip(columns, values))

@@ -18,7 +18,7 @@ reported profit figures.
 A day is solved by ``solve_day`` in a ``DailyModel``, the lifecycle's day
 kernel: its first day builds the 24-hour LP (``build_daily_lp``) and holds
 it in HiGHS, and each next day is written into it and re-solved from the
-previous basis.
+previous basis, or certified in blocks of days (``certify_days``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapval.lp import DimensionError, HighsModel, LinearProgram, solve_lp
+from swapval.lp import DimensionError, HighsModel, LinearProgram, LPError, solve_lp
 from swapval.market_data import HourlyPriceSeries
 
 TIE_BREAK_EPS = 1e-7
@@ -37,6 +37,7 @@ TIE_BREAK_EPS = 1e-7
 # derated capacity.
 _H = 24
 _SWAP_AND_SOC = slice(2 * _H, 4 * _H)
+_SOC_END = 4 * _H - 1
 
 
 def check_numbers(obj) -> None:
@@ -121,6 +122,7 @@ class DailySchedule:
     swap_revenue: float = 0.0
     reserve_revenue: float = 0.0
     lp_objective: float = 0.0  # raw LP optimum (tie-break included, no calendar)
+    certified: bool = False  # proven from the held basis, without a HiGHS run
 
 
 def _costs(lmp: np.ndarray, reserve_price: np.ndarray, amdc: float, swap: SwapTerms,
@@ -240,7 +242,10 @@ def solve_day(model: DailyModel, day: int, soc_start: float,
             build_daily_lp(model, pattern, soc_start, capacity_now), scale)
     else:
         held.set_day(model.costs[pattern], _SWAP_AND_SOC, capacity_now, 0, soc0, scale)
-    sol = held.certify() or solve_lp(held)
+    sol = held.certify()
+    certified = sol is not None
+    if not certified:
+        sol = solve_lp(held)
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "
@@ -272,4 +277,49 @@ def solve_day(model: DailyModel, day: int, soc_start: float,
         throughput_today=throughput,
         energy_revenue=energy_rev, swap_revenue=swap_rev, reserve_revenue=reserve_rev,
         lp_objective=float(sol.objective_value),
+        certified=certified,
     )
+
+
+class DayBlock:
+    """Days that pass the held basis's dual test in one array pass, each
+    day's point affine in its capacity and carried SOC (``keep *
+    soc_start``).  ``soc_end`` and ``moved`` (MWh charged, discharged and
+    swapped) are each their values at capacity and SOC 0 and their changes
+    per MWh of capacity (lists over the days) and of carried SOC."""
+
+    def __init__(self, model: DailyModel, patterns: np.ndarray, stretch: tuple):
+        self.model, self.patterns, self.stretch = model, patterns, stretch
+        base, per_u, per_s, _ = stretch
+        self.soc_end = (base[:, _SOC_END].tolist(), per_u[:, _SOC_END].tolist(),
+                        float(per_s[_SOC_END]))
+        self.moved = (base[:, :3 * _H].sum(axis=1).tolist(),
+                      per_u[:, :3 * _H].sum(axis=1).tolist(), float(per_s[:3 * _H].sum()))
+
+    def close(self, capacity: np.ndarray, soc0: np.ndarray,
+              throughput: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
+        """``HighsModel.check_stretch`` of the first days at ``solve_day``'s
+        scale, with the passing days' sb_star, energy, swap and reserve
+        revenue, labor and degradation cost rows."""
+        model = self.model
+        scale = np.maximum(np.maximum(model.fixed_bound, capacity), soc0)
+        count, error, x = model.held.check_stretch(self.stretch, capacity, soc0, scale)
+        x, patterns = x[:count], self.patterns[:count]
+        swapped = x[:, 2 * _H:3 * _H].sum(axis=1)
+        rows = np.empty((6, count))
+        rows[1] = (model.lmp[patterns] * (x[:, _H:2 * _H] - x[:, :_H])).sum(axis=1)
+        rows[2] = model.swap.swap_price * swapped
+        rows[3] = (model.reserve_price[patterns] * x[:, 4 * _H:]).sum(axis=1) \
+            if model.reserve_enabled else 0.0
+        rows[4] = model.swap.labor_cost * swapped
+        rows[5] = model.amdc * throughput[:count]
+        rows[0] = rows[1] + rows[2] + rows[3] - rows[4] - rows[5]
+        return count, error, rows
+
+
+def certify_days(model: DailyModel, day: int, count: int) -> DayBlock | None:
+    """The lead days of ``day`` to ``day + count - 1``, at the year's costs,
+    that pass the held basis's dual test; None if the first one fails."""
+    patterns = (day + np.arange(count)) % len(model.lmp)
+    stretch = model.held.certify_stretch(model.costs[patterns], _SWAP_AND_SOC, 0)
+    return None if stretch is None else DayBlock(model, patterns[:len(stretch[0])], stretch)

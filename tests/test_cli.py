@@ -677,13 +677,15 @@ MISSPELT_SCHEMA = {"hour": "hour", "lmp": "lmp_usd_per_mwh", "reserv": "reserve_
 
 
 @pytest.mark.parametrize("case", ["path-7", "path-list", "schema-string",
-                                  "schema-misspelt-key", "nested-config", "file-params"])
+                                  "schema-misspelt-key", "nested-config", "file-params",
+                                  "file-pattern", "synthetic-pattern-list"])
 def test_malformed_price_source_or_config_exits_2(case, tmp_path, monkeypatch):
     """A file price source's path must be a string, its schema a column map
     (a misspelt 'reserve' would zero every reserve price) and its params empty
-    (900 nested lists there overflowed the recursion limit when echoed), and
-    a config nested deeper than the JSON decoder can recurse is not valid
-    JSON: each exits 2."""
+    (900 nested lists there overflowed the recursion limit when echoed), it
+    takes no pattern (the same 900 lists there did too), a synthetic source's
+    pattern is a string, and a config nested deeper than the JSON decoder can
+    recurse is not valid JSON: each exits 2."""
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
     nested = []
     for _ in range(900):
@@ -691,7 +693,8 @@ def test_malformed_price_source_or_config_exits_2(case, tmp_path, monkeypatch):
     prices = tmp_path / "prices.csv"
     write_series(synth_price_series("flat", days=1, level=10.0, reserve_level=5.0), prices)
     data = config_to_dict(paper_defaults())
-    data["prices"].update(kind="file", path=str(prices))
+    # A well-formed file source, so that each case fails on its own field.
+    data["prices"].update(kind="file", path=str(prices), pattern=None, params={})
     data["prices"].update({
         "path-7": {"path": 7},
         "path-list": {"path": [str(prices)]},
@@ -699,13 +702,19 @@ def test_malformed_price_source_or_config_exits_2(case, tmp_path, monkeypatch):
         "schema-misspelt-key": {"schema": MISSPELT_SCHEMA},
         "nested-config": {},
         "file-params": {"params": {"x": nested}},
+        "file-pattern": {"pattern": nested},
+        "synthetic-pattern-list": {"kind": "synthetic", "path": None,
+                                   "pattern": ["daily-sine"]},
     }[case])
     path = tmp_path / "scenario.json"
     path.write_text("[" * 100_000 if case == "nested-config" else json.dumps(data))
     TestBadInputExits2()._assert_exit_2(["simulate", "--mu", "1", "--config", str(path)],
                                         tmp_path / "out")
+    message = json.loads((tmp_path / "out" / "error.json").read_text())["message"]
     if case == "file-params":
-        assert "params" in json.loads((tmp_path / "out" / "error.json").read_text())["message"]
+        assert "params" in message
+    if case in ("file-pattern", "synthetic-pattern-list"):
+        assert "pattern" in message
 
 
 def _readme_columns() -> dict[str, list[str]]:

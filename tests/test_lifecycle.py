@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapval.lifecycle import (
+    DAYS_PER_YEAR,
     EconomicParams,
-    _idle_days,
+    _certify_block,
     _idle_proof,
     abu,
     adjusted_mdc,
@@ -17,8 +18,8 @@ from swapval.lifecycle import (
     state_of_health,
     total_budget,
 )
-from swapval.lp import HighsModel
-from swapval.market_data import synth_price_series
+from swapval.lp import HighsModel, LPError
+from swapval.market_data import HourlyPriceSeries, synth_price_series
 from swapval.scheduler import (
     NO_SWAP,
     TIE_BREAK_EPS,
@@ -26,6 +27,7 @@ from swapval.scheduler import (
     DailyModel,
     ScheduleError,
     SwapTerms,
+    certify_days,
     solve_day,
 )
 
@@ -360,8 +362,11 @@ class TestIdleProof:
 
 
 def _assert_bit_equal(got, want):
-    """Every field equal bit for bit, the daily log's columns included."""
+    """Every field equal bit for bit, the daily log's columns included, but
+    the day counts (``stats``), which say how the days were computed."""
     for field in dataclasses.fields(want):
+        if field.name == "stats":
+            continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         if dataclasses.is_dataclass(b):
             _assert_bit_equal(a, b)
@@ -550,7 +555,8 @@ class TestYearCloseOut:
 class TestBasisCertificate:
     """Days proven optimal from the last HiGHS basis change no lifecycle.
 
-    A stub ``certify`` that always declines sends every solved day to HiGHS.
+    A stub ``certify`` that always declines, with blocks that always decline
+    too, sends every solved day to HiGHS.
     A certified day's point comes from solves with the basis, not from a
     HiGHS run, so floats may move in the last digits (relative 1e-12, or
     1e-12 absolute below 1; daily-log columns 1e-9); the day counts must
@@ -562,33 +568,20 @@ class TestBasisCertificate:
 
     @staticmethod
     def _run(monkeypatch, certify, spec, days, mu, swap, reserve):
-        """The lifecycle, and its (solved, idle-tail, certified) day counts."""
+        """The lifecycle, and its (solved, idle-tail, certified) day counts;
+        without ``certify``, the certificate and its blocks always decline."""
         import swapval.lifecycle as lifecycle
 
-        counts = {"solved": 0, "tail": 0, "certified": 0}
-
-        def certify_or_decline(self, *args):
-            sol = _CERTIFY(self, *args) if certify else None
-            counts["certified"] += sol is not None
-            return sol
-
-        def solve(*args):
-            counts["solved"] += 1
-            return solve_day(*args)
-
-        def idle_days(*args):
-            n, cumulative = _idle_days(*args)
-            counts["tail"] += n
-            return n, cumulative
-
-        monkeypatch.setattr(HighsModel, "certify", certify_or_decline)
-        monkeypatch.setattr(lifecycle, "solve_day", solve)
-        monkeypatch.setattr(lifecycle, "_idle_days", idle_days)
+        monkeypatch.setattr(HighsModel, "certify", _CERTIFY if certify else lambda self: None)
+        monkeypatch.setattr(lifecycle, "certify_days",
+                            certify_days if certify else lambda *args: None)
         prices = synth_price_series("daily-sine", days=days, seed=days, mean=40.0,
                                     amplitude=30.0, reserve_level=5.0 if reserve else 0.0)
         result = simulate_lifecycle(spec, EconomicParams(), prices, mu, swap_policy=swap,
                                     reserve_enabled=reserve, keep_daily_log=True)
-        return result, counts
+        stats = result.stats
+        return result, {"solved": stats["days_solved"], "tail": stats["idle_days"],
+                        "certified": stats["days_certified"] + stats["days_in_blocks"]}
 
     @staticmethod
     def _assert_close(got, want):
@@ -597,6 +590,8 @@ class TestBasisCertificate:
 
         for field in dataclasses.fields(want):
             a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "stats":  # the day counts, compared by the tests
+                continue
             if field.name == "daily_log":
                 for column in dataclasses.fields(b):
                     np.testing.assert_allclose(getattr(a, column.name),
@@ -637,42 +632,168 @@ class TestBasisCertificate:
             certified += counts_on["certified"]
         assert certified > 0, "no day was certified"
 
-    def test_busy_lifecycle_runs_highs_only_on_declined_days(self, monkeypatch, tmp_path):
+    def test_busy_lifecycle_runs_highs_only_on_declined_days(self, tmp_path):
         """The lifecycle-busy benchmark's inputs: a 365-day sine CSV with reserve
         prices, simulated at mu 35 with the paper-defaults swap terms."""
-        import swapval.scheduler as scheduler
-
-        runs, certified = [], []
-        real_solve_lp = scheduler.solve_lp
-
-        def certify(self, *args):
-            sol = _CERTIFY(self, *args)
-            certified.append(sol is not None)
-            return sol
-
-        monkeypatch.setattr(scheduler, "solve_lp",
-                            lambda *args, **kw: runs.append(1) or real_solve_lp(*args, **kw))
-        monkeypatch.setattr(HighsModel, "certify", certify)
         result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
                                     35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
-        assert len(certified) == result.days_lived  # every day is solved
-        assert 0 < len(runs) == len(certified) - sum(certified) < len(certified) / 2
+        stats = result.stats
+        assert stats["days_solved"] == result.days_lived  # every day is solved
+        declined = stats["days_solved"] - stats["days_certified"] - stats["days_in_blocks"]
+        assert 0 < stats["highs_runs"] == declined < stats["days_solved"] / 2
+        assert stats["days_in_blocks"] > 0
 
-    def test_busy_lifecycle_bits_and_calls(self, monkeypatch, tmp_path):
-        """The lifecycle-busy inputs give the same bits as the day loop that
-        built a ``DayInput`` and its costs each day, with one ``solve_day``
-        call per solved day and one ``solve_lp`` call per HiGHS run."""
+    def test_busy_lifecycle_bits_and_calls(self, tmp_path):
+        """The lifecycle-busy inputs: the bits, one solved day per day lived
+        and one HiGHS run per declined day.  Blocks certify most days, and
+        their points move the last bits of ``lb_star``: the day loop that
+        certified one day at a time gave ``0x1.9747f4ffaab1bp+18``."""
+        result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
+                                    35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
+        assert result.lb_star.hex() == "0x1.9747f4ffaab1ap+18"
+        one_at_a_time = float.fromhex("0x1.9747f4ffaab1bp+18")
+        assert abs(result.lb_star - one_at_a_time) <= 1e-12 * abs(one_at_a_time)
+        assert result.days_lived == result.stats["days_solved"] == 1507
+        assert result.stats["highs_runs"] == 256
+
+
+class TestBlocks:
+    """A block of days certified at once ends exactly where the day loop
+    stops or the certificate declines, and its lifecycle is the one that
+    certifies a day at a time (blocks off): the same day counts, floats
+    within a relative 1e-12.
+
+    The instances (chosen once, recorded here) end blocks at each boundary:
+    ``_prices(365, (10, 20))`` at mu 30 over two years ends blocks at
+    declined days, at the year's end and at a day that starts empty before
+    the year's idle proof was tried (pattern day 10 ends empty); the
+    60-cycle battery on ``_prices(28, ())`` at mu 35 ends a block on the
+    day that exhausts the budget.
+    """
+
+    PAPER = BatterySpec(2.7, 2.7, 0.95)
+    SHORT = BatterySpec(2.7, 2.7, 0.95, cycle_life=60.0, calendar_fade_per_year=0.2)
+    CASES = {"paper": (PAPER, 365, (10, 20), 30.0, 2), "short": (SHORT, 28, (), 35.0, 30)}
+
+    @staticmethod
+    def _prices(days, empty_days):
+        """A daily sine whose hour-23 reserve price of 80 keeps energy in the
+        battery overnight, except on ``empty_days``, which end empty."""
+        sine = synth_price_series("daily-sine", days=days, seed=3, mean=40.0, amplitude=30.0)
+        reserve = np.zeros((days, 24))
+        reserve[:, 23] = 80.0
+        reserve[list(empty_days), 23] = 0.0
+        return HourlyPriceSeries(lmp=sine.lmp, reserve_price=reserve.ravel())
+
+    def _run(self, monkeypatch, blocks, case):
+        """The lifecycle and the day loop's events in order: ("block", first
+        day, days, why it ended), ("day", day, certified) for each day solved
+        one at a time, and ("proof", day) for each idle-proof try."""
         import swapval.lifecycle as lifecycle
-        import swapval.scheduler as scheduler
 
-        days, runs = [], []
-        real_solve_day, real_solve_lp = lifecycle.solve_day, scheduler.solve_lp
-        monkeypatch.setattr(lifecycle, "solve_day",
-                            lambda *args: days.append(1) or real_solve_day(*args))
-        monkeypatch.setattr(scheduler, "solve_lp",
-                            lambda *args, **kw: runs.append(1) or real_solve_lp(*args, **kw))
-        result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
-                                    35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
-        assert result.lb_star.hex() == "0x1.9747f4ffaab1bp+18"
-        assert result.days_lived == len(days) == 1507
-        assert len(runs) == 256
+        spec, days, empty_days, mu, years = self.CASES[case]
+        events = []
+
+        def block(model, day, size, soc, used, budget, stop_when_empty, out):
+            k, declined, soc, used = _certify_block(model, day, size, soc, used, budget,
+                                                    stop_when_empty, out)
+            why = ("declined" if declined else "budget" if used >= budget
+                   else "year" if (day + k) % DAYS_PER_YEAR == 0
+                   else "empty" if k < size and stop_when_empty and soc == 0.0 else "size")
+            events.append(("block", day, k, why))
+            return k, declined, soc, used
+
+        def day(model, d, *args):
+            schedule = solve_day(model, d, *args)
+            events.append(("day", d, schedule.certified))
+            return schedule
+
+        monkeypatch.setattr(lifecycle, "_certify_block", block)
+        monkeypatch.setattr(lifecycle, "certify_days",
+                            certify_days if blocks else lambda *args: None)
+        monkeypatch.setattr(lifecycle, "solve_day", day)
+        monkeypatch.setattr(lifecycle, "_idle_proof",
+                            lambda *args: events.append(("proof",)) or _idle_proof(*args))
+        result = simulate_lifecycle(spec, EconomicParams(horizon_cap_years=years),
+                                    self._prices(days, empty_days), mu, keep_daily_log=True)
+        # A proof is tried on the day of the event after it.
+        for i, event in enumerate(events):
+            if event == ("proof",):
+                events[i] = ("proof", events[i + 1][1] if i + 1 < len(events) else None)
+        return result, [e for e in events if e[0] != "block" or e[2]]
+
+    @staticmethod
+    def _assert_close(got, want):
+        def close(a, b):
+            return abs(a - b) <= 1e-12 * max(abs(a), abs(b), 1.0)
+
+        for field in ("lb_star", "abu", "cumulative_throughput", "final_soh",
+                      "discounted_energy_revenue", "discounted_swap_revenue",
+                      "discounted_reserve_revenue"):
+            assert close(getattr(got, field), getattr(want, field)), field
+        for row_a, row_b in zip(got.yearly, want.yearly, strict=True):
+            assert row_a.keys() == row_b.keys()
+            assert all(close(row_a[k], row_b[k]) for k in row_b), (row_a, row_b)
+        for column in dataclasses.fields(want.daily_log):
+            np.testing.assert_allclose(getattr(got.daily_log, column.name),
+                                       getattr(want.daily_log, column.name),
+                                       rtol=1e-12, atol=1e-12, err_msg=column.name)
+
+    @pytest.mark.parametrize("case,boundary", [("paper", "declined"), ("paper", "year"),
+                                               ("paper", "empty"), ("short", "budget")])
+    def test_block_ends_exactly_there(self, monkeypatch, case, boundary):
+        on, events = self._run(monkeypatch, True, case)
+        off, events_off = self._run(monkeypatch, False, case)
+        assert off.stats["days_in_blocks"] == 0 and on.stats["days_in_blocks"] > 0
+        ends = [(i, e) for i, e in enumerate(events) if e[0] == "block" and e[3] == boundary]
+        assert ends, f"no block ends at a {boundary} boundary"
+        for i, (_, first, k, _) in ends:
+            after = events[i + 1] if i + 1 < len(events) else None
+            if boundary == "declined":  # the next day runs HiGHS
+                assert after == ("day", first + k, False)
+            elif boundary == "year":  # the next year's first day, if any, is solved alone
+                assert (first + k) % DAYS_PER_YEAR == 0
+                assert after[:2] == ("day", first + k) if after else first + k == on.days_lived
+            elif boundary == "empty":  # the idle proof is tried on the next day
+                assert after == ("proof", first + k)
+            else:  # the life ends with the block
+                assert after is None and first + k == on.days_lived
+        # Blocks certify exactly the days the day loop certifies: HiGHS runs
+        # and idle-proof tries on the same days.
+        for kind in ("proof", "day"):
+            assert [e for e in events if e[0] == kind and e[-1] is not True] == \
+                [e for e in events_off if e[0] == kind and e[-1] is not True]
+        assert on.days_lived == off.days_lived
+        for key in ("days_solved", "idle_days", "highs_runs"):
+            assert on.stats[key] == off.stats[key], key
+        assert on.stats["days_certified"] + on.stats["days_in_blocks"] == \
+            off.stats["days_certified"]
+        self._assert_close(on, off)
+
+    def test_block_day_failing_the_recheck_names_the_day(self, monkeypatch):
+        _, events = self._run(monkeypatch, True, "paper")
+        first = next(e[1] for e in events if e[0] == "block")
+        check = HighsModel.check_stretch
+        # A negative scale fails every point's re-check, and nothing else.
+        monkeypatch.setattr(HighsModel, "check_stretch",
+                            lambda self, stretch, u, s, scale: check(self, stretch, u, s, -scale))
+        with pytest.raises(LPError, match=rf"re-check: .* \[day {first}, pattern day "):
+            self._run(monkeypatch, True, "paper")
+
+    def test_block_day_of_negative_throughput_names_the_day(self, monkeypatch):
+        import swapval.lifecycle as lifecycle
+
+        _, events = self._run(monkeypatch, True, "paper")
+        first = next(e[1] for e in events if e[0] == "block" and e[2] >= 2)
+
+        def certify(model, day, count):
+            block = certify_days(model, day, count)
+            if day == first:  # the block's second day draws -1e6 MWh
+                block.moved[0][1] = -1e6
+            return block
+
+        monkeypatch.setattr(lifecycle, "certify_days", certify)
+        with pytest.raises(ScheduleError,
+                           match=rf"negative throughput -\d+\.\d+ \[day {first + 1}, pattern day "):
+            simulate_lifecycle(self.PAPER, EconomicParams(horizon_cap_years=2),
+                               self._prices(365, (10, 20)), 30.0)

@@ -16,6 +16,7 @@ from swapval.scheduler import (
     ScheduleError,
     SwapTerms,
     build_daily_lp,
+    certify_days,
     solve_day,
 )
 
@@ -463,3 +464,50 @@ class TestDayKernel:
             assert model.held.scale == _scale(build_daily_lp_rows(day)) == _scale(model.held.lp)
             shapes += 1
         assert shapes == 336
+
+
+class TestDayBlock:
+    """A block's points are affine in each day's capacity and carried SOC:
+    near the pairs a life visits, a day's point is the one ``certify``
+    proves for that day alone, and so are its ``soc_end`` and ``moved``
+    coefficients.  An hour-23 reserve price of 80 keeps energy in the
+    battery overnight, so days start charged."""
+
+    @pytest.mark.parametrize("swap", [NO_SWAP, SwapTerms(160.0, 2.7, 10.0)],
+                             ids=["no-swap", "swap"])
+    def test_points_equal_certify(self, swap):
+        sine = synth_price_series("daily-sine", days=28, seed=5, mean=40.0, amplitude=30.0)
+        reserve = np.zeros((28, 24))
+        reserve[:, 23] = 80.0
+        prices = HourlyPriceSeries(lmp=sine.lmp, reserve_price=reserve.ravel())
+        model = DailyModel(BatterySpec(2.7, 2.7, 0.95, self_discharge=0.01), prices, swap,
+                           True, 0.1)
+        model.price(20.0)
+        rng = np.random.default_rng(7)
+        soc, compared, per_soc = 0.0, 0, False
+        for day in range(56):
+            schedule = solve_day(model, day, min(soc, 2.6), 2.6)
+            soc = float(schedule.soc[-1])
+            block = certify_days(model, day + 1, 6) if schedule.certified else None
+            if block is None:
+                continue
+            held, (base, per_u, per_s, _) = model.held, block.stretch
+            per_soc |= bool(np.any(per_s[:held.lp.n_vars] != 0.0))
+            for j, pattern in enumerate(block.patterns):
+                capacity = 2.6 * rng.uniform(0.99, 1.0)
+                soc0 = model.keep * min(soc, capacity) * rng.uniform(0.99, 1.0)
+                held.set_day(model.costs[pattern], scheduler._SWAP_AND_SOC, capacity, 0, soc0,
+                             max(model.fixed_bound, capacity, soc0))
+                sol = held.certify()
+                if sol is None:  # this pair leaves the basis: the block would stop
+                    break
+                x = (base[j] + capacity * per_u[j] + soc0 * per_s)[:len(sol.x)]
+                np.testing.assert_allclose(x, sol.x, rtol=1e-9, atol=1e-9)
+                (e0, e_cap, e_soc), (m0, m_cap, m_soc) = block.soc_end, block.moved
+                assert e0[j] + capacity * e_cap[j] + soc0 * e_soc == \
+                    pytest.approx(sol.x[scheduler._SOC_END], rel=1e-9, abs=1e-9)
+                assert m0[j] + capacity * m_cap[j] + soc0 * m_soc == \
+                    pytest.approx(sol.x[:72].sum(), rel=1e-9, abs=1e-9)
+                compared += 1
+                soc = float(sol.x[scheduler._SOC_END])
+        assert compared >= 20 and per_soc
