@@ -48,6 +48,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ONE_AT_A_TIME = 8
 _MAX_BLOCK = 64
 
+# Most dual simplex pivots a declined day may take from the held basis
+# before HiGHS solves it (README, "Basis certificate").
+_PIVOTS = 16
+
 
 @dataclass(frozen=True)
 class EconomicParams:
@@ -108,7 +112,8 @@ class LifecycleResult:
     yearly: list[dict]
     daily_log: DailyLog | None = None  # lifecycle.json holds every field above, in order
     # days_solved, days_certified (one at a time), days_in_blocks,
-    # highs_runs and idle_days; no report file holds them.
+    # days_continued (settled by at least one pivot), pivots, highs_runs
+    # and idle_days; no report file holds them.
     stats: dict = field(default_factory=dict)
 
 
@@ -346,13 +351,18 @@ def simulate_lifecycle(
     ``keep_daily_log``.
 
     The days are solved in one ``DailyModel``, each warm from the previous
-    solved day, and priced once a year, on its first solved day.  Once the
-    held basis has certified ``_ONE_AT_A_TIME`` days one at a time,
-    ``_certify_block`` certifies the rest of its stretch in blocks, none
-    starting on a year's first day.  ``stats`` counts the days.  The model
-    lives and dies with this call, so the result depends only on its
-    arguments.  A solver failure is re-raised with the day, pattern day,
-    SOC, capacity and adjusted MDC added to its message.
+    solved day, and priced once a year, on its first solved day.  A day the
+    held basis does not prove continues from it by up to ``_PIVOTS`` dual
+    simplex pivots, except on a year's first solved day, which goes to
+    HiGHS if declined: a basis pivoted to at the yearly re-price certifies
+    only short stretches.  Once the held basis has certified
+    ``_ONE_AT_A_TIME`` days one at a time, ``_certify_block`` certifies the
+    rest of its stretch in blocks, none starting on a year's first day; a
+    HiGHS run or a continued day brings a new basis, which starts that count
+    again.  ``stats`` counts the days.  The model lives and dies with this
+    call, so the result depends only on its arguments.  A solver failure is
+    re-raised with the day, pattern day, SOC, capacity and adjusted MDC
+    added to its message.
     """
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
@@ -366,11 +376,11 @@ def simulate_lifecycle(
     soc = 0.0
     idle = False  # from the day _idle_proof holds to the end of the life
     model = DailyModel(spec, prices, swap, reserve_enabled, q_day)
-    # Days certified since the last HiGHS run or declined block, and the
+    # Days certified since the last new basis or declined block, and the
     # next block's size.
     streak, size = 0, 2
-    stats = dict.fromkeys(("days_solved", "days_certified", "days_in_blocks", "highs_runs",
-                           "idle_days"), 0)
+    stats = dict.fromkeys(("days_solved", "days_certified", "days_in_blocks",
+                           "days_continued", "pivots", "highs_runs", "idle_days"), 0)
 
     tables: list[np.ndarray] = []
     yearly: list[dict] = []
@@ -407,7 +417,7 @@ def simulate_lifecycle(
             try:
                 if not n:  # the year's first solved day prices the year
                     model.price(mu_t)
-                schedule = solve_day(model, day, soc, capacity_now)
+                schedule = solve_day(model, day, soc, capacity_now, _PIVOTS if n else 0)
                 if schedule.throughput_today < 0:
                     raise ScheduleError(f"negative throughput {schedule.throughput_today!r}")
             except (ScheduleError, lp.LPError) as exc:
@@ -421,6 +431,8 @@ def simulate_lifecycle(
                            schedule.degradation_cost)
             n += 1
             stats["days_certified"] += schedule.certified
+            stats["days_continued"] += schedule.pivots > 0
+            stats["pivots"] += schedule.pivots
             streak, size = (streak + 1, size) if schedule.certified else (0, 2)
 
         # Idle days fill the rest of the year once the proof holds.

@@ -6,9 +6,10 @@ bundled HiGHS binding.  A ``HighsModel`` keeps one program loaded in HiGHS:
 the day kernel (``scheduler.solve_day``) loads a life's first day into it
 and rewrites each later day with ``HighsModel.set_day``, so that each
 re-solve starts from the previous basis.  ``HighsModel.certify`` proves a
-rewritten program optimal without HiGHS when the basis of the last run
-still does; ``certify_stretch`` and ``check_stretch`` do so for a stretch
-of programs at once, from that basis's inverse held in numpy.
+rewritten program optimal without HiGHS when the held basis still does,
+or continues from that basis with a few dual simplex pivots in numpy;
+``certify_stretch`` and ``check_stretch`` prove a stretch of programs at
+once.  All of them work from one inverse of the basis matrix.
 """
 
 from __future__ import annotations
@@ -133,6 +134,13 @@ _HIGHS_TOL = 1e-10
 _TIE = 1e-12
 _CLEAR = 1e-9
 
+# Continuation: a pivot row entry below _PIVOT in size takes no part in the
+# ratio test, so no smaller pivot enters; a pivot row and column that
+# disagree on the pivot by more than _PIVOT relative send the day to HiGHS.
+# The basis inverse is factored afresh after _UPDATES rank-one updates.
+_PIVOT = 1e-7
+_UPDATES = 32
+
 
 class HighsModel:
     """One LinearProgram kept loaded in a HiGHS instance across solves.
@@ -147,7 +155,9 @@ class HighsModel:
     The program is held in bounded form: columns x and row activities r = Ax
     are the n + m variables of ``[A, -I] (x, r) = 0``, each in its box
     (a row's is ``[row_lower, row_upper]``).  The program's costs and bounds
-    are views of the bounded form's, so both always agree.
+    are views of the bounded form's, so both always agree.  The held basis
+    is that of the last optimal HiGHS run, or the one ``certify`` pivoted
+    to since; numpy holds its basis matrix's inverse.
     """
 
     def __init__(self, lp: LinearProgram, scale: float):
@@ -158,17 +168,20 @@ class HighsModel:
         lp.objective, lp.lower, lp.row_lower = self._cost[:n], self._lo[:n], self._lo[n:]
         lp.upper, lp.row_upper = self._hi[:n], self._hi[n:]
         self.lp = lp
-        # [A, -I]^T, and the bounded-form index of each of HiGHS's basic
+        # [A, -I], and the bounded-form index of each of HiGHS's basic
         # variable codes plus m (a column j is j, a row i is -1 - i).
-        self._bounded_t = np.vstack((lp.A.T, -np.eye(m)))
+        self._bounded = np.hstack((lp.A, -np.eye(m)))
         self._bounded_index = np.concatenate((np.arange(n + m - 1, n - 1, -1), np.arange(n)))
         self._cols = np.arange(n, dtype=np.int32)
         # What set_day wrote that HiGHS has not seen: every cost, and the
         # bounds of a slice of columns and of some rows; None if nothing.
         self._stale: tuple[slice, tuple[int, ...]] | None = None
         self.scale = scale
-        self._basis: tuple | None = None  # of the last run, if it was optimal
-        self._factor: tuple | None = None  # of _basis, once a stretch asks for it
+        self._basic: np.ndarray | None = None  # the held basis, if any
+        self._upper: np.ndarray | None = None  # the bound each nonbasic variable is at
+        self._inverse: np.ndarray | None = None  # of the basis matrix, once asked for
+        self._updates = 0  # rank-one updates of _inverse since it was factored
+        self._factor: tuple | None = None  # of the held basis, once a stretch asks for it
         self._varied: tuple | None = None  # the bounds stretches vary, and masks
         self.runs = 0  # HiGHS runs
         program = _highs.HighsLp()
@@ -221,10 +234,11 @@ class HighsModel:
         self._stale = None
 
     def run(self) -> tuple[int, np.ndarray | None, str]:
-        """Re-solve from the current basis: (status code, x, message)."""
+        """Re-solve from HiGHS's last basis: (status code, x, message).  An
+        optimal run's basis becomes the held one."""
         highs = self._highs
         self._sync()
-        self._basis = self._factor = None
+        self._basic = self._inverse = self._factor = None
         self.runs += 1
         if highs.run() == _highs.HighsStatus.kError:
             return 4, None, "HiGHS run failed"
@@ -233,74 +247,132 @@ class HighsModel:
         x = None
         if code == 0:
             x = np.array(highs.getSolution().col_value)
-            self._basis = self._read_basis(x)
+            ok, basic = highs.getBasicVariables()
+            if ok == _OK:
+                # The bounded-form basic variables, and the bound each
+                # nonbasic one sits at in the optimum x.
+                self._basic = self._bounded_index[basic + len(basic)]
+                value = np.concatenate((x, self.lp.A @ x))
+                self._upper = value - self._lo > self._hi - value
         return code, x, highs.modelStatusToString(status)
 
-    def _read_basis(self, x: np.ndarray) -> tuple | None:
-        """The certificate's view of the last run's optimal basis, or None.
+    def _invert(self) -> bool:
+        """Factor the held basis matrix (``dgetrf``) and invert it
+        (``dgetri``); False if it is singular, though HiGHS's was not."""
+        lu, piv, info = dgetrf(self._bounded[:, self._basic])
+        inverse, info = (None, info) if info else dgetri(lu, piv)
+        self._inverse, self._updates = None if info else inverse, 0
+        return not info
 
-        That is the basic and nonbasic variables of the bounded form, the
-        nonbasic rows of ``[A, -I]^T``, the bound each nonbasic variable sits
-        at in the optimum ``x``, and the signs that turn a solve with HiGHS's
-        basis matrix (whose row variable columns are +e_i) into a basic point.
+    def certify(self, pivots: int = 0) -> tuple[LPSolution, int] | None:
+        """The optimum of the current program, proven without HiGHS, and the
+        dual simplex pivots taken from the held basis to prove it; or None.
+
+        A basis stays optimal for changed costs and bounds when its dual is
+        still feasible and, with every nonbasic variable at the bound its
+        reduced cost favours, its primal is too (Bertsimas & Tsitsiklis,
+        *Introduction to Linear Optimization*, 1997, ch. 5).  Moving a
+        nonbasic variable to its other bound is the dual simplex's bound
+        flip, which costs HiGHS no iteration either.  A reduced cost within
+        ``_TIE`` of 0 keeps the variable's bound; one up to ``_CLEAR``
+        declines, and so does a row favoured at an infinite bound.  Declines
+        too while no basis is held, so the first solve always runs HiGHS.
+
+        When only the primal test fails, up to ``pivots`` pivots of the dual
+        simplex (``_pivot``) continue from the held basis, each followed by
+        the same tests; a basis they reach is held from then on.  With
+        ``[A, -I]``'s structure the duals are ``y = c_B B^-1``, the reduced
+        costs ``(c_x - y A, y)`` and the basic values ``-B^-1 (A v_x -
+        v_r)`` for the nonbasic values ``v``.  The point, put back into its
+        column box, passes the feasibility re-check of ``solve_lp``.
         """
-        status, basic = self._highs.getBasicVariables()
-        if status != _OK:
+        if self._basic is None or (self._inverse is None and not self._invert()):
             return None
-        basic = self._bounded_index[basic + len(basic)]
-        is_basic = np.zeros(len(self._cost), dtype=bool)
-        is_basic[basic] = True
-        nonbasic = np.flatnonzero(~is_basic)
-        value = np.concatenate((x, self.lp.A @ x))[nonbasic]
-        at_upper = value - self._lo[nonbasic] > self._hi[nonbasic] - value
-        sign = np.where(basic < self.lp.n_vars, -1.0, 1.0)
-        return basic, nonbasic, self._bounded_t[nonbasic], at_upper, sign
+        cost, lo, hi, A = self._cost, self._lo, self._hi, self.lp.A
+        n = self.lp.n_vars
+        for pivot in range(pivots + 1):
+            basic = self._basic
+            y = cost[basic] @ self._inverse
+            reduced = np.concatenate((cost[:n] - y @ A, y))
+            reduced[basic] = 0.0
+            size = np.abs(reduced)
+            tied = size <= _TIE
+            # A fixed variable (an equality row's) too close to call declines
+            # too: rare, and safe.
+            if np.count_nonzero(size < _CLEAR) != np.count_nonzero(tied):
+                return None
+            upper = np.where(tied, self._upper, reduced > 0.0)
+            point = np.where(upper, hi, lo)
+            point[basic] = 0.0
+            if not math.isfinite(point.sum()):  # a row favoured at an infinite bound
+                return None
+            solved = self._inverse @ (point[n:] - A @ point[:n])
+            # Each nonbasic variable sits at one of its bounds, so only the
+            # basic ones can leave their boxes.
+            lo_b, hi_b = lo[basic], hi[basic]
+            below = lo_b - solved
+            infeasible = np.maximum(below, solved - hi_b)
+            if infeasible.max() <= _HIGHS_TOL:
+                self._upper = upper
+                point[basic] = np.minimum(np.maximum(solved, lo_b), hi_b)
+                return _verdict(self.lp, 0, point[:n], "", self.scale), pivot
+            if pivot == pivots or not self._pivot(infeasible, below > 0.0, reduced, upper):
+                return None
 
-    def certify(self) -> LPSolution | None:
-        """The optimum of the current program, proven without HiGHS, or None.
+    def _pivot(self, infeasible: np.ndarray, below: np.ndarray, reduced: np.ndarray,
+               upper: np.ndarray) -> bool:
+        """One pivot of the dual simplex from basic values ``infeasible`` by
+        this much (``below`` their lower bounds, else above the upper), at
+        nonbasic bounds ``upper``.  A basic variable leaves to the bound it
+        violates, the entering variable comes from the bound-flipping ratio
+        test, and the inverse takes a rank-one update.  False, for HiGHS to
+        decide, when no variable can enter, the pivot is inconsistent or the
+        fresh factor due after ``_UPDATES`` updates is singular.
 
-        The basis of the last run stays optimal for changed costs and bounds
-        when its dual is still feasible and, with every nonbasic variable at
-        the bound its reduced cost favours, its primal is too (Bertsimas &
-        Tsitsiklis, *Introduction to Linear Optimization*, 1997, ch. 5).
-        Moving a nonbasic variable to its other bound is the dual simplex's
-        bound flip, which costs HiGHS no iteration either.  A reduced cost
-        within ``_TIE`` of 0 keeps the variable's bound; one up to ``_CLEAR``
-        declines.  Declines too unless the last run solved the program, so
-        the first solve always runs HiGHS.  The solves with the basis matrix
-        use the factor HiGHS holds from that run: nothing passes HiGHS a
-        change before the next run.
-
-        The point passes the feasibility re-check of ``solve_lp``.
+        The leaving variable is the most infeasible one relative to the
+        norm of its row of the inverse: dual steepest-edge pricing with
+        exact weights (Forrest & Goldfarb, *Math. Programming* 57:341-374,
+        1992), which the explicit inverse makes cheap.  The dual step moves
+        each nonbasic reduced cost by its entry alpha of the pivot row;
+        those that would change sign against their bound are breakpoints,
+        in order of ``|reduced| / |alpha|``.  Passing one flips its variable
+        to its other bound and takes ``|alpha| * (hi - lo)`` off the dual
+        objective's slope, so the entering variable is the first breakpoint
+        where the slope would end (Koberstein, *The dual simplex method,
+        techniques for a fast and stable implementation*, PhD thesis,
+        Paderborn, 2005, ch. 3); a row with an infinite bound cannot be
+        passed.  Huangfu & Hall, *Math. Prog. Comp.* 10:119-142, 2018,
+        describe the dual simplex of HiGHS.
         """
-        if self._basis is None:
-            return None
-        basic, nonbasic, bounded_n, at_upper, sign = self._basis
-        cost, lo, hi, highs = self._cost, self._lo, self._hi, self._highs
-        status, y = highs.getBasisTransposeSolve(cost[basic])
-        reduced = cost[nonbasic] - bounded_n @ y
-        size = np.abs(reduced)
-        tied = size <= _TIE
-        # A fixed variable (an equality row's) too close to call declines
-        # too: rare, and safe.
-        if status != _OK or np.count_nonzero(size < _CLEAR) != np.count_nonzero(tied):
-            return None
-        at_upper = np.where(tied, at_upper, reduced > 0.0)
-        value = np.where(at_upper, hi[nonbasic], lo[nonbasic])
-        if not math.isfinite(value.sum()):  # a row favoured at an infinite bound
-            return None
-        status, solved = highs.getBasisSolve(value @ bounded_n)
-        solved = sign * solved
-        # Each nonbasic variable sits at one of its bounds, so only the basic
-        # ones can leave their boxes.
-        if status != _OK or not np.maximum(lo[basic] - solved,
-                                           solved - hi[basic]).max() <= _HIGHS_TOL:
-            return None
-        point = np.empty(len(cost))
-        point[nonbasic] = value
-        point[basic] = solved
-        self._basis = basic, nonbasic, bounded_n, at_upper, sign
-        return _verdict(self.lp, 0, point[:self.lp.n_vars], "", self.scale)
+        basic, inverse, span = self._basic, self._inverse, self._hi - self._lo
+        weights = np.einsum("ij,ij->i", inverse, inverse)
+        leave = int(np.argmax(np.where(infeasible > _HIGHS_TOL, infeasible**2 / weights, 0.0)))
+        to_lower, slope = bool(below[leave]), infeasible[leave]
+        alpha = inverse[leave] @ self._bounded
+        direction = alpha if to_lower else -alpha
+        blocks = np.where(upper, direction > _PIVOT, direction < -_PIVOT) & (span > 0.0)
+        blocks[basic] = False
+        candidates = np.flatnonzero(blocks)
+        size = np.abs(alpha[candidates])
+        order = np.argsort(np.abs(reduced[candidates]) / size, kind="stable")
+        candidates, size = candidates[order], size[order]
+        passed = int(np.searchsorted(np.cumsum(size * span[candidates]), slope))
+        if passed == len(candidates):  # the dual is unbounded: no primal point
+            return False
+        enter = candidates[passed]
+        column = inverse @ self._bounded[:, enter]
+        pivot = column[leave]
+        if abs(pivot - alpha[enter]) > _PIVOT * abs(pivot):
+            return False
+        upper[candidates[:passed]] ^= True
+        upper[basic[leave]] = not to_lower
+        self._upper, self._factor = upper, None
+        row = inverse[leave] / pivot
+        inverse -= np.outer(column, row)
+        inverse[leave] = row
+        basic[leave] = enter
+        self._updates += 1
+        return self._updates < _UPDATES or self._invert()
 
     def certify_stretch(self, costs: np.ndarray, cols: slice, row: int) -> tuple | None:
         """``certify``'s dual test, in one array pass, for programs that differ
@@ -310,18 +382,17 @@ class HighsModel:
         None if the first fails; else, for the lead programs that pass,
         ``(base, per_u, per_s, at_upper)``: program d's bounded-form point is
         ``base[d] + u * per_u[d] + s * per_s`` and ``at_upper[d]`` its
-        nonbasic bounds (ties keep the previous program's).  The basis matrix
-        is factored (``dgetrf``) and inverted once per run; every stretch
-        names the same ``cols`` and ``row``.  ``check_stretch`` follows.
+        nonbasic bounds (ties keep the previous program's).  The maps come
+        from the held basis's inverse, once per basis; every stretch names
+        the same ``cols`` and ``row``.  ``check_stretch`` follows.
         """
-        if self._basis is None:
+        if self._basic is None:
             return None
-        basic, nonbasic, _, at_upper, _ = self._basis
         if self._factor is None:
             self._factor = self._factorize(cols, row)
         if not self._factor:  # singular, though HiGHS's factor was not: rare
             return None
-        to_basic, reduce, per_s = self._factor
+        nonbasic, to_basic, reduce, per_s = self._factor
         lo, hi, cap, _ = self._varied
         reduced = costs @ reduce
         size = np.abs(reduced)
@@ -335,7 +406,7 @@ class HighsModel:
             days, width = len(costs), len(nonbasic)
             last = np.where(tied, 0, np.arange(width, (days + 1) * width, width)[:, None])
             np.maximum.accumulate(last, axis=0, out=last)
-            upper = np.vstack((at_upper, upper)).ravel()[last + np.arange(width)]
+            upper = np.vstack((self._upper[nonbasic], upper)).ravel()[last + np.arange(width)]
         value = np.where(upper, hi[nonbasic], lo[nonbasic])
         dual &= np.isfinite(value.sum(axis=1))  # no row favoured at an infinite bound
         days = int(np.argmin(np.append(dual, False)))
@@ -344,33 +415,34 @@ class HighsModel:
         values = np.concatenate((value[:days], upper[:days] * cap[nonbasic]))
         points = np.empty((2 * days, len(self._cost)))
         points[:, nonbasic] = values
-        points[:, basic] = values @ to_basic
+        points[:, self._basic] = values @ to_basic
         return points[:days], points[days:], per_s, upper[:days]
 
     def _factorize(self, cols: slice, row: int) -> tuple:
         """With W = B^-1 N (basis matrix B, nonbasic columns N of ``[A,
-        -I]``): -W^T (nonbasic to basic values), the map from costs to
-        nonbasic reduced costs, and the point per unit of ``row``'s value;
-        () if B is singular."""
-        basic, nonbasic, bounded_n = self._basis[:3]
-        n, size = self.lp.n_vars, len(self._cost)
-        lu, piv, info = dgetrf(self._bounded_t[basic].T)
-        inverse, info = (None, info) if info else dgetri(lu, piv)
-        if info:
+        -I]``): the nonbasic variables, -W^T (nonbasic to basic values), the
+        map from costs to nonbasic reduced costs, and the point per unit of
+        ``row``'s value; () if B is singular."""
+        basic = self._basic
+        if self._inverse is None and not self._invert():
             return ()
+        n, size = self.lp.n_vars, len(self._cost)
         if self._varied is None:
             cap, at_row = np.zeros(size), np.zeros(size)
             cap[cols] = at_row[n + row] = 1.0
             self._varied = (np.where(at_row > 0.0, 0.0, self._lo),
                             np.where(cap + at_row > 0.0, 0.0, self._hi), cap, at_row)
-        to_basic = -(inverse @ bounded_n.T).T
+        is_basic = np.zeros(size, dtype=bool)
+        is_basic[basic] = True
+        nonbasic = np.flatnonzero(~is_basic)
+        to_basic = -(self._inverse @ self._bounded[:, nonbasic]).T
         reduce = np.zeros((n, len(nonbasic)))
         reduce[basic[basic < n]] = to_basic.T[basic < n]
         reduce[nonbasic[nonbasic < n], np.flatnonzero(nonbasic < n)] += 1.0
         at_row = self._varied[3][nonbasic]
         per_s = np.empty(size)
         per_s[nonbasic], per_s[basic] = at_row, at_row @ to_basic
-        return to_basic, reduce, per_s
+        return nonbasic, to_basic, reduce, per_s
 
     def check_stretch(self, stretch: tuple, upper: np.ndarray, value: np.ndarray,
                       scale: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
@@ -378,7 +450,8 @@ class HighsModel:
         programs of ``stretch``, program d at u ``upper[d]``, s ``value[d]``
         and re-check scale ``scale[d]``: how many lead programs pass both,
         the re-check's error if the next one fails only that, and their
-        points (x).  The last passing program's bounds are kept for ties.
+        points (x), put back into their column boxes.  The last passing
+        program's bounds are kept for ties.
         """
         base, per_u, per_s, at_upper = stretch
         n, days = self.lp.n_vars, len(upper)
@@ -387,10 +460,12 @@ class HighsModel:
         point = base[:days] + u * per_u[:days] + s * per_s
         lo, hi = lo + s * at_row, hi + u * cap + s * at_row
         violation = np.maximum(lo - point, point - hi)
-        primal = violation[:, self._basis[0]].max(axis=1) <= _HIGHS_TOL
-        x = point[:, :n]
-        r = x @ self.lp.A.T
+        primal = violation[:, self._basic].max(axis=1) <= _HIGHS_TOL
         bounds = violation[:, :n].max(axis=1, initial=0.0)
+        x = point[:, :n]
+        if bounds.max() > 0.0:
+            x = np.minimum(np.maximum(x, lo[:, :n]), hi[:, :n])
+        r = x @ self.lp.A.T
         rows = np.maximum(lo[:, n:] - r, r - hi[:, n:]).max(axis=1, initial=0.0)
         atol = _TOL * scale * 10.0
         count = int(np.argmin(np.append(primal & (bounds <= atol) & (rows <= atol), False)))
@@ -398,7 +473,7 @@ class HighsModel:
         if count < days and primal[count]:
             error = _recheck_error(bounds[count], rows[count], atol[count])
         if count:
-            self._basis = self._basis[:3] + (at_upper[count - 1],) + self._basis[4:]
+            self._upper[self._factor[0]] = at_upper[count - 1]
         return count, error, x
 
 

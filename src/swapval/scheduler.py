@@ -17,8 +17,10 @@ reported profit figures.
 
 A day is solved by ``solve_day`` in a ``DailyModel``, the lifecycle's day
 kernel: its first day builds the 24-hour LP (``build_daily_lp``) and holds
-it in HiGHS, and each next day is written into it and re-solved from the
-previous basis, or certified in blocks of days (``certify_days``).
+it in HiGHS, and each next day is written into it and proven optimal from
+the held basis, continued from it by a few dual simplex pivots, or
+re-solved by HiGHS from its last basis; stretches of days are certified in
+blocks (``certify_days``).
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ class DailySchedule:
     reserve_revenue: float = 0.0
     lp_objective: float = 0.0  # raw LP optimum (tie-break included, no calendar)
     certified: bool = False  # proven from the held basis, without a HiGHS run
+    pivots: int = 0  # dual simplex pivots that settled the day instead (continued)
 
 
 def _costs(lmp: np.ndarray, reserve_price: np.ndarray, amdc: float, swap: SwapTerms,
@@ -214,15 +217,16 @@ class DailyModel:
         self.amdc, self.costs = amdc, costs
 
 
-def solve_day(model: DailyModel, day: int, soc_start: float,
-              capacity_now: float) -> DailySchedule:
+def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float,
+              pivots: int = 0) -> DailySchedule:
     """Solve ``day`` of the model's life from ``soc_start`` MWh at usable
     capacity ``capacity_now``: the schedule with its profit decomposition.
 
     The first day builds the program; a later one writes its pattern day's
     costs, ``capacity_now`` (the swap and SOC columns' bound) and the carried
-    SOC (SOC row 0) into it.  HiGHS runs (``solve_lp``, from the last basis)
-    only when ``HighsModel.certify`` declines the day.  The point is
+    SOC (SOC row 0) into it.  HiGHS runs (``solve_lp``, from its last basis)
+    only when ``HighsModel.certify`` declines the day, having continued from
+    the held basis by up to ``pivots`` dual simplex pivots.  The point is
     re-checked at the program's largest bound, ``max(1.0, power_limit,
     daily_swap_cap, capacity_now, keep * soc_start)``.  Raises ScheduleError
     if the LP is anything but optimal: a bug, as zero is always feasible.
@@ -242,10 +246,8 @@ def solve_day(model: DailyModel, day: int, soc_start: float,
             build_daily_lp(model, pattern, soc_start, capacity_now), scale)
     else:
         held.set_day(model.costs[pattern], _SWAP_AND_SOC, capacity_now, 0, soc0, scale)
-    sol = held.certify()
-    certified = sol is not None
-    if not certified:
-        sol = solve_lp(held)
+    found = held.certify(pivots)
+    sol, pivots = (solve_lp(held), 0) if found is None else found
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "
@@ -258,9 +260,11 @@ def solve_day(model: DailyModel, day: int, soc_start: float,
     reserve = x[4 * _H : 5 * _H] if model.reserve_enabled else np.zeros(_H)
 
     swapped = swap_out.sum()
-    energy_rev = float(lmp @ (discharge - charge))
+    # Products and sums, as DayBlock.close computes them: no BLAS kernel
+    # moves their last digits.
+    energy_rev = float((lmp * (discharge - charge)).sum())
     swap_rev = float(swap.swap_price * swapped)
-    reserve_rev = float(reserve_price @ reserve)
+    reserve_rev = float((reserve_price * reserve).sum())
     labor = float(swap.labor_cost * swapped)
     moved = float(charge.sum() + discharge.sum() + swapped)
     throughput = moved + model.calendar_throughput
@@ -277,7 +281,8 @@ def solve_day(model: DailyModel, day: int, soc_start: float,
         throughput_today=throughput,
         energy_revenue=energy_rev, swap_revenue=swap_rev, reserve_revenue=reserve_rev,
         lp_objective=float(sol.objective_value),
-        certified=certified,
+        certified=found is not None and not pivots,
+        pivots=pivots,
     )
 
 

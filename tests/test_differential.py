@@ -2,20 +2,35 @@
 
 The reference run replaces each fast path by the slow one it stands for:
 HiGHS by a cold ``linprog`` solve of each day (``solve_lp_linprog``), the
-basis certificate and its blocks by declining every day, the idle proof by
-proving nothing (every day is solved), and the process pool by a serial run.
-Every number of every report file must agree: grid decisions and day counts
-exactly, every other float within a relative 1e-9 (absolute below 1).
+basis certificate, its continuation and its blocks by declining every day,
+the idle proof by proving nothing (every day is solved), and the process
+pool by a serial run.  Every number of every report file must agree: grid
+decisions and day counts exactly, every other float within a relative 1e-9
+(absolute below 1).
 
-The instances are recorded here and pass with and without the blocks of
-days certified at once; a mismatch must be explained, not re-drawn away.
-A 60-cycle battery with a fast calendar fade (0.5 a year) on a 9-day
-seeded sine with reserve prices lives 14 to 147 days, so each study stays
-small: 1426 days lived over the four studies, 138 of them certified in
-blocks and 588 in the idle tail.  Swap and reserve are each on and off:
-``sweep-price`` (both on), ``optimize-curve-price`` (swap on, reserve
-off), ``eol`` (its ``with_swap`` and ``no_swap`` modes, reserve on) and
-``optimize-mdc --refine-step`` (both off).
+The instances are recorded here; a mismatch must be explained, not re-drawn
+away.  A 60-cycle battery with a fast calendar fade (0.5 a year) lives 14
+to 147 days, so each study stays small.  On a 9-day seeded sine with
+reserve prices, swap and reserve are each on and off: ``sweep-price`` (both
+on), ``optimize-curve-price`` (swap on, reserve off), ``eol`` (its
+``with_swap`` and ``no_swap`` modes, reserve on) and ``optimize-mdc
+--refine-step`` (both off).  Two ``simulate`` runs on price files catch
+what those four do not:
+
+- ``simulate-reserve-toggle``: a daily sine whose reserve price is 0 on
+  even days and 5 on odd ones, so the held basis certifies days by moving
+  reserve columns to their other bound.  A certificate without its bound
+  flip fails it (operating cash 15366 against 19152 in year 1).
+- ``simulate-break-even``: a lossless battery (efficiency 1), no swap and
+  no reserve, LMP 10 except 50 in hours 17-20, at the MDC where cycling
+  exactly breaks even in year 1: 50 - A = 10 + A for A = mu + 1e-7 (the
+  tie-break penalty).  HiGHS cycles; an idle proof without its margin
+  idles from day 0 and fails it (147 days lived against 46), and so does a
+  block that ignores ties.
+
+A continuation that accepts its basis without the primal test fails all
+four grid studies: its infeasible points fail the re-check (exit 4).  Each
+mutation was tried on a copy of the code.
 """
 
 import csv
@@ -30,6 +45,7 @@ import swapval.scheduler as scheduler
 from swapval.cli import run_cli
 from swapval.config import config_to_dict, paper_defaults
 from swapval.lp import HighsModel
+from swapval.market_data import HourlyPriceSeries, write_series
 
 from _reference import solve_lp_linprog
 
@@ -41,6 +57,8 @@ STUDIES = {
     "eol": ["eol", "--mdc-grid", "0:40:20", "--om-grid", "0:16:8"],
     "optimize-mdc": ["optimize-mdc", "--mdc-grid", "0:40:20", "--refine-step", "10",
                      "--no-reserve"],
+    "simulate-reserve-toggle": ["simulate", "--mu", "20"],
+    "simulate-break-even": ["simulate", "--mu", "19.999999900000002", "--no-reserve"],
 }
 
 # Grid decisions, grid coordinates and day or year counts: equal exactly.
@@ -49,23 +67,38 @@ EXACT = {"mu", "mu_star", "swap_price", "price_star", "demand", "demand_star", "
          "economic_eol_year", "physical_eol_year", "horizon_capped"}
 
 
-def _config(tmp_path, study):
+def _inputs(tmp_path, study):
+    """The study's config file, and its price file for a ``simulate`` study,
+    as arguments."""
     data = config_to_dict(paper_defaults())
     data["battery"].update(cycle_life=60.0, calendar_fade_per_year=0.5)
     data["prices"].update(days=9, seed=4,
                           params={"mean": 40.0, "amplitude": 30.0, "reserve_level": 2.0})
-    if study == "optimize-mdc":
+    argv = []
+    if study in ("optimize-mdc", "simulate-break-even"):
         data["swap"] = None
+    if study.startswith("simulate"):
+        if study == "simulate-break-even":
+            data["battery"]["efficiency"] = 1.0
+            lmp, reserve = np.full((1, 24), 10.0), np.zeros((1, 24))
+            lmp[:, 17:21] = 50.0
+        else:
+            lmp = np.tile(40.0 + 30.0 * np.sin(np.arange(24) * np.pi / 12.0), (2, 1))
+            reserve = np.zeros((2, 24))
+            reserve[1] = 5.0
+        prices = tmp_path / f"{study}.csv"
+        write_series(HourlyPriceSeries(lmp=lmp.ravel(), reserve_price=reserve.ravel()), prices)
+        argv = ["--price-file", str(prices)]
     path = tmp_path / f"{study}.json"
     path.write_text(json.dumps(data))
-    return str(path)
+    return argv + ["--config", str(path)]
 
 
 def _reference(monkeypatch):
     """Every fast path replaced by its reference, for the rest of the test."""
     monkeypatch.setenv("SWAPVAL_THREADS", "1")
     monkeypatch.setattr(scheduler, "solve_lp", lambda held: solve_lp_linprog(held.lp))
-    monkeypatch.setattr(HighsModel, "certify", lambda self: None)
+    monkeypatch.setattr(HighsModel, "certify", lambda *args: None)
     # Blocks decline (no block exists before they landed).
     monkeypatch.setattr(lifecycle, "certify_days", lambda *args: None, raising=False)
     monkeypatch.setattr(lifecycle, "_idle_proof",
@@ -108,7 +141,7 @@ def _assert_same(got, want, where, key=None):
 
 @pytest.mark.parametrize("study", sorted(STUDIES))
 def test_study_equals_its_reference(study, tmp_path, monkeypatch):
-    argv = STUDIES[study] + ["--config", _config(tmp_path, study)]
+    argv = STUDIES[study] + _inputs(tmp_path, study)
     assert run_cli(argv + ["--out", str(tmp_path / "fast")]) == 0
     _reference(monkeypatch)
     assert run_cli(argv + ["--out", str(tmp_path / "reference")]) == 0

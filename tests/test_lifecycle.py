@@ -557,10 +557,11 @@ class TestBasisCertificate:
 
     A stub ``certify`` that always declines, with blocks that always decline
     too, sends every solved day to HiGHS.
-    A certified day's point comes from solves with the basis, not from a
-    HiGHS run, so floats may move in the last digits (relative 1e-12, or
-    1e-12 absolute below 1; daily-log columns 1e-9); the day counts must
-    match exactly.
+    A certified or continued day's point comes from the basis inverse, not
+    from a HiGHS run, so floats may move in the last digits (relative 1e-12,
+    or 1e-12 absolute below 1; daily-log columns 1e-9); the day counts must
+    match exactly.  Each continued day's objective is also that of HiGHS
+    alone (a cold ``linprog`` solve of the day) within a relative 1e-9.
     """
 
     PAPER = BatterySpec(2.7, 2.7, 0.95)
@@ -568,20 +569,30 @@ class TestBasisCertificate:
 
     @staticmethod
     def _run(monkeypatch, certify, spec, days, mu, swap, reserve):
-        """The lifecycle, and its (solved, idle-tail, certified) day counts;
-        without ``certify``, the certificate and its blocks always decline."""
+        """The lifecycle, and its (solved, idle-tail, certified, continued)
+        day counts; without ``certify``, the certificate and its blocks
+        always decline."""
         import swapval.lifecycle as lifecycle
 
-        monkeypatch.setattr(HighsModel, "certify", _CERTIFY if certify else lambda self: None)
+        def day(model, *args):
+            schedule = solve_day(model, *args)
+            if schedule.pivots:
+                want = solve_lp_linprog(model.held.lp).objective_value
+                assert schedule.lp_objective == pytest.approx(want, rel=1e-9, abs=1e-9)
+            return schedule
+
+        monkeypatch.setattr(HighsModel, "certify", _CERTIFY if certify else lambda *args: None)
         monkeypatch.setattr(lifecycle, "certify_days",
                             certify_days if certify else lambda *args: None)
+        monkeypatch.setattr(lifecycle, "solve_day", day)
         prices = synth_price_series("daily-sine", days=days, seed=days, mean=40.0,
                                     amplitude=30.0, reserve_level=5.0 if reserve else 0.0)
         result = simulate_lifecycle(spec, EconomicParams(), prices, mu, swap_policy=swap,
                                     reserve_enabled=reserve, keep_daily_log=True)
         stats = result.stats
         return result, {"solved": stats["days_solved"], "tail": stats["idle_days"],
-                        "certified": stats["days_certified"] + stats["days_in_blocks"]}
+                        "certified": stats["days_certified"] + stats["days_in_blocks"],
+                        "continued": stats["days_continued"]}
 
     @staticmethod
     def _assert_close(got, want):
@@ -620,41 +631,72 @@ class TestBasisCertificate:
     @pytest.mark.parametrize("reserve", [False, True])
     def test_certificate_equals_highs(self, monkeypatch, battery, days, swap, reserve):
         spec = self.PAPER if battery == "paper" else self.SHORT
-        certified = 0
+        certified = continued = 0
         for mu in (0.0, 35.0, 100.0):
             on, counts_on = self._run(monkeypatch, True, spec, days, mu, swap, reserve)
             off, counts_off = self._run(monkeypatch, False, spec, days, mu, swap, reserve)
-            assert counts_off["certified"] == 0
+            assert counts_off["certified"] == counts_off["continued"] == 0
             assert on.days_lived == off.days_lived
             assert counts_on["solved"] == counts_off["solved"]
             assert counts_on["tail"] == counts_off["tail"]
             self._assert_close(on, off)
             certified += counts_on["certified"]
+            continued += counts_on["continued"]
         assert certified > 0, "no day was certified"
+        assert continued > 0, "no day was continued"
 
-    def test_busy_lifecycle_runs_highs_only_on_declined_days(self, tmp_path):
+    def test_busy_lifecycle_runs_highs_only_on_declined_days(self, monkeypatch, tmp_path):
         """The lifecycle-busy benchmark's inputs: a 365-day sine CSV with reserve
-        prices, simulated at mu 35 with the paper-defaults swap terms."""
+        prices, simulated at mu 35 with the paper-defaults swap terms.  HiGHS
+        runs on the life's first day and on a year's first solved day that
+        the held basis declines, which takes no pivot; every other declined
+        day is continued."""
+        import swapval.lifecycle as lifecycle
+
+        days = []  # (day, pivots allowed, certified, pivots taken, HiGHS ran)
+
+        def day(model, d, soc, capacity, pivots=0):
+            runs = model.held.runs if model.held else 0
+            schedule = solve_day(model, d, soc, capacity, pivots)
+            days.append((d, pivots, schedule.certified, schedule.pivots,
+                         model.held.runs > runs))
+            return schedule
+
+        monkeypatch.setattr(lifecycle, "solve_day", day)
         result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
                                     35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
         stats = result.stats
         assert stats["days_solved"] == result.days_lived  # every day is solved
-        declined = stats["days_solved"] - stats["days_certified"] - stats["days_in_blocks"]
+        declined = stats["days_solved"] - stats["days_certified"] - stats["days_in_blocks"] \
+            - stats["days_continued"]
         assert 0 < stats["highs_runs"] == declined < stats["days_solved"] / 2
-        assert stats["days_in_blocks"] > 0
+        assert stats["days_in_blocks"] > 0 and stats["days_continued"] > 0
+        assert stats["pivots"] == sum(e[3] for e in days)
+        first = set(range(0, result.days_lived, DAYS_PER_YEAR))
+        assert [e[1] for e in days] == [0 if e[0] in first else lifecycle._PIVOTS
+                                        for e in days]
+        highs = [e for e in days if e[4]]
+        assert all(not certified and not pivots for _, _, certified, pivots, _ in highs)
+        assert [e[0] for e in highs][:1] == [0] and {e[0] for e in highs} <= first
+        assert len(highs) == stats["highs_runs"] >= 2  # a later year's first day too
 
     def test_busy_lifecycle_bits_and_calls(self, tmp_path):
-        """The lifecycle-busy inputs: the bits, one solved day per day lived
-        and one HiGHS run per declined day.  Blocks certify most days, and
-        their points move the last bits of ``lb_star``: the day loop that
-        certified one day at a time gave ``0x1.9747f4ffaab1bp+18``."""
+        """The lifecycle-busy inputs: the bits, one solved day per day lived,
+        the continued days and their pivots, and the HiGHS runs.  Blocks
+        certify most days, and their points move the last bits of
+        ``lb_star``: the day loop that certified one day at a time gave
+        ``0x1.9747f4ffaab1bp+18``.  Continuing declined days instead of
+        running HiGHS on them (256 runs before) left these bits as they
+        were."""
         result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
                                     35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
         assert result.lb_star.hex() == "0x1.9747f4ffaab1ap+18"
         one_at_a_time = float.fromhex("0x1.9747f4ffaab1bp+18")
         assert abs(result.lb_star - one_at_a_time) <= 1e-12 * abs(one_at_a_time)
         assert result.days_lived == result.stats["days_solved"] == 1507
-        assert result.stats["highs_runs"] == 256
+        assert result.stats["days_continued"] == 143
+        assert result.stats["pivots"] == 145
+        assert result.stats["highs_runs"] == 2
 
 
 class TestBlocks:
@@ -687,8 +729,9 @@ class TestBlocks:
 
     def _run(self, monkeypatch, blocks, case):
         """The lifecycle and the day loop's events in order: ("block", first
-        day, days, why it ended), ("day", day, certified) for each day solved
-        one at a time, and ("proof", day) for each idle-proof try."""
+        day, days, why it ended), ("day", day, how) for each day solved one
+        at a time ("certified", "continued" or "highs"), and ("proof", day)
+        for each idle-proof try."""
         import swapval.lifecycle as lifecycle
 
         spec, days, empty_days, mu, years = self.CASES[case]
@@ -705,7 +748,8 @@ class TestBlocks:
 
         def day(model, d, *args):
             schedule = solve_day(model, d, *args)
-            events.append(("day", d, schedule.certified))
+            events.append(("day", d, "certified" if schedule.certified
+                           else "continued" if schedule.pivots else "highs"))
             return schedule
 
         monkeypatch.setattr(lifecycle, "_certify_block", block)
@@ -749,8 +793,8 @@ class TestBlocks:
         assert ends, f"no block ends at a {boundary} boundary"
         for i, (_, first, k, _) in ends:
             after = events[i + 1] if i + 1 < len(events) else None
-            if boundary == "declined":  # the next day runs HiGHS
-                assert after == ("day", first + k, False)
+            if boundary == "declined":  # the next day continues from the basis
+                assert after == ("day", first + k, "continued")
             elif boundary == "year":  # the next year's first day, if any, is solved alone
                 assert (first + k) % DAYS_PER_YEAR == 0
                 assert after[:2] == ("day", first + k) if after else first + k == on.days_lived
@@ -758,13 +802,13 @@ class TestBlocks:
                 assert after == ("proof", first + k)
             else:  # the life ends with the block
                 assert after is None and first + k == on.days_lived
-        # Blocks certify exactly the days the day loop certifies: HiGHS runs
-        # and idle-proof tries on the same days.
+        # Blocks certify exactly the days the day loop certifies: continued
+        # days, HiGHS runs and idle-proof tries on the same days.
         for kind in ("proof", "day"):
-            assert [e for e in events if e[0] == kind and e[-1] is not True] == \
-                [e for e in events_off if e[0] == kind and e[-1] is not True]
+            assert [e for e in events if e[0] == kind and e[-1] != "certified"] == \
+                [e for e in events_off if e[0] == kind and e[-1] != "certified"]
         assert on.days_lived == off.days_lived
-        for key in ("days_solved", "idle_days", "highs_runs"):
+        for key in ("days_solved", "idle_days", "days_continued", "pivots", "highs_runs"):
             assert on.stats[key] == off.stats[key], key
         assert on.stats["days_certified"] + on.stats["days_in_blocks"] == \
             off.stats["days_certified"]

@@ -233,37 +233,58 @@ class TestCertify:
         assert solve_lp(model).x.tolist() == [1.0, 0.0]
         return model
 
+    @staticmethod
+    def _x(model, pivots=0):
+        """The certified point, asserting it took exactly ``pivots`` pivots."""
+        sol, taken = model.certify(16 if pivots else 0)
+        assert taken == pivots
+        return sol.x.tolist()
+
     def test_unchanged_program_certifies(self):
         model = self._solved_model()
-        assert model.certify().x.tolist() == [1.0, 0.0]
+        assert self._x(model) == [1.0, 0.0]
 
     @pytest.mark.parametrize("c2", [-5e-8, -1e-13, 0.0, 1e-13])
     def test_clear_or_tied_reduced_cost_keeps_the_bound(self, c2):
         model = self._solved_model()
         rewrite(model, [1.0, c2])
-        assert model.certify().x.tolist() == [1.0, 0.0]
+        assert self._x(model) == [1.0, 0.0]
 
     @pytest.mark.parametrize("c2", [-5e-10, -2e-12, 2e-12, 5e-10])
     def test_reduced_cost_too_close_to_call_declines(self, c2):
         model = self._solved_model()
         rewrite(model, [1.0, c2])
         assert model.certify() is None
+        assert model.certify(16) is None
 
     def test_bound_flip_certifies_when_the_basis_stays_feasible(self):
         model = self._solved_model()
         rewrite(model, [1.0, 0.3], rows={0: (-INF, 2.5)})
-        assert model.certify().x.tolist() == [1.0, 1.0]
+        assert self._x(model) == [1.0, 1.0]
         assert solve_lp(model).x.tolist() == [1.0, 1.0]
 
-    def test_bound_flip_that_breaks_the_basis_declines_and_refactors(self):
+    def test_bound_flip_that_breaks_the_basis_continues_by_a_pivot(self):
         model = self._solved_model()
         rewrite(model, [1.0, 0.3])
         assert model.certify() is None  # x2 at 1 would push the row to 2 > 1.5
-        x = solve_lp(model).x
-        assert x.tolist() == [1.0, 0.5]
-        # The new basis (x2 basic, the row at its bound) certifies the same
-        # program; the old one would still decline.
-        assert model.certify().x.tolist() == x.tolist()
+        # One pivot (the row out, x2 in) reaches HiGHS's optimum, and its
+        # basis is held: it certifies the same program without a pivot.
+        assert self._x(model, pivots=1) == [1.0, 0.5]
+        assert self._x(model) == [1.0, 0.5]
+        assert model.runs == 1
+        assert solve_lp(model).x.tolist() == [1.0, 0.5]
+        assert self._x(model) == [1.0, 0.5]  # and so does HiGHS's new basis
+
+    def test_a_basic_value_just_outside_its_box_is_put_back(self):
+        """max x1 + 2 x2 over x1 + x2 == b, 0 <= x1 <= 1, 0 <= x2 <= u: x2 at
+        u and x1 = b - u basic.  At b = 0.3 and u = 0.1 + 0.2 the basic value
+        is -5.6e-17, inside the primal test's 1e-10; the certified point has
+        x1 = 0.0, as HiGHS would report it."""
+        lp = LinearProgram([1.0, 2.0], [0.0, 0.0], [1.0, 0.3], [[1.0, 1.0]], [0.5], [0.5])
+        model = HighsModel(lp, _scale(lp))
+        assert solve_lp(model).x.tolist() == [0.2, 0.3]
+        rewrite(model, [1.0, 2.0], slice(1, 2), 0.1 + 0.2, {0: (0.3, 0.3)})
+        assert self._x(model) == [0.0, 0.1 + 0.2]
 
     def test_a_slack_favoured_at_minus_infinity_declines(self):
         model = self._solved_model()
@@ -271,6 +292,75 @@ class TestCertify:
         solve_lp(model)  # x2 basic, the row at its bound 1.5
         # The row's reduced cost is now c2 < 0: it favours the row's lower
         # bound, -inf, and only a pivot (x2 out, the row in) reaches (1, 0).
+        # The continuation leaves that to HiGHS.
         rewrite(model, [1.0, -0.3])
-        assert model.certify() is None
+        assert model.certify(16) is None
         assert solve_lp(model).x.tolist() == [1.0, 0.0]
+
+
+class TestContinuation:
+    """``certify``'s dual simplex continuation on max c @ x over 0 <= x <= 1
+    with rows of x's that sum to at most 3 (slack basic, every x at 1) until
+    the rows are tightened."""
+
+    @staticmethod
+    def _model(c, rows):
+        n = len(c)
+        A = np.zeros((len(rows), n))
+        for i, cols in enumerate(rows):
+            A[i, cols] = 1.0
+        lp = LinearProgram(c, np.zeros(n), np.ones(n), A, [-INF] * len(rows),
+                           [3.0] * len(rows))
+        model = HighsModel(lp, _scale(lp))
+        assert solve_lp(model).x.tolist() == [1.0] * n
+        return model
+
+    def test_bound_flips_settle_a_row_in_one_pivot(self):
+        """The row x1 + x2 + x3 <= 1: the textbook ratio test enters x1 (the
+        smallest reduced cost) and needs another pivot; passing x1's
+        breakpoint flips it to 0 and enters x2 at 0, one pivot in all."""
+        model = self._model([1.0, 2.0, 3.0], [[0, 1, 2]])
+        rewrite(model, [1.0, 2.0, 3.0], rows={0: (-INF, 1.0)})
+        sol, pivots = model.certify(16)
+        assert pivots == 1 and sol.x.tolist() == [0.0, 0.0, 1.0]
+        assert sol.x.tolist() == solve_lp(model).x.tolist()
+
+    def test_spent_pivots_decline(self):
+        """Two tightened rows need a pivot each: one allowed pivot declines."""
+        model = self._model([1.0, 2.0, 1.0, 2.0], [[0, 1], [2, 3]])
+        rows = {0: (-INF, 1.0), 1: (-INF, 1.0)}
+        rewrite(model, [1.0, 2.0, 1.0, 2.0], rows=rows)
+        assert model.certify(1) is None
+        model = self._model([1.0, 2.0, 1.0, 2.0], [[0, 1], [2, 3]])
+        rewrite(model, [1.0, 2.0, 1.0, 2.0], rows=rows)
+        sol, pivots = model.certify(16)
+        assert pivots == 2 and sol.x.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert model.runs == 1
+
+    def test_continued_days_match_highs_on_random_programs(self, rng):
+        """On random programs whose costs and bounds move between solves,
+        every continued optimum is HiGHS's within a relative 1e-9, and the
+        held inverse stays the basis matrix's inverse."""
+        continued = 0
+        for _ in range(60):
+            lp = random_lp(rng, max_vars=7, max_rows=8)
+            model = HighsModel(lp, _scale(lp))
+            solve_lp(model)
+            for _ in range(4):
+                cols = slice(0, lp.n_vars // 2 + 1)
+                rewrite(model, lp.objective + rng.normal(size=lp.n_vars), cols,
+                        lp.upper[cols] * rng.uniform(0.5, 1.0))
+                found = model.certify(16)
+                want = solve_lp_linprog(lp)
+                if found is None:
+                    assert solve_lp(model).objective_value == pytest.approx(
+                        want.objective_value, rel=1e-9, abs=1e-9)
+                    continue
+                sol, pivots = found
+                assert sol.objective_value == pytest.approx(want.objective_value,
+                                                            rel=1e-9, abs=1e-9)
+                basis = model._bounded[:, model._basic]
+                np.testing.assert_allclose(model._inverse @ basis, np.eye(len(basis)),
+                                           atol=1e-9)
+                continued += pivots > 0
+        assert continued >= 10

@@ -498,9 +498,10 @@ class TestDayBlock:
                 soc0 = model.keep * min(soc, capacity) * rng.uniform(0.99, 1.0)
                 held.set_day(model.costs[pattern], scheduler._SWAP_AND_SOC, capacity, 0, soc0,
                              max(model.fixed_bound, capacity, soc0))
-                sol = held.certify()
-                if sol is None:  # this pair leaves the basis: the block would stop
+                found = held.certify()
+                if found is None:  # this pair leaves the basis: the block would stop
                     break
+                sol = found[0]
                 x = (base[j] + capacity * per_u[j] + soc0 * per_s)[:len(sol.x)]
                 np.testing.assert_allclose(x, sol.x, rtol=1e-9, atol=1e-9)
                 (e0, e_cap, e_soc), (m0, m_cap, m_soc) = block.soc_end, block.moved
