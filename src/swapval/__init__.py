@@ -26,7 +26,6 @@ from swapval.scheduler import (
     BatterySpec,
     SwapTerms,
     DailyModel,
-    DailySchedule,
     ScheduleError,
     build_daily_lp,
     solve_day,

@@ -26,8 +26,11 @@ from swapval.scheduler import (
     DailyModel,
     ScheduleError,
     SwapTerms,
+    _H,
+    _SOC_END,
     certify_days,
     check_numbers,
+    money_rows,
     solve_day,
 )
 
@@ -273,11 +276,12 @@ def _day_failure(exc: Exception, model: DailyModel, day: int, soc: float,
 
 
 def _certify_block(model: DailyModel, day: int, size: int, soc: float, used: float,
-                   budget: float, stop_when_empty: bool,
-                   out: np.ndarray) -> tuple[int, bool, float, float]:
+                   budget: float, stop_when_empty: bool, out: np.ndarray,
+                   points: np.ndarray) -> tuple[int, bool, float, float]:
     """Certify up to ``size`` days from ``day`` at once (``certify_days``),
-    carrying SOC, throughput, SOH and capacity as solved days do, into
-    ``out``'s columns.  They stop before a day that starts exactly empty if
+    carrying SOC, throughput, SOH and capacity as solved days do: their SOH,
+    throughput and end SOC go into ``out``'s columns, their points into
+    ``points``' rows.  They stop before a day that starts exactly empty if
     ``stop_when_empty``, after the day that exhausts the budget and before
     one the certificate declines.  Returns the days, whether a declined day
     stopped them, and the SOC and throughput used after them; a re-check
@@ -303,13 +307,14 @@ def _certify_block(model: DailyModel, day: int, size: int, soc: float, used: flo
             break
     days = len(columns)
     carried, before, soh, capacity, start, soc0, throughput, end = np.array(columns).T
-    count, error, rows = block.close(capacity, soc0, throughput)
+    count, error, x = block.close(capacity, soc0)
     if error is None and count == days and throughput[-1] < 0:
         count, error = days - 1, ScheduleError(f"negative throughput {columns[-1][6]!r}")
     if error is not None:
         raise _day_failure(error, model, day + count, float(start[count]),
                            float(capacity[count]), model.amdc)
-    out[:, :count] = soh[:count], throughput[:count], rows[0], end[:count], *rows[1:]
+    out[[0, 1, 3], :count] = soh[:count], throughput[:count], end[:count]
+    points[:count] = x[:count]
     if count < days:
         soc, used = float(carried[count]), float(before[count])
     return count, count < days or days == len(e0) < size, soc, used
@@ -344,9 +349,12 @@ def simulate_lifecycle(
     day is solved.
 
     Every day of a year, solved or idle, is one column of the year's table,
-    its rows in ``DailyLog`` order.  One close-out per year folds the table
-    into the discounted objective, the three discounted revenues and the
-    year's row of ``yearly``, rounding exactly as adding day by day does.
+    its rows in ``DailyLog`` order.  A solved day, alone or in a block,
+    writes its SOH, throughput and end SOC there and its point into a
+    buffer of the year's points.  One close-out per year costs the solved
+    days' points in one pass (``money_rows``), then folds the table into
+    the discounted objective, the three discounted revenues and the year's
+    row of ``yearly``, rounding exactly as adding day by day does.
     ``DailyLog`` is the rows of the years' tables, kept only with
     ``keep_daily_log``.
 
@@ -381,6 +389,7 @@ def simulate_lifecycle(
     streak, size = 0, 2
     stats = dict.fromkeys(("days_solved", "days_certified", "days_in_blocks",
                            "days_continued", "pivots", "highs_runs", "idle_days"), 0)
+    points = np.empty((DAYS_PER_YEAR, model.width))  # the year's solved days' points
 
     tables: list[np.ndarray] = []
     yearly: list[dict] = []
@@ -403,7 +412,7 @@ def simulate_lifecycle(
             if n and streak >= _ONE_AT_A_TIME:  # the year's first day prices the year
                 k, declined, soc, used = _certify_block(
                     model, day, min(size, _MAX_BLOCK, DAYS_PER_YEAR - n), soc, used, budget,
-                    not tried, table[:, n:])
+                    not tried, table[:, n:], points[n:])
                 n += k
                 stats["days_in_blocks"] += k
                 streak, size = (0, 2) if declined else (streak + k, 2 * size)
@@ -417,24 +426,29 @@ def simulate_lifecycle(
             try:
                 if not n:  # the year's first solved day prices the year
                     model.price(mu_t)
-                schedule = solve_day(model, day, soc, capacity_now, _PIVOTS if n else 0)
-                if schedule.throughput_today < 0:
-                    raise ScheduleError(f"negative throughput {schedule.throughput_today!r}")
+                x, pivots = solve_day(model, day, soc, capacity_now, _PIVOTS if n else 0)
+                # MWh charged, discharged and swapped, then the calendar share.
+                throughput = float(x[:_H].sum() + x[_H:2 * _H].sum()
+                                   + x[2 * _H:3 * _H].sum()) + q_day
+                if throughput < 0:
+                    raise ScheduleError(f"negative throughput {throughput!r}")
             except (ScheduleError, lp.LPError) as exc:
                 raise _day_failure(exc, model, day, soc, capacity_now, mu_t) from exc
             # + 0.0 turns a -0.0 from HiGHS into the 0.0 of an idle day.
-            soc = float(schedule.soc[-1]) + 0.0
-            used += schedule.throughput_today
-            table[:, n] = (soh, schedule.throughput_today, schedule.sb_star, soc,
-                           schedule.energy_revenue, schedule.swap_revenue,
-                           schedule.reserve_revenue, schedule.swap_labor_cost,
-                           schedule.degradation_cost)
+            soc = float(x[_SOC_END]) + 0.0
+            used += throughput
+            table[0, n], table[1, n], table[3, n] = soh, throughput, soc
+            points[n] = x
             n += 1
-            stats["days_certified"] += schedule.certified
-            stats["days_continued"] += schedule.pivots > 0
-            stats["pivots"] += schedule.pivots
-            streak, size = (streak + 1, size) if schedule.certified else (0, 2)
+            stats["days_certified"] += pivots == 0
+            stats["days_continued"] += bool(pivots)
+            stats["pivots"] += pivots or 0
+            streak, size = (streak + 1, size) if pivots == 0 else (0, 2)
 
+        # The solved days' money rows, from their points in one pass.
+        if n:
+            money = money_rows(model, days, points[:n], table[1, :n])
+            table[2, :n], table[4:, :n] = money[0], money[1:]
         # Idle days fill the rest of the year once the proof holds.
         n_idle, cumulative = _idle_days(used, budget, q_day, DAYS_PER_YEAR - n if idle else 0)
         used = float(cumulative[-1])

@@ -9,7 +9,8 @@ re-solve starts from the previous basis.  ``HighsModel.certify`` proves a
 rewritten program optimal without HiGHS when the held basis still does,
 or continues from that basis with a few dual simplex pivots in numpy;
 ``certify_stretch`` and ``check_stretch`` prove a stretch of programs at
-once.  All of them work from one inverse of the basis matrix.
+once.  All of them work from one inverse of the basis matrix, and each
+gives points only: ``scheduler.money_rows`` costs a day's point.
 """
 
 from __future__ import annotations

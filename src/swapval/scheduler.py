@@ -20,7 +20,8 @@ kernel: its first day builds the 24-hour LP (``build_daily_lp``) and holds
 it in HiGHS, and each next day is written into it and proven optimal from
 the held basis, continued from it by a few dual simplex pivots, or
 re-solved by HiGHS from its last basis; stretches of days are certified in
-blocks (``certify_days``).
+blocks (``certify_days``).  A solved day is its point, which ``money_rows``
+costs together with the year's other days.
 """
 
 from __future__ import annotations
@@ -106,28 +107,6 @@ class SwapTerms:
 NO_SWAP = SwapTerms(swap_price=0.0, daily_swap_cap=0.0, labor_cost=0.0)
 
 
-@dataclass
-class DailySchedule:
-    """Solved day: hourly quantities, SOC path, and profit decomposition."""
-
-    charge: np.ndarray
-    discharge: np.ndarray
-    swap_out: np.ndarray
-    reserve_offer: np.ndarray
-    soc: np.ndarray  # end-of-hour stored energy
-    market_revenue: float  # energy + swap + reserve income
-    swap_labor_cost: float
-    degradation_cost: float  # amdc * (throughput incl. calendar)
-    sb_star: float  # market_revenue - swap_labor_cost - degradation_cost
-    throughput_today: float  # charge + discharge + swap + calendar, MWh
-    energy_revenue: float = 0.0
-    swap_revenue: float = 0.0
-    reserve_revenue: float = 0.0
-    lp_objective: float = 0.0  # raw LP optimum (tie-break included, no calendar)
-    certified: bool = False  # proven from the held basis, without a HiGHS run
-    pivots: int = 0  # dual simplex pivots that settled the day instead (continued)
-
-
 def _costs(lmp: np.ndarray, reserve_price: np.ndarray, amdc: float, swap: SwapTerms,
            reserve_enabled: bool) -> np.ndarray:
     """Daily LP column costs (charge, discharge, swap, SOC, reserve) per day."""
@@ -159,7 +138,7 @@ def build_daily_lp(model: DailyModel, pattern: int, soc_start: float,
     b = model.battery
     eta, keep, H = b.efficiency, model.keep, _H
     res = model.reserve_enabled
-    n, m = (5 if res else 4) * H, (3 if res else 1) * H + 1
+    n, m = model.width, (3 if res else 1) * H + 1
     i_cha, i_dis, i_swp, i_soc, i_res = 0, H, 2 * H, 3 * H, 4 * H
 
     upper = np.empty(n)
@@ -206,6 +185,7 @@ class DailyModel:
         self.lmp = prices.lmp.reshape(-1, _H)
         self.reserve_price = prices.reserve_price.reshape(-1, _H)
         self.keep = 1.0 - battery.self_discharge
+        self.width = (5 if reserve_enabled else 4) * _H  # the daily LP's columns
         self.fixed_bound = max(1.0, battery.power_limit, swap.daily_swap_cap)
         self.amdc = self.costs = self.held = None  # set by price and solve_day
 
@@ -218,9 +198,11 @@ class DailyModel:
 
 
 def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float,
-              pivots: int = 0) -> DailySchedule:
+              pivots: int = 0) -> tuple[np.ndarray, int | None]:
     """Solve ``day`` of the model's life from ``soc_start`` MWh at usable
-    capacity ``capacity_now``: the schedule with its profit decomposition.
+    capacity ``capacity_now``: its point (``build_daily_lp``'s columns) and
+    the dual simplex pivots that settled it from the held basis (0 when
+    certified), or None if HiGHS solved it.
 
     The first day builds the program; a later one writes its pattern day's
     costs, ``capacity_now`` (the swap and SOC columns' bound) and the carried
@@ -236,8 +218,6 @@ def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float
     if not 0 <= soc_start <= capacity_now + 1e-9:
         raise ValueError(f"soc_start {soc_start} outside [0, capacity {capacity_now}]")
     pattern = day % len(model.lmp)
-    lmp, reserve_price = model.lmp[pattern], model.reserve_price[pattern]
-    swap, amdc = model.swap, model.amdc
     soc0 = model.keep * soc_start
     scale = max(model.fixed_bound, capacity_now, soc0)
     held = model.held
@@ -247,43 +227,31 @@ def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float
     else:
         held.set_day(model.costs[pattern], _SWAP_AND_SOC, capacity_now, 0, soc0, scale)
     found = held.certify(pivots)
-    sol, pivots = (solve_lp(held), 0) if found is None else found
+    sol, pivots = (solve_lp(held), None) if found is None else found
     if sol.status != "optimal":
         raise ScheduleError(
             f"daily LP reported {sol.status!r}; the all-zero schedule is always "
             f"feasible, so this is a modeling bug")
-    x = sol.x
-    charge = x[0:_H]
-    discharge = x[_H : 2 * _H]
-    swap_out = x[2 * _H : 3 * _H]
-    soc = x[3 * _H : 4 * _H]
-    reserve = x[4 * _H : 5 * _H] if model.reserve_enabled else np.zeros(_H)
+    return sol.x, pivots
 
-    swapped = swap_out.sum()
-    # Products and sums, as DayBlock.close computes them: no BLAS kernel
-    # moves their last digits.
-    energy_rev = float((lmp * (discharge - charge)).sum())
-    swap_rev = float(swap.swap_price * swapped)
-    reserve_rev = float((reserve_price * reserve).sum())
-    labor = float(swap.labor_cost * swapped)
-    moved = float(charge.sum() + discharge.sum() + swapped)
-    throughput = moved + model.calendar_throughput
-    degradation = amdc * throughput
-    revenue = energy_rev + swap_rev + reserve_rev
 
-    return DailySchedule(
-        charge=charge, discharge=discharge, swap_out=swap_out,
-        reserve_offer=reserve, soc=soc,
-        market_revenue=revenue,
-        swap_labor_cost=labor,
-        degradation_cost=degradation,
-        sb_star=revenue - labor - degradation,
-        throughput_today=throughput,
-        energy_revenue=energy_rev, swap_revenue=swap_rev, reserve_revenue=reserve_rev,
-        lp_objective=float(sol.objective_value),
-        certified=found is not None and not pivots,
-        pivots=pivots,
-    )
+def money_rows(model: DailyModel, first_day: int, points: np.ndarray,
+               throughput: np.ndarray) -> np.ndarray:
+    """The sb_star, energy, swap and reserve revenue, labor and degradation
+    cost rows of the days from ``first_day`` on, at their ``points`` and
+    ``throughput`` (a row and a value per day) and the model's adjusted MDC.
+    Products and sums per day: no BLAS kernel moves their last digits."""
+    patterns = (first_day + np.arange(len(points))) % len(model.lmp)
+    swapped = points[:, 2 * _H:3 * _H].sum(axis=1)
+    rows = np.empty((6, len(points)))
+    rows[1] = (model.lmp[patterns] * (points[:, _H:2 * _H] - points[:, :_H])).sum(axis=1)
+    rows[2] = model.swap.swap_price * swapped
+    rows[3] = (model.reserve_price[patterns] * points[:, 4 * _H:]).sum(axis=1) \
+        if model.reserve_enabled else 0.0
+    rows[4] = model.swap.labor_cost * swapped
+    rows[5] = model.amdc * throughput
+    rows[0] = rows[1] + rows[2] + rows[3] - rows[4] - rows[5]
+    return rows
 
 
 class DayBlock:
@@ -293,33 +261,20 @@ class DayBlock:
     swapped) are each their values at capacity and SOC 0 and their changes
     per MWh of capacity (lists over the days) and of carried SOC."""
 
-    def __init__(self, model: DailyModel, patterns: np.ndarray, stretch: tuple):
-        self.model, self.patterns, self.stretch = model, patterns, stretch
+    def __init__(self, model: DailyModel, stretch: tuple):
+        self.model, self.stretch = model, stretch
         base, per_u, per_s, _ = stretch
         self.soc_end = (base[:, _SOC_END].tolist(), per_u[:, _SOC_END].tolist(),
                         float(per_s[_SOC_END]))
         self.moved = (base[:, :3 * _H].sum(axis=1).tolist(),
                       per_u[:, :3 * _H].sum(axis=1).tolist(), float(per_s[:3 * _H].sum()))
 
-    def close(self, capacity: np.ndarray, soc0: np.ndarray,
-              throughput: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
+    def close(self, capacity: np.ndarray,
+              soc0: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
         """``HighsModel.check_stretch`` of the first days at ``solve_day``'s
-        scale, with the passing days' sb_star, energy, swap and reserve
-        revenue, labor and degradation cost rows."""
-        model = self.model
-        scale = np.maximum(np.maximum(model.fixed_bound, capacity), soc0)
-        count, error, x = model.held.check_stretch(self.stretch, capacity, soc0, scale)
-        x, patterns = x[:count], self.patterns[:count]
-        swapped = x[:, 2 * _H:3 * _H].sum(axis=1)
-        rows = np.empty((6, count))
-        rows[1] = (model.lmp[patterns] * (x[:, _H:2 * _H] - x[:, :_H])).sum(axis=1)
-        rows[2] = model.swap.swap_price * swapped
-        rows[3] = (model.reserve_price[patterns] * x[:, 4 * _H:]).sum(axis=1) \
-            if model.reserve_enabled else 0.0
-        rows[4] = model.swap.labor_cost * swapped
-        rows[5] = model.amdc * throughput[:count]
-        rows[0] = rows[1] + rows[2] + rows[3] - rows[4] - rows[5]
-        return count, error, rows
+        scale: how many pass, the next one's re-check error, and the points."""
+        scale = np.maximum(np.maximum(self.model.fixed_bound, capacity), soc0)
+        return self.model.held.check_stretch(self.stretch, capacity, soc0, scale)
 
 
 def certify_days(model: DailyModel, day: int, count: int) -> DayBlock | None:
@@ -327,4 +282,4 @@ def certify_days(model: DailyModel, day: int, count: int) -> DayBlock | None:
     that pass the held basis's dual test; None if the first one fails."""
     patterns = (day + np.arange(count)) % len(model.lmp)
     stretch = model.held.certify_stretch(model.costs[patterns], _SWAP_AND_SOC, 0)
-    return None if stretch is None else DayBlock(model, patterns[:len(stretch[0])], stretch)
+    return None if stretch is None else DayBlock(model, stretch)

@@ -1,6 +1,10 @@
 """Reference solvers and checkers the tests compare production against.
 
 Nothing here runs in production:
+- ``DailySchedule`` is a solved day's hours and money.  ``schedule_of``
+  builds it from the point and settlement ``solve_day`` returns, its money
+  from the production ``money_rows`` and its throughput summed as the day
+  loop sums it; ``solve_schedule`` solves a day of a kernel into one;
 - ``DayInput`` is one day on its own; ``solve_one_day`` solves it as day 0
   of its one-day kernel (``kernel_for_day``) through the production
   ``solve_day``;
@@ -15,7 +19,8 @@ Nothing here runs in production:
 - ``build_daily_lp_rows`` builds the first hours of a day's program row by
   row, the reference for the kernel's block-layout ``build_daily_lp``;
 - ``max_daily_throughput`` bounds one day's budget draw;
-- ``check_schedule`` recomputes a solved day's invariants and profit.
+- ``check_schedule`` recomputes a solved day's invariants and money from
+  its hours, with dot products of its own.
 """
 
 from __future__ import annotations
@@ -41,16 +46,63 @@ from swapval.market_data import HourlyPriceSeries
 from swapval.scheduler import (
     BatterySpec,
     DailyModel,
-    DailySchedule,
     ScheduleError,
     SwapTerms,
     _costs,
+    money_rows,
     solve_day,
 )
 
 _ORACLE_MAX_VARS = 12
 # Candidate batches are chunked so intermediate tensors stay ~tens of MB.
 _ORACLE_CHUNK_ELEMS = 4_000_000
+
+
+@dataclass
+class DailySchedule:
+    """Solved day: hourly quantities, SOC path, and profit decomposition."""
+
+    charge: np.ndarray
+    discharge: np.ndarray
+    swap_out: np.ndarray
+    reserve_offer: np.ndarray
+    soc: np.ndarray  # end-of-hour stored energy
+    market_revenue: float  # energy + swap + reserve income
+    swap_labor_cost: float
+    degradation_cost: float  # amdc * (throughput incl. calendar)
+    sb_star: float  # market_revenue - swap_labor_cost - degradation_cost
+    throughput_today: float  # charge + discharge + swap + calendar, MWh
+    energy_revenue: float = 0.0
+    swap_revenue: float = 0.0
+    reserve_revenue: float = 0.0
+    lp_objective: float = 0.0  # raw LP optimum (tie-break included, no calendar)
+    certified: bool = False  # proven from the held basis, without a HiGHS run
+    pivots: int = 0  # dual simplex pivots that settled the day instead (continued)
+
+
+def schedule_of(model: DailyModel, day: int, x: np.ndarray,
+                pivots: int | None = 0) -> DailySchedule:
+    """Day ``day`` of the model's life as a schedule, from its point ``x``
+    and how it was settled (``solve_day``'s pivots, None for HiGHS)."""
+    H = 24
+    throughput = float(x[:H].sum() + x[H:2 * H].sum() + x[2 * H:3 * H].sum()) \
+        + model.calendar_throughput
+    sb_star, energy, swap, reserve, labor, degradation = \
+        money_rows(model, day, x[None], np.array([throughput]))[:, 0].tolist()
+    return DailySchedule(
+        charge=x[:H], discharge=x[H:2 * H], swap_out=x[2 * H:3 * H],
+        reserve_offer=x[4 * H:] if model.reserve_enabled else np.zeros(H), soc=x[3 * H:4 * H],
+        market_revenue=energy + swap + reserve, swap_labor_cost=labor,
+        degradation_cost=degradation, sb_star=sb_star, throughput_today=throughput,
+        energy_revenue=energy, swap_revenue=swap, reserve_revenue=reserve,
+        lp_objective=float(model.costs[day % len(model.lmp)] @ x),
+        certified=pivots == 0, pivots=pivots or 0)
+
+
+def solve_schedule(model: DailyModel, day: int, soc_start: float, capacity_now: float,
+                   pivots: int = 0) -> DailySchedule:
+    """``solve_day`` of ``day``, as a schedule."""
+    return schedule_of(model, day, *solve_day(model, day, soc_start, capacity_now, pivots))
 
 
 @dataclass
@@ -78,7 +130,7 @@ def kernel_for_day(day: DayInput) -> DailyModel:
 
 def solve_one_day(day: DayInput) -> DailySchedule:
     """Solve a lone day as day 0 of its one-day kernel."""
-    return solve_day(kernel_for_day(day), 0, day.soc_start, day.capacity_now)
+    return solve_schedule(kernel_for_day(day), 0, day.soc_start, day.capacity_now)
 
 
 def _objective(day: DayInput, hours: int) -> np.ndarray:
@@ -470,10 +522,11 @@ def check_schedule(schedule: DailySchedule, day: DayInput,
                    soc_tol: float = 1e-9) -> dict[str, float]:
     """Check a solved day's physical invariants and recompute its profit.
 
-    Returns {'revenue', 'labor', 'degradation', 'sb_star'} recomputed from
-    the hourly quantities.  Raises ScheduleError naming every invariant the
-    schedule violates; the profit identity fails when a recomputed figure
-    disagrees with the schedule's own beyond 1e-6 relative.
+    Returns {'energy', 'swap', 'reserve', 'revenue', 'labor', 'degradation',
+    'sb_star'} recomputed from the hourly quantities.  Raises ScheduleError
+    naming every invariant the schedule violates; the profit identity fails
+    when a recomputed figure disagrees with the schedule's own beyond 1e-6
+    relative.
     """
     b = day.battery
     H = len(schedule.charge)
@@ -482,15 +535,20 @@ def check_schedule(schedule: DailySchedule, day: DayInput,
     reserve, soc = schedule.reserve_offer, schedule.soc
 
     swap_total = float(swap_out.sum())
-    revenue = float(day.lmp[:H] @ (discharge - charge)) + day.swap.swap_price * swap_total \
-        + float(day.reserve_price[:H] @ reserve)
+    energy = float(day.lmp[:H] @ (discharge - charge))
+    swapped = day.swap.swap_price * swap_total
+    offered = float(day.reserve_price[:H] @ reserve)
+    revenue = energy + swapped + offered
     labor = day.swap.labor_cost * swap_total
     moved = float(charge.sum() + discharge.sum() + swap_total)
     degradation = day.amdc * (moved + day.calendar_throughput_today)
-    parts = {"revenue": revenue, "labor": labor, "degradation": degradation,
+    parts = {"energy": energy, "swap": swapped, "reserve": offered, "revenue": revenue,
+             "labor": labor, "degradation": degradation,
              "sb_star": revenue - labor - degradation}
-    stored = {"revenue": schedule.market_revenue, "labor": schedule.swap_labor_cost,
-              "degradation": schedule.degradation_cost, "sb_star": schedule.sb_star}
+    stored = {"energy": schedule.energy_revenue, "swap": schedule.swap_revenue,
+              "reserve": schedule.reserve_revenue, "revenue": schedule.market_revenue,
+              "labor": schedule.swap_labor_cost, "degradation": schedule.degradation_cost,
+              "sb_star": schedule.sb_star}
     scale = max(1.0, abs(revenue), abs(degradation))
     profit_gap = max(abs(parts[k] - stored[k]) for k in parts) / scale
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -7,6 +6,7 @@ import sys
 import tempfile
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -322,8 +322,12 @@ def test_negative_day_throughput_exits_4(tmp_path, monkeypatch):
     real_solve = swapval.lifecycle.solve_day
 
     def negative_on_day_3(model, day, *args):
-        schedule = real_solve(model, day, *args)
-        return dataclasses.replace(schedule, throughput_today=-0.5) if day == 3 else schedule
+        # Hour 0 charges -(0.5 + calendar share) MWh, and nothing else moves.
+        x, pivots = real_solve(model, day, *args)
+        if day == 3:
+            x = np.zeros_like(x)
+            x[0] = -0.5 - model.calendar_throughput
+        return x, pivots
 
     monkeypatch.setattr(swapval.lifecycle, "solve_day", negative_on_day_3)
     out = tmp_path / "out"

@@ -9,12 +9,12 @@ decisions and day counts exactly, every other float within a relative 1e-9
 (absolute below 1).
 
 The instances are recorded here; a mismatch must be explained, not re-drawn
-away.  A 60-cycle battery with a fast calendar fade (0.5 a year) lives 14
-to 147 days, so each study stays small.  On a 9-day seeded sine with
+away.  Except in ``simulate-carry-over``, a 60-cycle battery with a fast
+calendar fade (0.5 a year) lives 14 to 147 days, so each study stays small.  On a 9-day seeded sine with
 reserve prices, swap and reserve are each on and off: ``sweep-price`` (both
 on), ``optimize-curve-price`` (swap on, reserve off), ``eol`` (its
 ``with_swap`` and ``no_swap`` modes, reserve on) and ``optimize-mdc
---refine-step`` (both off).  Two ``simulate`` runs on price files catch
+--refine-step`` (both off).  Three ``simulate`` runs on price files catch
 what those four do not:
 
 - ``simulate-reserve-toggle``: a daily sine whose reserve price is 0 on
@@ -27,6 +27,16 @@ what those four do not:
   tie-break penalty).  HiGHS cycles; an idle proof without its margin
   idles from day 0 and fails it (147 days lived against 46), and so does a
   block that ignores ties.
+- ``simulate-carry-over``: the paper battery (2000 cycles, calendar fade
+  0.01) for one year (``horizon_cap_years`` 1), no swap, reserve on, at mu
+  30, on a 7-day daily sine (seed 3, mean 40, amplitude 30) whose hour-23
+  reserve price of 80 keeps energy in the battery overnight.  Blocks
+  certify 355 of its 365 days, and those days start charged.  A block that drops
+  the carried SOC's coefficient from ``DayBlock.soc_end`` and
+  ``DayBlock.moved`` fails it (``lb_star`` 27,695.17 against 58,199.72).
+  Dropping the carried SOC from ``check_stretch``'s checked point does not:
+  the block's own primal test then declines every block day, the one-day
+  path solves it, and only the speed changes.
 
 A continuation that accepts its basis without the primal test fails all
 four grid studies: its infeasible points fail the re-check (exit 4).  Each
@@ -45,7 +55,7 @@ import swapval.scheduler as scheduler
 from swapval.cli import run_cli
 from swapval.config import config_to_dict, paper_defaults
 from swapval.lp import HighsModel
-from swapval.market_data import HourlyPriceSeries, write_series
+from swapval.market_data import HourlyPriceSeries, synth_price_series, write_series
 
 from _reference import solve_lp_linprog
 
@@ -59,6 +69,7 @@ STUDIES = {
                      "--no-reserve"],
     "simulate-reserve-toggle": ["simulate", "--mu", "20"],
     "simulate-break-even": ["simulate", "--mu", "19.999999900000002", "--no-reserve"],
+    "simulate-carry-over": ["simulate", "--mu", "30"],
 }
 
 # Grid decisions, grid coordinates and day or year counts: equal exactly.
@@ -75,13 +86,20 @@ def _inputs(tmp_path, study):
     data["prices"].update(days=9, seed=4,
                           params={"mean": 40.0, "amplitude": 30.0, "reserve_level": 2.0})
     argv = []
-    if study in ("optimize-mdc", "simulate-break-even"):
+    if study in ("optimize-mdc", "simulate-break-even", "simulate-carry-over"):
         data["swap"] = None
     if study.startswith("simulate"):
         if study == "simulate-break-even":
             data["battery"]["efficiency"] = 1.0
             lmp, reserve = np.full((1, 24), 10.0), np.zeros((1, 24))
             lmp[:, 17:21] = 50.0
+        elif study == "simulate-carry-over":
+            data["battery"].update(cycle_life=2000.0, calendar_fade_per_year=0.01)
+            data["economics"]["horizon_cap_years"] = 1
+            lmp = synth_price_series("daily-sine", days=7, seed=3, mean=40.0,
+                                     amplitude=30.0).lmp.reshape(7, 24)
+            reserve = np.zeros((7, 24))
+            reserve[:, 23] = 80.0
         else:
             lmp = np.tile(40.0 + 30.0 * np.sin(np.arange(24) * np.pi / 12.0), (2, 1))
             reserve = np.zeros((2, 24))

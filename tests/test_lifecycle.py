@@ -111,16 +111,20 @@ class TestLedger:
 
     def test_rejects_negative_throughput(self, monkeypatch):
         """A day that draws negative throughput is a scheduling failure that
-        names its day."""
+        names its day.  Day 2's point charges -(0.5 + calendar share) MWh in
+        hour 0 and nothing else, so it draws -0.5 MWh."""
         import swapval.lifecycle as lifecycle
 
         def solve(model, day, *args):
-            schedule = solve_day(model, day, *args)
-            return dataclasses.replace(schedule, throughput_today=-1.0) if day == 2 else schedule
+            x, pivots = solve_day(model, day, *args)
+            if day == 2:
+                x = np.zeros_like(x)
+                x[0] = -0.5 - model.calendar_throughput
+            return x, pivots
 
         monkeypatch.setattr(lifecycle, "solve_day", solve)
         prices = synth_price_series("daily-sine", days=7, seed=3, mean=40.0, amplitude=30.0)
-        with pytest.raises(ScheduleError, match=r"negative throughput -1\.0 \[day 2, "):
+        with pytest.raises(ScheduleError, match=r"negative throughput -0\.5 \[day 2, "):
             simulate_lifecycle(BatterySpec(2.7, 2.7, 0.95), EconomicParams(), prices, 1.0)
 
 
@@ -575,11 +579,11 @@ class TestBasisCertificate:
         import swapval.lifecycle as lifecycle
 
         def day(model, *args):
-            schedule = solve_day(model, *args)
-            if schedule.pivots:
+            x, pivots = solve_day(model, *args)
+            if pivots:
                 want = solve_lp_linprog(model.held.lp).objective_value
-                assert schedule.lp_objective == pytest.approx(want, rel=1e-9, abs=1e-9)
-            return schedule
+                assert model.held.lp.objective @ x == pytest.approx(want, rel=1e-9, abs=1e-9)
+            return x, pivots
 
         monkeypatch.setattr(HighsModel, "certify", _CERTIFY if certify else lambda *args: None)
         monkeypatch.setattr(lifecycle, "certify_days",
@@ -657,10 +661,9 @@ class TestBasisCertificate:
 
         def day(model, d, soc, capacity, pivots=0):
             runs = model.held.runs if model.held else 0
-            schedule = solve_day(model, d, soc, capacity, pivots)
-            days.append((d, pivots, schedule.certified, schedule.pivots,
-                         model.held.runs > runs))
-            return schedule
+            x, taken = solve_day(model, d, soc, capacity, pivots)
+            days.append((d, pivots, taken == 0, taken or 0, model.held.runs > runs))
+            return x, taken
 
         monkeypatch.setattr(lifecycle, "solve_day", day)
         result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
@@ -737,9 +740,9 @@ class TestBlocks:
         spec, days, empty_days, mu, years = self.CASES[case]
         events = []
 
-        def block(model, day, size, soc, used, budget, stop_when_empty, out):
+        def block(model, day, size, soc, used, budget, stop_when_empty, out, points):
             k, declined, soc, used = _certify_block(model, day, size, soc, used, budget,
-                                                    stop_when_empty, out)
+                                                    stop_when_empty, out, points)
             why = ("declined" if declined else "budget" if used >= budget
                    else "year" if (day + k) % DAYS_PER_YEAR == 0
                    else "empty" if k < size and stop_when_empty and soc == 0.0 else "size")
@@ -747,10 +750,10 @@ class TestBlocks:
             return k, declined, soc, used
 
         def day(model, d, *args):
-            schedule = solve_day(model, d, *args)
-            events.append(("day", d, "certified" if schedule.certified
-                           else "continued" if schedule.pivots else "highs"))
-            return schedule
+            x, pivots = solve_day(model, d, *args)
+            events.append(("day", d, "certified" if pivots == 0
+                           else "continued" if pivots else "highs"))
+            return x, pivots
 
         monkeypatch.setattr(lifecycle, "_certify_block", block)
         monkeypatch.setattr(lifecycle, "certify_days",

@@ -12,18 +12,19 @@ from swapval.scheduler import (
     TIE_BREAK_EPS,
     BatterySpec,
     DailyModel,
-    DailySchedule,
     ScheduleError,
     SwapTerms,
     build_daily_lp,
     certify_days,
+    money_rows,
     solve_day,
 )
 
 from _generators import random_day, random_oracle_day
-from _reference import (DayInput, _objective, _scale, build_compact_lp, build_daily_lp_rows,
-                        check_schedule, enumerate_oracle, kernel_for_day, solve_fresh,
-                        solve_lp_linprog, solve_one_day)
+from _reference import (DailySchedule, DayInput, _objective, _scale, build_compact_lp,
+                        build_daily_lp_rows, check_schedule, enumerate_oracle, kernel_for_day,
+                        schedule_of, solve_fresh, solve_lp_linprog, solve_one_day,
+                        solve_schedule)
 
 ETA = 0.95
 
@@ -180,7 +181,8 @@ class TestDecomposeProfit:
         schedule = solve_one_day(day)
         parts = check_schedule(schedule, day)
         assert parts == pytest.approx(
-            {"revenue": 0.0, "labor": 0.0, "degradation": 17.5, "sb_star": -17.5})
+            {"energy": 0.0, "swap": 0.0, "reserve": 0.0, "revenue": 0.0, "labor": 0.0,
+             "degradation": 17.5, "sb_star": -17.5})
 
     def test_single_discharge_hour(self, battery):
         """1 MWh discharged at 90 with mu=35, q=0.5."""
@@ -198,7 +200,7 @@ class TestDecomposeProfit:
             reserve_offer=np.zeros(24), soc=soc,
             market_revenue=90.0, swap_labor_cost=0.0,
             degradation_cost=35.0 * 1.5, sb_star=90.0 - 52.5,
-            throughput_today=1.5)
+            throughput_today=1.5, energy_revenue=90.0)
         parts = check_schedule(schedule, day)
         assert parts["revenue"] == pytest.approx(90.0)
         assert parts["degradation"] == pytest.approx(35.0 * (1.0 + 0.5))
@@ -232,7 +234,7 @@ class TestDecomposeProfit:
                        swap=SwapTerms(160.0, 2.0, 10.0), soc_start=1.0, capacity_now=2.7,
                        calendar_throughput_today=0.5, reserve_enabled=True)
         model = kernel_for_day(day)
-        schedule = solve_day(model, 0, day.soc_start, day.capacity_now)
+        schedule = solve_schedule(model, 0, day.soc_start, day.capacity_now)
 
         def recheck():
             """The feasibility re-check every solved day passes in production,
@@ -366,7 +368,7 @@ class TestDailyModel:
                            first.calendar_throughput_today)
         for index, day in self._days(rng, first, prices, 20):
             model.price(day.amdc)
-            warm = solve_day(model, index, day.soc_start, day.capacity_now)
+            warm = solve_schedule(model, index, day.soc_start, day.capacity_now)
             with monkeypatch.context() as patch:
                 patch.setattr(scheduler, "solve_lp", lambda held: solve_lp_linprog(held.lp))
                 cold = solve_one_day(day)
@@ -381,9 +383,9 @@ class TestDailyModel:
                             lambda *args, **kw: runs.append(1) or real(*args, **kw))
         day = random_day(rng, 24, with_swap=True, with_reserve=True)
         model = kernel_for_day(day)
-        first = solve_day(model, 0, day.soc_start, day.capacity_now)
+        first = solve_schedule(model, 0, day.soc_start, day.capacity_now)
         assert len(runs) == 1
-        again = solve_day(model, 0, day.soc_start, day.capacity_now)
+        again = solve_schedule(model, 0, day.soc_start, day.capacity_now)
         assert len(runs) == 1  # the same program: the last basis proves it
         np.testing.assert_allclose(again.soc, first.soc, rtol=1e-12, atol=1e-12)
         assert again.lp_objective == pytest.approx(first.lp_objective, rel=1e-12)
@@ -437,7 +439,7 @@ class TestDayKernel:
         def schedule(day):
             model = DailyModel(battery, prices, NO_SWAP, False, 0.5)
             model.price(5.0)
-            return solve_day(model, day, 0.0, 2.7)
+            return solve_schedule(model, day, 0.0, 2.7)
 
         first, tiled, flat = schedule(0), schedule(4), schedule(3)
         assert first.charge.sum() > 0 and flat.charge.sum() == 0
@@ -486,14 +488,15 @@ class TestDayBlock:
         rng = np.random.default_rng(7)
         soc, compared, per_soc = 0.0, 0, False
         for day in range(56):
-            schedule = solve_day(model, day, min(soc, 2.6), 2.6)
-            soc = float(schedule.soc[-1])
-            block = certify_days(model, day + 1, 6) if schedule.certified else None
+            x, pivots = solve_day(model, day, min(soc, 2.6), 2.6)
+            soc = float(x[scheduler._SOC_END])
+            block = certify_days(model, day + 1, 6) if pivots == 0 else None
             if block is None:
                 continue
             held, (base, per_u, per_s, _) = model.held, block.stretch
             per_soc |= bool(np.any(per_s[:held.lp.n_vars] != 0.0))
-            for j, pattern in enumerate(block.patterns):
+            for j in range(len(base)):
+                pattern = (day + 1 + j) % len(model.lmp)
                 capacity = 2.6 * rng.uniform(0.99, 1.0)
                 soc0 = model.keep * min(soc, capacity) * rng.uniform(0.99, 1.0)
                 held.set_day(model.costs[pattern], scheduler._SWAP_AND_SOC, capacity, 0, soc0,
@@ -512,3 +515,43 @@ class TestDayBlock:
                 compared += 1
                 soc = float(sol.x[scheduler._SOC_END])
         assert compared >= 20 and per_soc
+
+
+class TestMoneyRows:
+    """``money_rows`` costs k days in one call.  Each day's column is what
+    ``check_schedule`` recomputes, with dot products of its own, from the
+    day's point solved alone, and it is bit-equal to a one-day call on the
+    same point.  The days start at pattern day 2 of 3, so their patterns
+    wrap past the series' end; an off-by-one pattern index costs a day at
+    its neighbour's prices, which the recomputation sees."""
+
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_days_at_once_equal_each_day_alone(self, battery, reserve):
+        rng = np.random.default_rng(11)
+        prices = HourlyPriceSeries(rng.uniform(-20.0, 100.0, 72), rng.uniform(0.0, 15.0, 72))
+        swap, first, k = SwapTerms(160.0, 2.7, 10.0), 2, 5
+        model = DailyModel(battery, prices, swap, reserve, 0.5)
+        model.price(20.0)
+        points, throughput, parts = [], [], []
+        for day in range(first, first + k):
+            hours = slice(24 * (day % 3), 24 * (day % 3) + 24)
+            alone = DayInput(battery=battery, lmp=prices.lmp[hours],
+                             reserve_price=prices.reserve_price[hours], amdc=20.0, swap=swap,
+                             soc_start=float(rng.uniform(0.0, 2.7)), capacity_now=2.7,
+                             calendar_throughput_today=0.5, reserve_enabled=reserve)
+            kernel = kernel_for_day(alone)
+            x, _ = solve_day(kernel, 0, alone.soc_start, alone.capacity_now)
+            schedule = schedule_of(kernel, 0, x)
+            points.append(x)
+            throughput.append(schedule.throughput_today)
+            parts.append(check_schedule(schedule, alone))
+        rows = money_rows(model, first, np.array(points), np.array(throughput))
+        assert rows.shape == (6, k)
+        for j, want in enumerate(parts):
+            for row, name in enumerate(("sb_star", "energy", "swap", "reserve", "labor",
+                                        "degradation")):
+                assert abs(rows[row, j] - want[name]) <= 1e-9 * max(abs(want[name]), 1.0), \
+                    (j, name, rows[row, j], want[name])
+            alone = money_rows(model, first + j, points[j][None], np.array(throughput[j:j + 1]))
+            assert alone.tobytes() == rows[:, j:j + 1].tobytes(), j
+        assert (rows[3] != 0.0).any() == reserve
