@@ -24,7 +24,7 @@ from swapval.config import (
     load_config,
     resolve_prices,
 )
-from swapval.lifecycle import check_mdc, eol_analysis, simulate_lifecycle
+from swapval.lifecycle import DAYS_PER_YEAR, check_mdc, eol_analysis, simulate_lifecycle
 from swapval.lp import LPError
 from swapval.market_data import DEFAULT_SCHEMA, SYNTH_PARAMS, PriceDataError
 from swapval.optimizers import (
@@ -204,6 +204,11 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
         _checked(_refine_spacing, mdc_grid, args.refine_step)
     for mu in mdc_grid + ([] if args.mu is None else [args.mu]):
         _checked(check_mdc, mu, config.battery, economics)
+    # A full year of fixed O&M, which eol_analysis prorates, must be a float.
+    om_grid = [] if getattr(args, "om_grid", None) is None else _parse_grid(args.om_grid)
+    for om in [economics.fixed_om_per_kw_year] + om_grid:
+        if not math.isfinite(om * config.battery.power_limit * 1000.0 * DAYS_PER_YEAR):
+            raise ConfigError(f"fixed O&M {om!r} $/kW-year is too large: a year of it overflows")
 
     return dataclasses.replace(config, economics=economics, prices=prices, swap=swap,
                                flags=flags, mdc_grid=mdc_grid, price_grid=price_grid)

@@ -289,7 +289,9 @@ def _certify_block(model: DailyModel, day: int, size: int, soc: float, used: flo
     block = certify_days(model, day, size)
     if block is None:
         return 0, True, soc, used
-    (e0, e_cap, e_soc), (m0, m_cap, m_soc) = block.soc_end, block.moved
+    at_upper, (base, per_cap, per_soc) = block
+    (e0, m0), (e_cap, m_cap), (e_soc, m_soc) = (
+        base.T.tolist(), per_cap.T.tolist(), per_soc.tolist())
     spec, keep, q_day = model.battery, model.keep, model.calendar_throughput
     columns = []
     for i in range(len(e0)):
@@ -307,7 +309,7 @@ def _certify_block(model: DailyModel, day: int, size: int, soc: float, used: flo
             break
     days = len(columns)
     carried, before, soh, capacity, start, soc0, throughput, end = np.array(columns).T
-    count, error, x = block.close(capacity, soc0)
+    count, error, x = model.held.check_stretch(at_upper, capacity, soc0)
     if error is None and count == days and throughput[-1] < 0:
         count, error = days - 1, ScheduleError(f"negative throughput {columns[-1][6]!r}")
     if error is not None:

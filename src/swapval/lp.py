@@ -150,8 +150,10 @@ class HighsModel:
     and HiGHS before its next run.  HiGHS keeps its basis through such
     changes, so ``solve_lp(model)`` restarts the simplex from the previous
     optimum, and ``certify`` can often prove the changed program optimal.
-    Both re-check their point at ``scale``, which the caller vouches is at
-    least the program's largest finite bound and 1.
+    Both re-check their point at ``scale``, the program's largest finite
+    bound and at least 1.  Between days only the upper bound u of ``cols``
+    and the value s of equality row ``row`` move: ``set_day`` writes them,
+    and the scan of the other bounds is made once.
 
     The program is held in bounded form: columns x and row activities r = Ax
     are the n + m variables of ``[A, -I] (x, r) = 0``, each in its box
@@ -161,7 +163,7 @@ class HighsModel:
     to since; numpy holds its basis matrix's inverse.
     """
 
-    def __init__(self, lp: LinearProgram, scale: float):
+    def __init__(self, lp: LinearProgram, cols: slice = slice(0, 0), row: int | None = None):
         n, m = lp.n_vars, lp.n_constraints
         self._cost = np.concatenate((lp.objective, np.zeros(m)))
         self._lo = np.concatenate((lp.lower, lp.row_lower))
@@ -174,16 +176,26 @@ class HighsModel:
         self._bounded = np.hstack((lp.A, -np.eye(m)))
         self._bounded_index = np.concatenate((np.arange(n + m - 1, n - 1, -1), np.arange(n)))
         self._cols = np.arange(n, dtype=np.int32)
-        # What set_day wrote that HiGHS has not seen: every cost, and the
-        # bounds of a slice of columns and of some rows; None if nothing.
+        # The bounds a day moves, and what set_day wrote that HiGHS has not
+        # seen: every cost, and the bounds of a slice of columns and of some
+        # rows; None if nothing.
+        self._moved = cols, () if row is None else (row,)
         self._stale: tuple[slice, tuple[int, ...]] | None = None
-        self.scale = scale
+        # The bounded form's bounds with the moved ones at 0, and the masks
+        # of the variables whose upper bound is u and whose bounds are s.
+        cap, at_row = np.zeros(n + m), np.zeros(n + m)
+        cap[:n][cols] = at_row[n:][list(self._moved[1])] = 1.0
+        movable = cap + at_row > 0.0
+        self._varied = (np.where(at_row > 0.0, 0.0, self._lo), np.where(movable, 0.0, self._hi),
+                        cap, at_row)
+        # The re-check's scale: the largest finite bound in size, at least 1.
+        bounds = np.abs(np.concatenate(self._varied[:2]))
+        self._fixed_scale = max(1.0, float(bounds[bounds < np.inf].max()))
+        self.scale = max(self._fixed_scale, float(np.abs(self._hi[movable]).max(initial=0.0)))
         self._basic: np.ndarray | None = None  # the held basis, if any
         self._upper: np.ndarray | None = None  # the bound each nonbasic variable is at
         self._inverse: np.ndarray | None = None  # of the basis matrix, once asked for
         self._updates = 0  # rank-one updates of _inverse since it was factored
-        self._factor: tuple | None = None  # of the held basis, once a stretch asks for it
-        self._varied: tuple | None = None  # the bounds stretches vary, and masks
         self.runs = 0  # HiGHS runs
         program = _highs.HighsLp()
         program.num_col_ = n
@@ -209,17 +221,15 @@ class HighsModel:
         if self._highs.passModel(program) == _highs.HighsStatus.kError:
             raise LPError("HiGHS rejected the program")
 
-    def set_day(self, cost: np.ndarray, cols: slice, upper: float, row: int,
-                value: float, scale: float) -> None:
-        """Set all costs, ``cols``' upper bound, ``row``'s bounds and the
-        re-check's ``scale``, unchecked; the caller vouches for them.  Until
-        the next run, every day set must write the same ``cols`` and ``row``:
-        HiGHS is passed only the last day's."""
+    def set_day(self, cost: np.ndarray, u: float, s: float) -> None:
+        """Set all costs, ``cols``' upper bound u and ``row``'s value s,
+        unchecked, and the re-check's ``scale`` with them."""
+        cols, (row,) = self._moved
         self.lp.objective[:] = cost
-        self.lp.upper[cols] = upper
-        self.lp.row_lower[row] = self.lp.row_upper[row] = value
-        self.scale = scale
-        self._stale = cols, (row,)
+        self.lp.upper[cols] = u
+        self.lp.row_lower[row] = self.lp.row_upper[row] = s
+        self.scale = max(self._fixed_scale, abs(u), abs(s))
+        self._stale = self._moved
 
     def _sync(self) -> None:
         """Pass HiGHS the day set since its last run."""
@@ -239,7 +249,7 @@ class HighsModel:
         optimal run's basis becomes the held one."""
         highs = self._highs
         self._sync()
-        self._basic = self._inverse = self._factor = None
+        self._basic = self._inverse = None
         self.runs += 1
         if highs.run() == _highs.HighsStatus.kError:
             return 4, None, "HiGHS run failed"
@@ -367,7 +377,7 @@ class HighsModel:
             return False
         upper[candidates[:passed]] ^= True
         upper[basic[leave]] = not to_lower
-        self._upper, self._factor = upper, None
+        self._upper = upper
         row = inverse[leave] / pivot
         inverse -= np.outer(column, row)
         inverse[leave] = row
@@ -375,106 +385,76 @@ class HighsModel:
         self._updates += 1
         return self._updates < _UPDATES or self._invert()
 
-    def certify_stretch(self, costs: np.ndarray, cols: slice, row: int) -> tuple | None:
+    def certify_stretch(self, costs: np.ndarray, f: np.ndarray) -> tuple | None:
         """``certify``'s dual test, in one array pass, for programs that differ
-        from the current one in their costs (a row of ``costs`` each), the
-        upper bound u of ``cols`` and the value s of equality row ``row``.
+        from the current one in their costs (a row of ``costs`` each), u and
+        s, and the carry of the functionals ``f`` (a row over the columns
+        each) of their points.
 
-        None if the first fails; else, for the lead programs that pass,
-        ``(base, per_u, per_s, at_upper)``: program d's bounded-form point is
-        ``base[d] + u * per_u[d] + s * per_s`` and ``at_upper[d]`` its
-        nonbasic bounds (ties keep the previous program's).  The maps come
-        from the held basis's inverse, once per basis; every stretch names
-        the same ``cols`` and ``row``.  ``check_stretch`` follows.
+        None if the first program fails; else, for the lead programs that
+        pass, their nonbasic bounds (ties keep the previous program's) and
+        ``(base, per_u, per_s)``: program d's ``f @ x`` is ``base[d] + u *
+        per_u[d] + s * per_s``.  The costs' reduced costs ``(c_x - y A, y)``
+        and ``w = f - (f_B B^-1) [A, -I]`` are the same formula, and
+        ``f @ x = w @ v`` for the nonbasic values v.  ``check_stretch``
+        follows.
         """
-        if self._basic is None:
+        if self._basic is None or (self._inverse is None and not self._invert()):
             return None
-        if self._factor is None:
-            self._factor = self._factorize(cols, row)
-        if not self._factor:  # singular, though HiGHS's factor was not: rare
-            return None
-        nonbasic, to_basic, reduce, per_s = self._factor
-        lo, hi, cap, _ = self._varied
-        reduced = costs @ reduce
+        basic, n = self._basic, self.lp.n_vars
+        lo, hi, cap, at_row = self._varied
+        days, width = len(costs), len(self._cost)
+        rows = np.zeros((days + len(f), width))
+        rows[:days, :n], rows[days:, :n] = costs, f
+        reduced = rows - (rows[:, basic] @ self._inverse) @ self._bounded
+        reduced[:, basic] = 0.0
+        reduced, w = reduced[:days], reduced[days:]
         size = np.abs(reduced)
         tied = size <= _TIE
         # A fixed variable (an equality row's) too close to call fails too.
         dual = np.logical_and.reduce((size < _CLEAR) == tied, axis=1)
-        upper = reduced > 0.0
-        if tied.any():
-            # Program d keeps the bound of the last program up to d whose
-            # reduced cost is not tied (row 0 holds the bounds before).
-            days, width = len(costs), len(nonbasic)
-            last = np.where(tied, 0, np.arange(width, (days + 1) * width, width)[:, None])
-            np.maximum.accumulate(last, axis=0, out=last)
-            upper = np.vstack((self._upper[nonbasic], upper)).ravel()[last + np.arange(width)]
-        value = np.where(upper, hi[nonbasic], lo[nonbasic])
+        # Program d keeps the bound of the last program up to d whose reduced
+        # cost is not tied (row 0 holds the bounds before); a basic
+        # variable's reduced cost is 0, so it keeps its bound throughout.
+        last = np.where(tied, 0, np.arange(width, (days + 1) * width, width)[:, None])
+        np.maximum.accumulate(last, axis=0, out=last)
+        upper = np.vstack((self._upper, reduced > 0.0)).ravel()[last + np.arange(width)]
+        value = np.where(upper, hi, lo)
+        value[:, basic] = 0.0
         dual &= np.isfinite(value.sum(axis=1))  # no row favoured at an infinite bound
         days = int(np.argmin(np.append(dual, False)))
         if not days:
             return None
-        values = np.concatenate((value[:days], upper[:days] * cap[nonbasic]))
-        points = np.empty((2 * days, len(self._cost)))
-        points[:, nonbasic] = values
-        points[:, self._basic] = values @ to_basic
-        return points[:days], points[days:], per_s, upper[:days]
+        carry = np.concatenate((value[:days], upper[:days] * cap)) @ w.T
+        return upper[:days], (carry[:days], carry[days:], at_row @ w.T)
 
-    def _factorize(self, cols: slice, row: int) -> tuple:
-        """With W = B^-1 N (basis matrix B, nonbasic columns N of ``[A,
-        -I]``): the nonbasic variables, -W^T (nonbasic to basic values), the
-        map from costs to nonbasic reduced costs, and the point per unit of
-        ``row``'s value; () if B is singular."""
-        basic = self._basic
-        if self._inverse is None and not self._invert():
-            return ()
-        n, size = self.lp.n_vars, len(self._cost)
-        if self._varied is None:
-            cap, at_row = np.zeros(size), np.zeros(size)
-            cap[cols] = at_row[n + row] = 1.0
-            self._varied = (np.where(at_row > 0.0, 0.0, self._lo),
-                            np.where(cap + at_row > 0.0, 0.0, self._hi), cap, at_row)
-        is_basic = np.zeros(size, dtype=bool)
-        is_basic[basic] = True
-        nonbasic = np.flatnonzero(~is_basic)
-        to_basic = -(self._inverse @ self._bounded[:, nonbasic]).T
-        reduce = np.zeros((n, len(nonbasic)))
-        reduce[basic[basic < n]] = to_basic.T[basic < n]
-        reduce[nonbasic[nonbasic < n], np.flatnonzero(nonbasic < n)] += 1.0
-        at_row = self._varied[3][nonbasic]
-        per_s = np.empty(size)
-        per_s[nonbasic], per_s[basic] = at_row, at_row @ to_basic
-        return nonbasic, to_basic, reduce, per_s
-
-    def check_stretch(self, stretch: tuple, upper: np.ndarray, value: np.ndarray,
-                      scale: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
-        """``certify``'s primal test and ``_verdict``'s re-check of the first
-        programs of ``stretch``, program d at u ``upper[d]``, s ``value[d]``
-        and re-check scale ``scale[d]``: how many lead programs pass both,
-        the re-check's error if the next one fails only that, and their
-        points (x), put back into their column boxes.  The last passing
-        program's bounds are kept for ties.
+    def check_stretch(self, at_upper: np.ndarray, u: np.ndarray,
+                      s: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
+        """``certify``'s primal test and ``_verdict``'s re-check of the lead
+        programs of a stretch, program d at nonbasic bounds ``at_upper[d]``,
+        u ``u[d]`` and s ``s[d]``: how many pass both, the re-check's error
+        if the next one fails only that, and their points (x), basic values
+        put back into their boxes.  The last passing program's bounds are
+        kept for ties.
         """
-        base, per_u, per_s, at_upper = stretch
-        n, days = self.lp.n_vars, len(upper)
+        basic, n, days = self._basic, self.lp.n_vars, len(u)
         lo, hi, cap, at_row = self._varied
-        u, s = upper[:, None], value[:, None]
-        point = base[:days] + u * per_u[:days] + s * per_s
-        lo, hi = lo + s * at_row, hi + u * cap + s * at_row
-        violation = np.maximum(lo - point, point - hi)
-        primal = violation[:, self._basic].max(axis=1) <= _HIGHS_TOL
-        bounds = violation[:, :n].max(axis=1, initial=0.0)
+        atol = _TOL * np.maximum(np.maximum(self._fixed_scale, np.abs(u)), np.abs(s)) * 10.0
+        lo, hi = lo + np.outer(s, at_row), hi + np.outer(u, cap) + np.outer(s, at_row)
+        point = np.where(at_upper[:days], hi, lo)
+        point[:, basic] = 0.0
+        solved = (point[:, n:] - point[:, :n] @ self.lp.A.T) @ self._inverse.T
+        lo_b, hi_b = lo[:, basic], hi[:, basic]
+        primal = np.maximum(lo_b - solved, solved - hi_b).max(axis=1) <= _HIGHS_TOL
+        point[:, basic] = np.minimum(np.maximum(solved, lo_b), hi_b)
         x = point[:, :n]
-        if bounds.max() > 0.0:
-            x = np.minimum(np.maximum(x, lo[:, :n]), hi[:, :n])
         r = x @ self.lp.A.T
         rows = np.maximum(lo[:, n:] - r, r - hi[:, n:]).max(axis=1, initial=0.0)
-        atol = _TOL * scale * 10.0
-        count = int(np.argmin(np.append(primal & (bounds <= atol) & (rows <= atol), False)))
-        error = None
-        if count < days and primal[count]:
-            error = _recheck_error(bounds[count], rows[count], atol[count])
+        count = int(np.argmin(np.append(primal & (rows <= atol), False)))
+        error = _recheck_error(0.0, rows[count], atol[count]) \
+            if count < days and primal[count] else None
         if count:
-            self._upper[self._factor[0]] = at_upper[count - 1]
+            self._upper = at_upper[count - 1]
         return count, error, x
 
 

@@ -45,6 +45,8 @@ class DemandPriceCurve:
             raise ValueError(f"slope must be negative, got {self.slope}")
         if self.intercept <= 0:
             raise ValueError(f"intercept must be positive, got {self.intercept}")
+        if not math.isfinite(self.intercept / -self.slope):  # the most demand, at price 0
+            raise ValueError(f"demand at price 0, intercept / -slope, overflows: {self}")
 
 
 @dataclass

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swapval.lp import DimensionError, HighsModel, LinearProgram, LPError, solve_lp
+from swapval.lp import DimensionError, HighsModel, LinearProgram, solve_lp
 from swapval.market_data import HourlyPriceSeries
 
 TIE_BREAK_EPS = 1e-7
@@ -186,7 +186,6 @@ class DailyModel:
         self.reserve_price = prices.reserve_price.reshape(-1, _H)
         self.keep = 1.0 - battery.self_discharge
         self.width = (5 if reserve_enabled else 4) * _H  # the daily LP's columns
-        self.fixed_bound = max(1.0, battery.power_limit, swap.daily_swap_cap)
         self.amdc = self.costs = self.held = None  # set by price and solve_day
 
     def price(self, amdc: float) -> None:
@@ -209,23 +208,20 @@ def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float
     SOC (SOC row 0) into it.  HiGHS runs (``solve_lp``, from its last basis)
     only when ``HighsModel.certify`` declines the day, having continued from
     the held basis by up to ``pivots`` dual simplex pivots.  The point is
-    re-checked at the program's largest bound, ``max(1.0, power_limit,
-    daily_swap_cap, capacity_now, keep * soc_start)``.  Raises ScheduleError
-    if the LP is anything but optimal: a bug, as zero is always feasible.
+    re-checked at the program's largest bound.  Raises ScheduleError if the
+    LP is anything but optimal: a bug, as zero is always feasible.
     """
     if not capacity_now > 0:
         raise ValueError(f"capacity_now must be positive, got {capacity_now}")
     if not 0 <= soc_start <= capacity_now + 1e-9:
         raise ValueError(f"soc_start {soc_start} outside [0, capacity {capacity_now}]")
     pattern = day % len(model.lmp)
-    soc0 = model.keep * soc_start
-    scale = max(model.fixed_bound, capacity_now, soc0)
     held = model.held
     if held is None:
         held = model.held = HighsModel(
-            build_daily_lp(model, pattern, soc_start, capacity_now), scale)
+            build_daily_lp(model, pattern, soc_start, capacity_now), _SWAP_AND_SOC, 0)
     else:
-        held.set_day(model.costs[pattern], _SWAP_AND_SOC, capacity_now, 0, soc0, scale)
+        held.set_day(model.costs[pattern], capacity_now, model.keep * soc_start)
     found = held.certify(pivots)
     sol, pivots = (solve_lp(held), None) if found is None else found
     if sol.status != "optimal":
@@ -254,32 +250,13 @@ def money_rows(model: DailyModel, first_day: int, points: np.ndarray,
     return rows
 
 
-class DayBlock:
-    """Days that pass the held basis's dual test in one array pass, each
-    day's point affine in its capacity and carried SOC (``keep *
-    soc_start``).  ``soc_end`` and ``moved`` (MWh charged, discharged and
-    swapped) are each their values at capacity and SOC 0 and their changes
-    per MWh of capacity (lists over the days) and of carried SOC."""
-
-    def __init__(self, model: DailyModel, stretch: tuple):
-        self.model, self.stretch = model, stretch
-        base, per_u, per_s, _ = stretch
-        self.soc_end = (base[:, _SOC_END].tolist(), per_u[:, _SOC_END].tolist(),
-                        float(per_s[_SOC_END]))
-        self.moved = (base[:, :3 * _H].sum(axis=1).tolist(),
-                      per_u[:, :3 * _H].sum(axis=1).tolist(), float(per_s[:3 * _H].sum()))
-
-    def close(self, capacity: np.ndarray,
-              soc0: np.ndarray) -> tuple[int, LPError | None, np.ndarray]:
-        """``HighsModel.check_stretch`` of the first days at ``solve_day``'s
-        scale: how many pass, the next one's re-check error, and the points."""
-        scale = np.maximum(np.maximum(self.model.fixed_bound, capacity), soc0)
-        return self.model.held.check_stretch(self.stretch, capacity, soc0, scale)
-
-
-def certify_days(model: DailyModel, day: int, count: int) -> DayBlock | None:
+def certify_days(model: DailyModel, day: int, count: int) -> tuple | None:
     """The lead days of ``day`` to ``day + count - 1``, at the year's costs,
-    that pass the held basis's dual test; None if the first one fails."""
+    that pass the held basis's dual test: their nonbasic bounds, and their
+    end SOC and MWh charged, discharged and swapped, each affine in the
+    day's capacity and carried SOC (``keep * soc_start``) as
+    ``HighsModel.certify_stretch`` gives them; None if the first day fails."""
     patterns = (day + np.arange(count)) % len(model.lmp)
-    stretch = model.held.certify_stretch(model.costs[patterns], _SWAP_AND_SOC, 0)
-    return None if stretch is None else DayBlock(model, stretch)
+    carried = np.zeros((2, model.width))
+    carried[0, _SOC_END] = carried[1, :3 * _H] = 1.0
+    return model.held.certify_stretch(model.costs[patterns], carried)

@@ -147,7 +147,7 @@ def _scale(lp: LinearProgram) -> float:
 
 def solve_fresh(lp: LinearProgram) -> LPSolution:
     """``solve_lp`` of the program loaded into a fresh model, with no basis yet."""
-    return solve_lp(HighsModel(lp, _scale(lp)))
+    return solve_lp(HighsModel(lp))
 
 
 def rewrite(model: HighsModel, objective, cols: slice = slice(0, 0), upper=0.0,

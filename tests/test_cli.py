@@ -487,6 +487,33 @@ def test_overflowing_mdc_exits_2(argv, economics, battery, tmp_path, monkeypatch
         argv + ["--config", str(path), "--synth", "flat:10", "--days", "2"], tmp_path / "out")
 
 
+# Finite inputs whose products overflow: a demand curve's demand at price 0,
+# intercept / -slope, becomes the daily swap cap, and a year of fixed O&M,
+# om * power_limit * 1000 * 365, goes into every lifecycle's cash flows.
+OVERFLOWING = {
+    "curve-flag": (["optimize-curve-price", "--curve=-1e-300,1e300"], {}),
+    "curve-config": (["optimize-curve-price"],
+                     {"demand_curve": {"slope": -1e-300, "intercept": 1e300}}),
+    "om-flag": (["simulate", "--mu", "1", "--om", "6e304"], {}),
+    "om-config": (["simulate", "--mu", "1"], {"economics": {"fixed_om_per_kw_year": 6e304}}),
+    "om-grid": (["eol", "--mu", "1", "--om-grid", "0:6e304:6e304"], {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflowing_curve_or_om_exits_2(case, tmp_path, monkeypatch):
+    TestBadInputExits2._forbid_lifecycles(monkeypatch)
+    argv, sections = OVERFLOWING[case]
+    data = config_to_dict(paper_defaults())
+    for section, fields in sections.items():
+        data[section] = {**(data[section] or {}), **fields}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    TestBadInputExits2()._assert_exit_2(argv + ["--config", str(path)] + FAST, out)
+    assert "overflows" in json.loads((out / "error.json").read_text())["message"]
+
+
 def test_write_json_refuses_nan(tmp_path):
     from swapval.report import write_json
 

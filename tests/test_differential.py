@@ -32,11 +32,12 @@ what those four do not:
   30, on a 7-day daily sine (seed 3, mean 40, amplitude 30) whose hour-23
   reserve price of 80 keeps energy in the battery overnight.  Blocks
   certify 355 of its 365 days, and those days start charged.  A block that drops
-  the carried SOC's coefficient from ``DayBlock.soc_end`` and
-  ``DayBlock.moved`` fails it (``lb_star`` 27,695.17 against 58,199.72).
-  Dropping the carried SOC from ``check_stretch``'s checked point does not:
-  the block's own primal test then declines every block day, the one-day
-  path solves it, and only the speed changes.
+  the carried SOC's coefficient of the carried functionals, end SOC and
+  MWh moved (``at_row @ w.T`` in ``HighsModel.certify_stretch``), fails it
+  (``lb_star`` 27,695.17 against 58,199.72).  Dropping the carried SOC from
+  ``check_stretch``'s checked point does not: the block's own primal test
+  then declines every block day, the one-day path solves it, and only the
+  speed changes.
 
 A continuation that accepts its basis without the primal test fails all
 four grid studies: its infeasible points fail the re-check (exit 4).  Each

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swapval import lp
 from swapval.lifecycle import (
     DAYS_PER_YEAR,
     EconomicParams,
@@ -821,9 +822,14 @@ class TestBlocks:
         _, events = self._run(monkeypatch, True, "paper")
         first = next(e[1] for e in events if e[0] == "block")
         check = HighsModel.check_stretch
-        # A negative scale fails every point's re-check, and nothing else.
-        monkeypatch.setattr(HighsModel, "check_stretch",
-                            lambda self, stretch, u, s, scale: check(self, stretch, u, s, -scale))
+
+        def failing(self, at_upper, u, s):
+            # A negative tolerance fails every point's re-check, and nothing else.
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "_TOL", -lp._TOL)
+                return check(self, at_upper, u, s)
+
+        monkeypatch.setattr(HighsModel, "check_stretch", failing)
         with pytest.raises(LPError, match=rf"re-check: .* \[day {first}, pattern day "):
             self._run(monkeypatch, True, "paper")
 
@@ -836,7 +842,7 @@ class TestBlocks:
         def certify(model, day, count):
             block = certify_days(model, day, count)
             if day == first:  # the block's second day draws -1e6 MWh
-                block.moved[0][1] = -1e6
+                block[1][0][1, 1] = -1e6
             return block
 
         monkeypatch.setattr(lifecycle, "certify_days", certify)

@@ -12,8 +12,7 @@ from swapval.lp import (
 )
 
 from _generators import random_lp
-from _reference import (_scale, enumerate_oracle, oracle_cost, rewrite, solve_fresh,
-                        solve_lp_linprog)
+from _reference import enumerate_oracle, oracle_cost, rewrite, solve_fresh, solve_lp_linprog
 
 INF = np.inf
 
@@ -147,7 +146,7 @@ def test_iteration_limit_reported_distinctly():
     lp = LinearProgram([-1.0, -2.0, 1.0], [0, 0, 0], [10, 10, 10],
                        [[1, 1, 1], [1, -1, 0], [0, 1, 1]],
                        [-INF, -INF, -INF], [4.0, 1.0, 3.0])
-    model = HighsModel(lp, _scale(lp))
+    model = HighsModel(lp)
     model._highs.setOptionValue("presolve", "off")
     model._highs.setOptionValue("simplex_iteration_limit", 1)
     with pytest.raises(IterationLimitError):
@@ -186,7 +185,7 @@ def test_highs_model_matches_linprog_through_updates(rng):
     """A held model re-solved after each change agrees with a cold linprog."""
     for _ in range(30):
         lp = random_lp(rng, max_vars=7, max_rows=8)
-        model = HighsModel(lp, _scale(lp))
+        model = HighsModel(lp)
         for step in range(4):
             if step:
                 objective = rng.normal(size=lp.n_vars) * 10.0
@@ -211,7 +210,7 @@ def test_highs_model_verdicts_and_misuse():
     """A held model reports an optimum, then the infeasible program a
     rewritten row makes of it."""
     lp = LinearProgram([1.0], [0.0], [1.0], [[1.0]], [0.5], [INF])
-    model = HighsModel(lp, _scale(lp))
+    model = HighsModel(lp)
     assert solve_lp(model).x[0] == pytest.approx(1.0)
     rewrite(model, [1.0], rows={0: (2.0, INF)})
     assert solve_lp(model).status == "infeasible"
@@ -228,7 +227,7 @@ class TestCertify:
     @staticmethod
     def _solved_model():
         lp = LinearProgram([1.0, -1.0], [0.0, 0.0], [1.0, 1.0], [[1.0, 1.0]], [-INF], [1.5])
-        model = HighsModel(lp, _scale(lp))
+        model = HighsModel(lp)
         assert model.certify() is None  # nothing to certify from before a run
         assert solve_lp(model).x.tolist() == [1.0, 0.0]
         return model
@@ -281,7 +280,7 @@ class TestCertify:
         is -5.6e-17, inside the primal test's 1e-10; the certified point has
         x1 = 0.0, as HiGHS would report it."""
         lp = LinearProgram([1.0, 2.0], [0.0, 0.0], [1.0, 0.3], [[1.0, 1.0]], [0.5], [0.5])
-        model = HighsModel(lp, _scale(lp))
+        model = HighsModel(lp)
         assert solve_lp(model).x.tolist() == [0.2, 0.3]
         rewrite(model, [1.0, 2.0], slice(1, 2), 0.1 + 0.2, {0: (0.3, 0.3)})
         assert self._x(model) == [0.0, 0.1 + 0.2]
@@ -311,7 +310,7 @@ class TestContinuation:
             A[i, cols] = 1.0
         lp = LinearProgram(c, np.zeros(n), np.ones(n), A, [-INF] * len(rows),
                            [3.0] * len(rows))
-        model = HighsModel(lp, _scale(lp))
+        model = HighsModel(lp)
         assert solve_lp(model).x.tolist() == [1.0] * n
         return model
 
@@ -344,7 +343,7 @@ class TestContinuation:
         continued = 0
         for _ in range(60):
             lp = random_lp(rng, max_vars=7, max_rows=8)
-            model = HighsModel(lp, _scale(lp))
+            model = HighsModel(lp)
             solve_lp(model)
             for _ in range(4):
                 cols = slice(0, lp.n_vars // 2 + 1)

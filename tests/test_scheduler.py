@@ -448,10 +448,10 @@ class TestDayKernel:
         assert first.sb_star == tiled.sb_star
 
     def test_capacity_scale_is_the_programs_scale(self):
-        """``max(1.0, power_limit, daily_swap_cap, capacity_now, keep *
-        soc_start)``, the scale ``solve_day`` re-checks at, is ``_scale`` of
-        the day's program over reserve, swap cap, SOC, self-discharge, power,
-        size and capacity, some with every bound below 1."""
+        """The scale the held program derives, on its first day and after
+        each ``set_day``, is ``_scale`` of the day's program over reserve,
+        swap cap, SOC, self-discharge, power, size and capacity, some with
+        every bound below 1."""
         sizes = [(2.7, 2.7), (2.7, 2.16), (2.7, 0.3), (0.5, 0.5), (0.5, 0.4), (10.0, 10.0),
                  (10.0, 8.0)]
         shapes = 0
@@ -463,17 +463,22 @@ class TestDayKernel:
                            soc=full * capacity, capacity=capacity, reserve_level=2.0)
             model = kernel_for_day(day)
             solve_day(model, 0, day.soc_start, day.capacity_now)
-            assert model.held.scale == _scale(build_daily_lp_rows(day)) == _scale(model.held.lp)
+            held = model.held
+            assert held.scale == _scale(build_daily_lp_rows(day)) == _scale(held.lp)
+            for u, s in [(capacity, full * capacity), (0.5 * capacity, 0.0), (3.0, 2.9),
+                         (capacity, 0.0)]:
+                held.set_day(model.costs[0], u, model.keep * s)
+                assert held.scale == _scale(held.lp)
             shapes += 1
         assert shapes == 336
 
 
 class TestDayBlock:
-    """A block's points are affine in each day's capacity and carried SOC:
-    near the pairs a life visits, a day's point is the one ``certify``
-    proves for that day alone, and so are its ``soc_end`` and ``moved``
-    coefficients.  An hour-23 reserve price of 80 keeps energy in the
-    battery overnight, so days start charged."""
+    """Near the pairs of capacity and carried SOC a life visits, each day of a
+    block has the point ``certify`` proves for that day alone, once
+    ``check_stretch`` has checked it, and the end SOC and MWh moved its
+    affine coefficients give.  An hour-23 reserve price of 80 keeps energy
+    in the battery overnight, so days start charged."""
 
     @pytest.mark.parametrize("swap", [NO_SWAP, SwapTerms(160.0, 2.7, 10.0)],
                              ids=["no-swap", "swap"])
@@ -493,27 +498,32 @@ class TestDayBlock:
             block = certify_days(model, day + 1, 6) if pivots == 0 else None
             if block is None:
                 continue
-            held, (base, per_u, per_s, _) = model.held, block.stretch
-            per_soc |= bool(np.any(per_s[:held.lp.n_vars] != 0.0))
+            held, (at_upper, (base, per_u, per_s)) = model.held, block
+            per_soc |= bool(np.any(per_s != 0.0))
+            # Each day certified alone, from the pair the block would carry
+            # to it; the block stops before a day that leaves the basis.
+            days = []
             for j in range(len(base)):
                 pattern = (day + 1 + j) % len(model.lmp)
                 capacity = 2.6 * rng.uniform(0.99, 1.0)
                 soc0 = model.keep * min(soc, capacity) * rng.uniform(0.99, 1.0)
-                held.set_day(model.costs[pattern], scheduler._SWAP_AND_SOC, capacity, 0, soc0,
-                             max(model.fixed_bound, capacity, soc0))
+                held.set_day(model.costs[pattern], capacity, soc0)
                 found = held.certify()
-                if found is None:  # this pair leaves the basis: the block would stop
+                if found is None:
                     break
-                sol = found[0]
-                x = (base[j] + capacity * per_u[j] + soc0 * per_s)[:len(sol.x)]
-                np.testing.assert_allclose(x, sol.x, rtol=1e-9, atol=1e-9)
-                (e0, e_cap, e_soc), (m0, m_cap, m_soc) = block.soc_end, block.moved
-                assert e0[j] + capacity * e_cap[j] + soc0 * e_soc == \
-                    pytest.approx(sol.x[scheduler._SOC_END], rel=1e-9, abs=1e-9)
-                assert m0[j] + capacity * m_cap[j] + soc0 * m_soc == \
-                    pytest.approx(sol.x[:72].sum(), rel=1e-9, abs=1e-9)
-                compared += 1
-                soc = float(sol.x[scheduler._SOC_END])
+                days.append((capacity, soc0, found[0].x))
+                soc = float(found[0].x[scheduler._SOC_END])
+            if not days:
+                continue
+            capacity, soc0, alone = (np.array(column) for column in zip(*days))
+            count, error, checked = held.check_stretch(at_upper, capacity, soc0)
+            assert (count, error) == (len(days), None)
+            np.testing.assert_allclose(checked, alone, rtol=1e-9, atol=1e-9)
+            k = len(days)
+            end, moved = (base[:k] + capacity[:, None] * per_u[:k] + soc0[:, None] * per_s).T
+            np.testing.assert_allclose(end, alone[:, scheduler._SOC_END], rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(moved, alone[:, :72].sum(axis=1), rtol=1e-9, atol=1e-9)
+            compared += len(days)
         assert compared >= 20 and per_soc
 
 
