@@ -204,9 +204,11 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
         _checked(_refine_spacing, mdc_grid, args.refine_step)
     for mu in mdc_grid + ([] if args.mu is None else [args.mu]):
         _checked(check_mdc, mu, config.battery, economics)
+    om_grid = getattr(args, "om_grid", None)
+    if om_grid is not None:  # eol's, parsed and checked once; _cmd_eol reads the list
+        om_grid = args.om_grid = _checked(_validate_grid, _parse_grid(om_grid), "om")
     # A full year of fixed O&M, which eol_analysis prorates, must be a float.
-    om_grid = [] if getattr(args, "om_grid", None) is None else _parse_grid(args.om_grid)
-    for om in [economics.fixed_om_per_kw_year] + om_grid:
+    for om in [economics.fixed_om_per_kw_year] + (om_grid or []):
         if not math.isfinite(om * config.battery.power_limit * 1000.0 * DAYS_PER_YEAR):
             raise ConfigError(f"fixed O&M {om!r} $/kW-year is too large: a year of it overflows")
 
@@ -265,7 +267,6 @@ def _cmd_optimize_curve_price(config: ScenarioConfig, prices, args) -> None:
 
 
 def _cmd_eol(config: ScenarioConfig, prices, args) -> None:
-    om_grid = _checked(_validate_grid, _parse_grid(args.om_grid), "om")
     rows = []
     modes = [("with_swap", config.swap), ("no_swap", None)]
     if config.swap is None:
@@ -277,7 +278,7 @@ def _cmd_eol(config: ScenarioConfig, prices, args) -> None:
                                reserve_enabled=config.flags.reserve_enabled)
     for (mode, _), sweep in zip(modes, sweeps):
         result = sweep.best
-        for om in om_grid:
+        for om in args.om_grid:
             econ = dataclasses.replace(config.economics, fixed_om_per_kw_year=om)
             eol = eol_analysis(result, config.battery, econ,
                                include_mdc_in_cashflow=config.flags.include_mdc_in_cashflow)

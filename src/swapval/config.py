@@ -126,11 +126,11 @@ def parse_config(data: dict) -> ScenarioConfig:
         swap = SwapTerms(**data["swap"]) if data.get("swap") else None
         curve = DemandPriceCurve(**data["demand_curve"]) if data.get("demand_curve") else None
         flags = Flags(**data.get("flags", {}))
-        grids = {name: [float(v) for v in data[name]]
-                 for name in ("mdc_grid", "price_grid") if name in data}
-        for name in grids:
-            if any(isinstance(v, bool) for v in data[name]):
-                raise ConfigError(f"{name} must hold numbers, got {data[name]!r}")
+        grids = {name: data[name] for name in ("mdc_grid", "price_grid") if name in data}
+        for name, grid in grids.items():
+            if not isinstance(grid, list) or any(isinstance(v, bool) for v in grid):
+                raise ConfigError(f"{name} must be an array of numbers, got {grid!r}")
+            grids[name] = [float(v) for v in grid]
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -51,10 +51,6 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _ONE_AT_A_TIME = 8
 _MAX_BLOCK = 64
 
-# Most dual simplex pivots a declined day may take from the held basis
-# before HiGHS solves it (README, "Basis certificate").
-_PIVOTS = 16
-
 
 @dataclass(frozen=True)
 class EconomicParams:
@@ -362,10 +358,9 @@ def simulate_lifecycle(
 
     The days are solved in one ``DailyModel``, each warm from the previous
     solved day, and priced once a year, on its first solved day.  A day the
-    held basis does not prove continues from it by up to ``_PIVOTS`` dual
-    simplex pivots, except on a year's first solved day, which goes to
-    HiGHS if declined: a basis pivoted to at the yearly re-price certifies
-    only short stretches.  Once the held basis has certified
+    held basis does not prove continues from it by dual simplex pivots
+    (``solve_day``); HiGHS runs on the life's first day and on a day the
+    pivots do not settle.  Once the held basis has certified
     ``_ONE_AT_A_TIME`` days one at a time, ``_certify_block`` certifies the
     rest of its stretch in blocks, none starting on a year's first day; a
     HiGHS run or a continued day brings a new basis, which starts that count
@@ -428,7 +423,7 @@ def simulate_lifecycle(
             try:
                 if not n:  # the year's first solved day prices the year
                     model.price(mu_t)
-                x, pivots = solve_day(model, day, soc, capacity_now, _PIVOTS if n else 0)
+                x, pivots = solve_day(model, day, soc, capacity_now)
                 # MWh charged, discharged and swapped, then the calendar share.
                 throughput = float(x[:_H].sum() + x[_H:2 * _H].sum()
                                    + x[2 * _H:3 * _H].sum()) + q_day

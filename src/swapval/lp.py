@@ -2,15 +2,16 @@
 
 ``solve_lp`` maximizes a program with finite column boxes and rows bounded
 as ``row_lower <= A x <= row_upper`` (HiGHS's own form) through scipy's
-bundled HiGHS binding.  A ``HighsModel`` keeps one program loaded in HiGHS:
-the day kernel (``scheduler.solve_day``) loads a life's first day into it
-and rewrites each later day with ``HighsModel.set_day``, so that each
-re-solve starts from the previous basis.  ``HighsModel.certify`` proves a
+bundled HiGHS binding, each run from cold.  A ``HighsModel`` holds one
+program and the basis of its last solve: the day kernel
+(``scheduler.solve_day``) builds it on a life's first day and rewrites each
+later day with ``HighsModel.set_day``.  ``HighsModel.certify`` proves a
 rewritten program optimal without HiGHS when the held basis still does,
 or continues from that basis with a few dual simplex pivots in numpy;
-``certify_stretch`` and ``check_stretch`` prove a stretch of programs at
-once.  All of them work from one inverse of the basis matrix, and each
-gives points only: ``scheduler.money_rows`` costs a day's point.
+HiGHS solves only the programs it declines.  ``certify_stretch`` and
+``check_stretch`` prove a stretch of programs at once.  All of them work
+from one inverse of the basis matrix, and each gives points only:
+``scheduler.money_rows`` costs a day's point.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ _STATUS = {
 }
 
 
-_OK = _highs.HighsStatus.kOk
+_OK, _ERROR = _highs.HighsStatus.kOk, _highs.HighsStatus.kError
 
 # Feasibility tolerance of every solve: the re-check accepts bound and row
 # violations up to ``10 * _TOL * scale``, ``scale`` being the program's
@@ -126,6 +127,10 @@ _OK = _highs.HighsStatus.kOk
 # its primal and dual feasibility tolerances.
 _TOL = 1e-9
 _HIGHS_TOL = 1e-10
+
+# The options of every HiGHS run.
+_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": _HIGHS_TOL,
+            "dual_feasibility_tolerance": _HIGHS_TOL}
 
 # Basis certificate tolerances.  A reduced cost within _TIE of 0 keeps its
 # variable's bound: HiGHS, at its _HIGHS_TOL dual tolerance, leaves such a
@@ -144,23 +149,24 @@ _UPDATES = 32
 
 
 class HighsModel:
-    """One LinearProgram kept loaded in a HiGHS instance across solves.
+    """One LinearProgram, the basis of its last solve and that basis's inverse.
 
-    Change the program only through ``set_day``: it updates ``lp`` at once
-    and HiGHS before its next run.  HiGHS keeps its basis through such
-    changes, so ``solve_lp(model)`` restarts the simplex from the previous
-    optimum, and ``certify`` can often prove the changed program optimal.
-    Both re-check their point at ``scale``, the program's largest finite
-    bound and at least 1.  Between days only the upper bound u of ``cols``
-    and the value s of equality row ``row`` move: ``set_day`` writes them,
-    and the scan of the other bounds is made once.
+    Change the program only through ``set_day``, which writes ``lp`` in
+    place.  ``solve_lp(model)`` solves the program as it stands in a fresh
+    HiGHS instance, from no basis; ``certify`` proves the changed program
+    optimal from the held basis, or continues from it by a few pivots.  Both
+    re-check their point at ``scale``, the program's largest finite bound
+    and at least 1.  Between days only the upper bound u of ``cols`` and the
+    value s of equality row ``row`` move: ``set_day`` writes them, and the
+    scan of the other bounds is made once.
 
     The program is held in bounded form: columns x and row activities r = Ax
     are the n + m variables of ``[A, -I] (x, r) = 0``, each in its box
     (a row's is ``[row_lower, row_upper]``).  The program's costs and bounds
     are views of the bounded form's, so both always agree.  The held basis
     is that of the last optimal HiGHS run, or the one ``certify`` pivoted
-    to since; numpy holds its basis matrix's inverse.
+    to since, and numpy holds its basis matrix's inverse; no HiGHS state
+    outlives a run.
     """
 
     def __init__(self, lp: LinearProgram, cols: slice = slice(0, 0), row: int | None = None):
@@ -175,12 +181,8 @@ class HighsModel:
         # variable codes plus m (a column j is j, a row i is -1 - i).
         self._bounded = np.hstack((lp.A, -np.eye(m)))
         self._bounded_index = np.concatenate((np.arange(n + m - 1, n - 1, -1), np.arange(n)))
-        self._cols = np.arange(n, dtype=np.int32)
-        # The bounds a day moves, and what set_day wrote that HiGHS has not
-        # seen: every cost, and the bounds of a slice of columns and of some
-        # rows; None if nothing.
+        # The bounds a day moves: those of a slice of columns and of some rows.
         self._moved = cols, () if row is None else (row,)
-        self._stale: tuple[slice, tuple[int, ...]] | None = None
         # The bounded form's bounds with the moved ones at 0, and the masks
         # of the variables whose upper bound is u and whose bounds are s.
         cap, at_row = np.zeros(n + m), np.zeros(n + m)
@@ -194,32 +196,9 @@ class HighsModel:
         self.scale = max(self._fixed_scale, float(np.abs(self._hi[movable]).max(initial=0.0)))
         self._basic: np.ndarray | None = None  # the held basis, if any
         self._upper: np.ndarray | None = None  # the bound each nonbasic variable is at
-        self._inverse: np.ndarray | None = None  # of the basis matrix, once asked for
+        self._inverse: np.ndarray | None = None  # of the basis matrix; None if none is held
         self._updates = 0  # rank-one updates of _inverse since it was factored
         self.runs = 0  # HiGHS runs
-        program = _highs.HighsLp()
-        program.num_col_ = n
-        program.num_row_ = m
-        program.sense_ = _highs.ObjSense.kMaximize
-        program.col_cost_ = lp.objective
-        program.col_lower_ = lp.lower
-        program.col_upper_ = lp.upper
-        program.row_lower_ = lp.row_lower
-        program.row_upper_ = lp.row_upper
-        cols, rows = np.nonzero(lp.A.T)  # column-wise nonzeros
-        matrix = program.a_matrix_
-        matrix.format_ = _highs.MatrixFormat.kColwise
-        matrix.num_col_ = n
-        matrix.num_row_ = m
-        matrix.start_ = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
-        matrix.index_ = rows.astype(np.int32)
-        matrix.value_ = lp.A[rows, cols]
-        self._highs = _highs._Highs()
-        self._highs.setOptionValue("output_flag", False)
-        for option in ("primal_feasibility_tolerance", "dual_feasibility_tolerance"):
-            self._highs.setOptionValue(option, _HIGHS_TOL)
-        if self._highs.passModel(program) == _highs.HighsStatus.kError:
-            raise LPError("HiGHS rejected the program")
 
     def set_day(self, cost: np.ndarray, u: float, s: float) -> None:
         """Set all costs, ``cols``' upper bound u and ``row``'s value s,
@@ -229,29 +208,30 @@ class HighsModel:
         self.lp.upper[cols] = u
         self.lp.row_lower[row] = self.lp.row_upper[row] = s
         self.scale = max(self._fixed_scale, abs(u), abs(s))
-        self._stale = self._moved
-
-    def _sync(self) -> None:
-        """Pass HiGHS the day set since its last run."""
-        if self._stale is None:
-            return
-        lp, highs = self.lp, self._highs
-        cols, rows = self._stale
-        idx = self._cols[cols]
-        highs.changeColsCost(lp.n_vars, self._cols, lp.objective)
-        highs.changeColsBounds(len(idx), idx, lp.lower[idx], lp.upper[idx])
-        for row in rows:
-            highs.changeRowBounds(row, lp.row_lower[row], lp.row_upper[row])
-        self._stale = None
 
     def run(self) -> tuple[int, np.ndarray | None, str]:
-        """Re-solve from HiGHS's last basis: (status code, x, message).  An
-        optimal run's basis becomes the held one."""
-        highs = self._highs
-        self._sync()
+        """Solve the program in a fresh HiGHS instance: (status code, x,
+        message).  An optimal run's basis becomes the held one, inverted."""
+        lp, n, m = self.lp, self.lp.n_vars, self.lp.n_constraints
         self._basic = self._inverse = None
         self.runs += 1
-        if highs.run() == _highs.HighsStatus.kError:
+        program = _highs.HighsLp()
+        program.num_col_, program.num_row_ = n, m
+        program.sense_ = _highs.ObjSense.kMaximize
+        program.col_cost_, program.col_lower_, program.col_upper_ = \
+            lp.objective, lp.lower, lp.upper
+        program.row_lower_, program.row_upper_ = lp.row_lower, lp.row_upper
+        cols, rows = np.nonzero(lp.A.T)  # column-wise nonzeros
+        matrix = program.a_matrix_
+        matrix.format_ = _highs.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = n, m
+        matrix.start_ = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
+        matrix.index_ = rows.astype(np.int32)
+        matrix.value_ = lp.A[rows, cols]
+        highs = _highs._Highs()
+        for option, value in _OPTIONS.items():
+            highs.setOptionValue(option, value)
+        if highs.passModel(program) == _ERROR or highs.run() == _ERROR:
             return 4, None, "HiGHS run failed"
         status = highs.getModelStatus()
         code = _STATUS.get(status, 4)
@@ -263,8 +243,9 @@ class HighsModel:
                 # The bounded-form basic variables, and the bound each
                 # nonbasic one sits at in the optimum x.
                 self._basic = self._bounded_index[basic + len(basic)]
-                value = np.concatenate((x, self.lp.A @ x))
+                value = np.concatenate((x, lp.A @ x))
                 self._upper = value - self._lo > self._hi - value
+                self._invert()
         return code, x, highs.modelStatusToString(status)
 
     def _invert(self) -> bool:
@@ -286,8 +267,9 @@ class HighsModel:
         nonbasic variable to its other bound is the dual simplex's bound
         flip, which costs HiGHS no iteration either.  A reduced cost within
         ``_TIE`` of 0 keeps the variable's bound; one up to ``_CLEAR``
-        declines, and so does a row favoured at an infinite bound.  Declines
-        too while no basis is held, so the first solve always runs HiGHS.
+        declines, and so does a row favoured at an infinite bound (a daily
+        program has none).  Declines too while no basis, or no inverse of
+        it, is held, so the first solve always runs HiGHS.
 
         When only the primal test fails, up to ``pivots`` pivots of the dual
         simplex (``_pivot``) continue from the held basis, each followed by
@@ -297,7 +279,7 @@ class HighsModel:
         v_r)`` for the nonbasic values ``v``.  The point, put back into its
         column box, passes the feasibility re-check of ``solve_lp``.
         """
-        if self._basic is None or (self._inverse is None and not self._invert()):
+        if self._inverse is None:
             return None
         cost, lo, hi, A = self._cost, self._lo, self._hi, self.lp.A
         n = self.lp.n_vars
@@ -399,7 +381,7 @@ class HighsModel:
         ``f @ x = w @ v`` for the nonbasic values v.  ``check_stretch``
         follows.
         """
-        if self._basic is None or (self._inverse is None and not self._invert()):
+        if self._inverse is None:
             return None
         basic, n = self._basic, self.lp.n_vars
         lo, hi, cap, at_row = self._varied
@@ -459,10 +441,11 @@ class HighsModel:
 
 
 def solve_lp(model: HighsModel) -> LPSolution:
-    """Maximize the model's program from the basis of its previous solve,
-    verifying primal feasibility against ``_TOL`` at the model's ``scale``.
+    """Maximize the model's program in a fresh HiGHS run, verifying primal
+    feasibility against ``_TOL`` at the model's ``scale``.
 
-    Deterministic for an identical history of solves.  Raises
+    Deterministic for an identical program: no run starts from another's
+    basis.  Raises
     IterationLimitError when the solver hits its iteration limit without a
     verdict (distinct from infeasible), and LPError if the solver reports
     success but the solution fails the feasibility re-check.

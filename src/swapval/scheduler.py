@@ -16,12 +16,12 @@ negative prices genuinely pay for it); the penalty is removed from all
 reported profit figures.
 
 A day is solved by ``solve_day`` in a ``DailyModel``, the lifecycle's day
-kernel: its first day builds the 24-hour LP (``build_daily_lp``) and holds
-it in HiGHS, and each next day is written into it and proven optimal from
-the held basis, continued from it by a few dual simplex pivots, or
-re-solved by HiGHS from its last basis; stretches of days are certified in
-blocks (``certify_days``).  A solved day is its point, which ``money_rows``
-costs together with the year's other days.
+kernel: its first day builds the 24-hour LP (``build_daily_lp``), solves
+it in HiGHS and holds its optimal basis, and each next day is written into
+it and proven optimal from the held basis, continued from it by a few dual
+simplex pivots, or solved by HiGHS from cold; stretches of days are
+certified in blocks (``certify_days``).  A solved day is its point, which
+``money_rows`` costs together with the year's other days.
 """
 
 from __future__ import annotations
@@ -148,7 +148,11 @@ def build_daily_lp(model: DailyModel, pattern: int, soc_start: float,
 
     h = np.arange(H)
     A = np.zeros((m, n))
-    row_lower = np.full(m, -np.inf)
+    # The SOC rows are equalities; every other row's lower bound is the
+    # least its activity can reach in the column boxes: 0 for the cap and
+    # headroom rows, and for a coupling row -eta times the full size, which
+    # no capacity fade moves.
+    row_lower = np.zeros(m)
     row_upper = np.zeros(m)
     # soc[h] - keep soc[h-1] - eta charge[h] + (discharge[h] + swap[h]) / eta
     # equals keep * soc_start in hour 0 and 0 after.
@@ -156,7 +160,6 @@ def build_daily_lp(model: DailyModel, pattern: int, soc_start: float,
     A[h[1:], i_soc + h[:-1]] = -keep
     A[h, i_cha + h] = -eta
     A[h, i_dis + h] = A[h, i_swp + h] = 1.0 / eta
-    row_lower[:H] = 0.0
     row_lower[0] = row_upper[0] = keep * soc_start
     A[H, i_swp:i_soc] = 1.0
     row_upper[H] = model.swap.daily_swap_cap
@@ -166,6 +169,7 @@ def build_daily_lp(model: DailyModel, pattern: int, soc_start: float,
         row_upper[headroom] = b.power_limit
         A[coupling, i_res + h] = 1.0
         A[coupling, i_soc + h] = -eta
+        row_lower[coupling] = -eta * b.energy_capacity_0
 
     return LinearProgram(objective=model.costs[pattern], lower=np.zeros(n), upper=upper,
                          A=A, row_lower=row_lower, row_upper=row_upper)
@@ -175,7 +179,8 @@ class DailyModel:
     """A lifecycle's day kernel, built from what stays fixed through the life.
 
     ``price`` costs each pattern day at a year's adjusted MDC, one row of
-    ``costs`` each.  ``solve_day`` holds the daily LP in HiGHS (``held``).
+    ``costs`` each.  ``solve_day`` holds the daily LP and its basis
+    (``held``).
     """
 
     def __init__(self, battery: BatterySpec, prices: HourlyPriceSeries, swap: SwapTerms,
@@ -196,8 +201,13 @@ class DailyModel:
         self.amdc, self.costs = amdc, costs
 
 
-def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float,
-              pivots: int = 0) -> tuple[np.ndarray, int | None]:
+# Most dual simplex pivots a declined day may take from the held basis
+# before HiGHS solves it (README, "Continuation").
+_PIVOTS = 16
+
+
+def solve_day(model: DailyModel, day: int, soc_start: float,
+              capacity_now: float) -> tuple[np.ndarray, int | None]:
     """Solve ``day`` of the model's life from ``soc_start`` MWh at usable
     capacity ``capacity_now``: its point (``build_daily_lp``'s columns) and
     the dual simplex pivots that settled it from the held basis (0 when
@@ -205,9 +215,11 @@ def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float
 
     The first day builds the program; a later one writes its pattern day's
     costs, ``capacity_now`` (the swap and SOC columns' bound) and the carried
-    SOC (SOC row 0) into it.  HiGHS runs (``solve_lp``, from its last basis)
-    only when ``HighsModel.certify`` declines the day, having continued from
-    the held basis by up to ``pivots`` dual simplex pivots.  The point is
+    SOC (SOC row 0) into it.  ``HighsModel.certify`` proves the day from the
+    held basis or continues from it by up to ``_PIVOTS`` dual simplex
+    pivots; every row of the program is boxed, so it can start from any
+    held basis.  HiGHS runs (``solve_lp``, from cold) on the first day, which
+    has no basis yet, and on a day ``certify`` declines.  The point is
     re-checked at the program's largest bound.  Raises ScheduleError if the
     LP is anything but optimal: a bug, as zero is always feasible.
     """
@@ -222,7 +234,7 @@ def solve_day(model: DailyModel, day: int, soc_start: float, capacity_now: float
             build_daily_lp(model, pattern, soc_start, capacity_now), _SWAP_AND_SOC, 0)
     else:
         held.set_day(model.costs[pattern], capacity_now, model.keep * soc_start)
-    found = held.certify(pivots)
+    found = held.certify(_PIVOTS)
     sol, pivots = (solve_lp(held), None) if found is None else found
     if sol.status != "optimal":
         raise ScheduleError(

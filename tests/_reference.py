@@ -99,10 +99,10 @@ def schedule_of(model: DailyModel, day: int, x: np.ndarray,
         certified=pivots == 0, pivots=pivots or 0)
 
 
-def solve_schedule(model: DailyModel, day: int, soc_start: float, capacity_now: float,
-                   pivots: int = 0) -> DailySchedule:
+def solve_schedule(model: DailyModel, day: int, soc_start: float,
+                   capacity_now: float) -> DailySchedule:
     """``solve_day`` of ``day``, as a schedule."""
-    return schedule_of(model, day, *solve_day(model, day, soc_start, capacity_now, pivots))
+    return schedule_of(model, day, *solve_day(model, day, soc_start, capacity_now))
 
 
 @dataclass
@@ -153,15 +153,14 @@ def solve_fresh(lp: LinearProgram) -> LPSolution:
 def rewrite(model: HighsModel, objective, cols: slice = slice(0, 0), upper=0.0,
             rows: dict[int, tuple[float, float]] | None = None) -> None:
     """Write every cost of a held program, the upper bounds of ``cols`` and
-    the (lower, upper) bounds of ``rows``, which HiGHS sees at its next run,
-    as it sees a day that ``HighsModel.set_day`` writes."""
+    the (lower, upper) bounds of ``rows``, as ``HighsModel.set_day`` writes
+    a day."""
     lp, rows = model.lp, rows or {}
     lp.objective[:] = objective
     lp.upper[cols] = upper
     for row, bounds in rows.items():
         lp.row_lower[row], lp.row_upper[row] = bounds
     model.scale = _scale(lp)
-    model._stale = cols, tuple(rows)
 
 
 def solve_lp_linprog(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
@@ -490,21 +489,23 @@ def build_daily_lp_rows(day: DayInput, hours: int = 24) -> LinearProgram:
         value = keep * day.soc_start if h == 0 else 0.0
         rows.append((row, value, value))
 
+    # The cap and headroom rows cannot go below 0, nor a coupling row below
+    # -eta times the full size.
     cap_row = np.zeros(n)
     cap_row[i_swp:i_soc] = 1.0
-    rows.append((cap_row, -np.inf, day.swap.daily_swap_cap))
+    rows.append((cap_row, 0.0, day.swap.daily_swap_cap))
 
     if res:
         for h in range(H):
             row = np.zeros(n)
             row[i_res + h] = 1.0
             row[i_dis + h] = 1.0
-            rows.append((row, -np.inf, b.power_limit))
+            rows.append((row, 0.0, b.power_limit))
         for h in range(H):
             row = np.zeros(n)
             row[i_res + h] = 1.0
             row[i_soc + h] = -eta
-            rows.append((row, -np.inf, 0.0))
+            rows.append((row, -eta * b.energy_capacity_0, 0.0))
 
     A, row_lower, row_upper = zip(*rows)
     return LinearProgram(objective=_objective(day, H), lower=lower, upper=upper,

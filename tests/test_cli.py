@@ -219,6 +219,8 @@ class TestBadInputExits2:
         "negative-swap-cap": ["sweep-price", "--swap-cap=-1"],
         "negative-om": ["simulate", "--mu", "1", "--om=-5"],
         "negative-om-grid": ["eol", "--mu", "1", "--om-grid=-8:8:8"],
+        # A negative point, not a year of O&M that overflows.
+        "negative-huge-om-grid": ["eol", "--mu", "1", "--om-grid=-7e304:0:7e304"],
     }
 
     @staticmethod
@@ -239,11 +241,14 @@ class TestBadInputExits2:
         assert record["exit_code"] == 2
         assert record["error"] == "ConfigError"
         assert {p.name for p in out.iterdir()} <= {"config.json", "error.json"}
+        return record["message"]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_flag(self, case, tmp_path, monkeypatch):
         self._forbid_lifecycles(monkeypatch)
-        self._assert_exit_2(self.CASES[case] + FAST, tmp_path / "out")
+        message = self._assert_exit_2(self.CASES[case] + FAST, tmp_path / "out")
+        if "om-grid" in case:
+            assert message == "om grid values must be finite and >= 0"
 
     @pytest.mark.parametrize("grid", ["mdc_grid", "price_grid"])
     def test_config_file_grid(self, grid, tmp_path, monkeypatch):
@@ -413,6 +418,9 @@ def test_out_of_range_flag_exits_2(case, tmp_path, monkeypatch):
     ("demand_curve", "intercept", True),
     ("mdc_grid", None, [0, True]),
     ("price_grid", None, [False, 10]),
+    # Not an array: a string would be read as its characters, an object as its keys.
+    ("mdc_grid", None, "05"),
+    ("price_grid", None, {"0": 1, "10": 2}),
 ])
 def test_non_finite_config_value_exits_2(section, field, value, tmp_path, monkeypatch):
     TestBadInputExits2._forbid_lifecycles(monkeypatch)
@@ -426,7 +434,9 @@ def test_non_finite_config_value_exits_2(section, field, value, tmp_path, monkey
     out = tmp_path / "out"
     TestBadInputExits2()._assert_exit_2(["sweep-price", "--config", str(path)] + FAST, out)
     boolean = any(isinstance(v, bool) for v in (value if isinstance(value, list) else [value]))
-    if section == "battery" or boolean:  # named, not blamed on the MDC or taken as 1 or 0
+    not_array = field is None and not isinstance(value, list)
+    # Named, not blamed on the MDC, taken as 1 or 0, or read as characters or keys.
+    if section == "battery" or boolean or not_array:
         assert (field or section) in json.loads((out / "error.json").read_text())["message"]
 
 

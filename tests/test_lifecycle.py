@@ -653,17 +653,16 @@ class TestBasisCertificate:
     def test_busy_lifecycle_runs_highs_only_on_declined_days(self, monkeypatch, tmp_path):
         """The lifecycle-busy benchmark's inputs: a 365-day sine CSV with reserve
         prices, simulated at mu 35 with the paper-defaults swap terms.  HiGHS
-        runs on the life's first day and on a year's first solved day that
-        the held basis declines, which takes no pivot; every other declined
-        day is continued."""
+        runs on the life's first day only, which has no basis yet; every
+        later declined day, a year's first solved day too, is continued."""
         import swapval.lifecycle as lifecycle
 
-        days = []  # (day, pivots allowed, certified, pivots taken, HiGHS ran)
+        days = []  # (day, certified, pivots taken, HiGHS ran)
 
-        def day(model, d, soc, capacity, pivots=0):
+        def day(model, d, soc, capacity):
             runs = model.held.runs if model.held else 0
-            x, taken = solve_day(model, d, soc, capacity, pivots)
-            days.append((d, pivots, taken == 0, taken or 0, model.held.runs > runs))
+            x, taken = solve_day(model, d, soc, capacity)
+            days.append((d, taken == 0, taken or 0, model.held.runs > runs))
             return x, taken
 
         monkeypatch.setattr(lifecycle, "solve_day", day)
@@ -675,14 +674,13 @@ class TestBasisCertificate:
             - stats["days_continued"]
         assert 0 < stats["highs_runs"] == declined < stats["days_solved"] / 2
         assert stats["days_in_blocks"] > 0 and stats["days_continued"] > 0
-        assert stats["pivots"] == sum(e[3] for e in days)
-        first = set(range(0, result.days_lived, DAYS_PER_YEAR))
-        assert [e[1] for e in days] == [0 if e[0] in first else lifecycle._PIVOTS
-                                        for e in days]
-        highs = [e for e in days if e[4]]
-        assert all(not certified and not pivots for _, _, certified, pivots, _ in highs)
-        assert [e[0] for e in highs][:1] == [0] and {e[0] for e in highs} <= first
-        assert len(highs) == stats["highs_runs"] >= 2  # a later year's first day too
+        assert stats["pivots"] == sum(e[2] for e in days)
+        highs = [e for e in days if e[3]]
+        assert [e[0] for e in highs] == [0] and stats["highs_runs"] == 1
+        assert not highs[0][1] and not highs[0][2]
+        # A later year's first solved day is continued, not sent to HiGHS.
+        first = set(range(DAYS_PER_YEAR, result.days_lived, DAYS_PER_YEAR))
+        assert any(taken for d, _, taken, _ in days if d in first)
 
     def test_busy_lifecycle_bits_and_calls(self, tmp_path):
         """The lifecycle-busy inputs: the bits, one solved day per day lived,
@@ -690,17 +688,17 @@ class TestBasisCertificate:
         certify most days, and their points move the last bits of
         ``lb_star``: the day loop that certified one day at a time gave
         ``0x1.9747f4ffaab1bp+18``.  Continuing declined days instead of
-        running HiGHS on them (256 runs before) left these bits as they
-        were."""
+        running HiGHS on them (256 runs before, then 2 while a year's first
+        day took no pivot) left these bits as they were."""
         result = simulate_lifecycle(self.PAPER, EconomicParams(), _busy_prices(tmp_path),
                                     35.0, swap_policy=SwapTerms(160.0, 2.7, 10.0))
         assert result.lb_star.hex() == "0x1.9747f4ffaab1ap+18"
         one_at_a_time = float.fromhex("0x1.9747f4ffaab1bp+18")
         assert abs(result.lb_star - one_at_a_time) <= 1e-12 * abs(one_at_a_time)
         assert result.days_lived == result.stats["days_solved"] == 1507
-        assert result.stats["days_continued"] == 143
-        assert result.stats["pivots"] == 145
-        assert result.stats["highs_runs"] == 2
+        assert result.stats["days_continued"] == 142
+        assert result.stats["pivots"] == 144
+        assert result.stats["highs_runs"] == 1
 
 
 class TestBlocks:

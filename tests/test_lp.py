@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swapval import lp as lp_module
 from swapval.lp import (
     DimensionError,
     HighsModel,
@@ -142,15 +143,16 @@ def test_unbounded_defensive():
         LinearProgram([1.0], [0.0], [np.inf], np.zeros((0, 1)), [], [])
 
 
-def test_iteration_limit_reported_distinctly():
+def test_iteration_limit_reported_distinctly(monkeypatch):
     lp = LinearProgram([-1.0, -2.0, 1.0], [0, 0, 0], [10, 10, 10],
                        [[1, 1, 1], [1, -1, 0], [0, 1, 1]],
                        [-INF, -INF, -INF], [4.0, 1.0, 3.0])
     model = HighsModel(lp)
-    model._highs.setOptionValue("presolve", "off")
-    model._highs.setOptionValue("simplex_iteration_limit", 1)
-    with pytest.raises(IterationLimitError):
-        solve_lp(model)
+    with monkeypatch.context() as patch:  # every HiGHS run reads the options
+        patch.setitem(lp_module._OPTIONS, "presolve", "off")
+        patch.setitem(lp_module._OPTIONS, "simplex_iteration_limit", 1)
+        with pytest.raises(IterationLimitError):
+            solve_lp(model)
     with pytest.raises(IterationLimitError):
         solve_lp_linprog(lp, max_iter=1)
     # The same instance is perfectly feasible without the cap.

@@ -115,6 +115,24 @@ class TestBuildDailyLP:
                                ("row_upper", block.row_upper[kept])):
                 assert np.array_equal(part, getattr(rows, name)), (name, cap, soc, rho)
 
+    @pytest.mark.parametrize("reserve", [False, True])
+    def test_every_row_is_boxed_by_the_columns(self, reserve):
+        """Every row bound is finite, and no lower bound of an inequality row
+        cuts a point of the column box, at any capacity up to the full size:
+        the program is boxed as its columns already box it, so a basis is
+        dual feasible once its nonbasic variables flip to their favoured
+        bounds."""
+        battery = BatterySpec(energy_capacity_0=2.7, power_limit=1.3, efficiency=ETA,
+                              self_discharge=0.01)
+        for cap, capacity in itertools.product([0.0, 2.7, 50.0], [2.7, 2.5, 2.16, 0.3]):
+            day = flat_day(battery, swap=SwapTerms(120.0, cap), reserve=reserve,
+                           soc=0.5 * capacity, capacity=capacity, reserve_level=2.0)
+            lp = self._day_0(day)
+            assert np.isfinite(lp.row_lower).all() and np.isfinite(lp.row_upper).all()
+            least = np.minimum(lp.A * lp.lower, lp.A * lp.upper).sum(axis=1)
+            inequality = lp.row_lower < lp.row_upper
+            assert (lp.row_lower[inequality] <= least[inequality]).all(), (cap, capacity)
+
 
 class TestSolveDay:
     def test_swap_channel_used_to_cap(self, battery):
